@@ -33,6 +33,7 @@ OPTIONS:
   --scale <scale>        smoke | quick | full (report label; default: smoke)
   --replicas <n>         data centers (default: 2)
   --partitions <n>       partitions per data center (default: 2)
+  --lanes <n>            worker lanes per server; above 1 runs the parallel server (default: 1)
   --conns <n>            concurrent connections (default: 8)
   --pipeline <n>         max in-flight operations per connection (default: 32)
   --rate <ops/sec>       target aggregate arrival rate (default: 60000)
@@ -105,6 +106,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--replicas" => args.options.replicas = num("--replicas", &mut it)? as usize,
             "--partitions" => args.options.partitions = num("--partitions", &mut it)? as usize,
+            "--lanes" => args.options.lanes = num("--lanes", &mut it)? as usize,
             "--conns" => args.options.conns = num("--conns", &mut it)? as usize,
             "--pipeline" => args.options.pipeline = num("--pipeline", &mut it)? as usize,
             "--rate" => args.options.rate = num("--rate", &mut it)?,
@@ -123,11 +125,14 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.options.replicas < 1
         || args.options.partitions < 1
+        || args.options.lanes < 1
         || args.options.conns < 1
         || args.options.pipeline < 1
         || args.options.rate <= 0.0
     {
-        return Err("replicas, partitions, conns, pipeline and rate must be positive".into());
+        return Err(
+            "replicas, partitions, lanes, conns, pipeline and rate must be positive".into(),
+        );
     }
     Ok(args)
 }
@@ -152,7 +157,7 @@ fn main() -> ExitCode {
 
     let o = &args.options;
     println!(
-        "=== {} — {} transport, {} protocol, {}x{} deployment",
+        "=== {} — {} transport, {} protocol, {}x{} deployment, {} lane(s) per server",
         o.scenario.name,
         o.transport.name(),
         match o.protocol {
@@ -163,6 +168,7 @@ fn main() -> ExitCode {
         },
         o.replicas,
         o.partitions,
+        o.lanes,
     );
     println!(
         "    target {} ops/s over {} conns (pipeline {}), warmup {:.1}s + measured {:.1}s",

@@ -143,6 +143,9 @@ pub struct LoadOptions {
     pub replicas: usize,
     /// Number of partitions per data center.
     pub partitions: usize,
+    /// Worker lanes per server: 1 runs the serial server loop, more the shard-parallel
+    /// execution runtime.
+    pub lanes: usize,
     /// Number of concurrent connections (threads); spread round-robin over all servers.
     pub conns: usize,
     /// Maximum in-flight operations per connection.
@@ -175,6 +178,7 @@ impl LoadOptions {
             scale: Scale::Smoke,
             replicas: 2,
             partitions: 2,
+            lanes: 1,
             conns: 8,
             pipeline: 32,
             rate: 60_000.0,
@@ -440,7 +444,7 @@ fn convergence_digests_agree(cluster: &Cluster) -> bool {
 /// (single point, `x` = target aggregate rate) that passes the BENCH schema validator.
 pub fn run(options: &LoadOptions) -> ScenarioReport {
     assert!(options.replicas >= 1 && options.partitions >= 1);
-    assert!(options.conns >= 1 && options.pipeline >= 1);
+    assert!(options.conns >= 1 && options.pipeline >= 1 && options.lanes >= 1);
 
     let deployment = Config::builder()
         .num_replicas(options.replicas)
@@ -457,6 +461,7 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
         .config(deployment.clone())
         .protocol(options.protocol)
         .transport(options.transport)
+        .worker_lanes(options.lanes)
         .start();
 
     let snapshot_reads = matches!(
@@ -728,6 +733,17 @@ mod tests {
         let report = run(&options);
         let point = &report.points[0];
         assert!(point.report.operations_completed > 0);
+        json::validate_report(&report.to_json()).expect("loadgen report passes the schema");
+    }
+
+    #[test]
+    fn steady_tcp_run_on_worker_lanes_converges() {
+        let mut options = tiny(find_scenario("steady").unwrap(), TransportKind::Tcp);
+        options.lanes = 2;
+        let report = run(&options);
+        let point = &report.points[0];
+        assert!(point.report.operations_completed > 0);
+        assert!(point.report.converged, "replicas converged after the run");
         json::validate_report(&report.to_json()).expect("loadgen report passes the schema");
     }
 

@@ -87,21 +87,35 @@ pub type EventSink = Arc<dyn Fn(ServerId, TransportEvent) + Send + Sync>;
 
 /// A message-moving backend connecting the nodes of one cluster (and its clients).
 ///
-/// Outbound sends may buffer: [`Transport::send_server`] is allowed to coalesce traffic
-/// per destination until [`Transport::flush`] (the TCP backend stages frames into one
-/// per-connection scratch and writes them with a single syscall). Buffering MUST preserve
-/// per-link send order — the protocols assume lossless FIFO channels — and `reply` must
-/// not overtake earlier replies to the same client. The runtime flushes after every
-/// processed inbox batch and every tick, so nothing is deferred longer than a tick.
+/// # The flush contract
+///
+/// Outbound traffic may buffer: both [`Transport::send_server`] and [`Transport::reply`]
+/// are *permitted, not required,* to stage per destination until a flush (the TCP backend
+/// stages frames into one per-connection scratch and writes them with a single syscall;
+/// the channel backend delivers at once and its flushes do nothing). Buffering MUST
+/// preserve per-link send order — the protocols assume lossless FIFO channels — and a
+/// reply must not overtake earlier replies to the same client.
+///
+/// The rule for callers is *stage while there is more work, flush before you block*:
+/// whoever called `send_server` or `reply` owes a [`Transport::flush`] (or, for replies
+/// alone, a [`Transport::flush_replies`]) before it waits for its next input. Nothing is
+/// flushed on a timer, so a stager that blocks without flushing parks its output until
+/// somebody else flushes the same server. The runtime's serial server loop flushes after
+/// every drained inbox batch and after every tick; a worker lane's output sink flushes
+/// the replies it stages one by one, and leaves replication to the dispatcher's flushes.
 pub trait Transport: Send + Sync {
     /// Sends (or stages) a server-to-server message from `from` to `to`.
     fn send_server(&self, from: ServerId, to: ServerId, message: ServerMessage);
 
-    /// Delivers a reply from server `from` to a client session, dropping it silently if
-    /// the session is gone (the client may have timed out and disconnected).
+    /// Delivers (or stages) a reply from server `from` to a client session, dropping it
+    /// silently if the session is gone (the client may have timed out and disconnected).
     fn reply(&self, from: ServerId, client: ClientId, reply: ClientReply);
 
-    /// Writes out everything staged by `from` since the last flush.
+    /// Writes out the replies staged by `from`, and nothing else.
+    fn flush_replies(&self, from: ServerId);
+
+    /// Writes out everything staged by `from` since the last flush: replies, then
+    /// server-to-server messages.
     fn flush(&self, from: ServerId);
 
     /// Opens a client port for `client`. The id must be unique across the cluster.
@@ -119,11 +133,23 @@ pub trait Transport: Send + Sync {
 ///
 /// Requests to the same server are delivered in submission order; replies arrive on a
 /// single merged stream in the order servers sent them.
+///
+/// The client side of the flush contract (see [`Transport`]): [`ClientPort::submit`] may
+/// stage, and [`ClientPort::recv_timeout`] sends whatever is staged before it waits. A
+/// caller that only ever waits in `recv_timeout` never needs [`ClientPort::flush`]; one
+/// that waits on anything else after a `submit` must call it first.
 pub trait ClientPort: Send {
-    /// Sends `request` to server `to` on behalf of this port's client.
+    /// Sends (or stages) `request` to server `to` on behalf of this port's client.
     fn submit(&mut self, to: ServerId, request: ClientRequest) -> Result<()>;
 
-    /// Waits up to `timeout` for the next reply addressed to this port's client.
+    /// Sends every staged request now. The default suits backends that never stage.
+    fn flush(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    /// Hands back the next reply addressed to this port's client. Replies already
+    /// received are returned at once; otherwise staged requests are sent first and the
+    /// call waits up to `timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<ClientReply>;
 }
 

@@ -5,11 +5,14 @@
 //! [`crate::transport::frame`]). The design goals are the ones that make a socket path
 //! fast rather than merely present:
 //!
-//! * **Write coalescing** — server-to-server sends stage frames into one per-connection
-//!   [`FrameWriter`] scratch (encoding in place via the codec's `encode_*_into`, zero
-//!   steady-state allocations) and the runtime's flush writes the whole backlog with a
-//!   single `write` syscall. Replication batches produced by the engine's
-//!   `MessageBatcher` travel as one `Batch` frame, so fan-out batching survives the wire.
+//! * **Write coalescing** — every leg (server to server, server to client, client to
+//!   server) stages frames into one per-connection [`FrameWriter`] scratch (encoding in
+//!   place via the codec's `encode_*_into`, zero steady-state allocations) and writes the
+//!   whole backlog with a single `write` syscall when the staging thread would otherwise
+//!   block: the runtime's end-of-batch [`Transport::flush`] on a server, a
+//!   [`ClientPort::recv_timeout`] that has no reply to hand back on a client. There is no
+//!   timer. Replication batches produced by the engine's `MessageBatcher` travel as one
+//!   `Batch` frame, so fan-out batching survives the wire.
 //! * **Read-side buffer reuse** — every reader thread owns one fixed chunk buffer and one
 //!   [`FrameDecoder`] whose backing storage is recycled across reads; complete frames are
 //!   handed to the zero-copy decoder.
@@ -30,7 +33,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use pocc_proto::{codec, ClientReply, ClientRequest, ServerMessage};
 use pocc_types::{ClientId, Config, Error, Result, ServerId};
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -41,12 +45,20 @@ use std::time::Duration;
 /// Size of the per-reader receive chunk.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Staged bytes beyond which a peer connection flushes early instead of waiting for the
-/// runtime's end-of-batch flush, bounding the scratch buffer's high-water mark.
+/// Staged bytes beyond which a connection flushes early instead of waiting for its
+/// owner's flush, bounding every scratch buffer's high-water mark.
 const FLUSH_THRESHOLD: usize = 256 * 1024;
 
 /// How often blocked readers wake up to check the shutdown flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(50);
+
+thread_local! {
+    /// Whether this thread staged a reply since it last flushed client connections. A
+    /// connection reader checks it before blocking in `read`: an event sink that answers
+    /// inline, with no server thread behind it, stages on the reader's own thread, and
+    /// nobody else would flush for it.
+    static STAGED_REPLY: Cell<bool> = const { Cell::new(false) };
+}
 
 /// A connection's write half plus its staging scratch.
 struct ConnWriter {
@@ -63,6 +75,7 @@ impl ConnWriter {
     }
 
     /// Writes everything staged with one `write_all`, retaining the scratch allocation.
+    /// The only place bytes reach a socket, on every leg.
     fn flush(&mut self) -> std::io::Result<()> {
         if !self.scratch.is_empty() {
             self.stream.write_all(self.scratch.bytes())?;
@@ -79,6 +92,27 @@ struct NodeState {
     peers: Mutex<HashMap<ServerId, ConnWriter>>,
     /// Write halves of accepted client connections, registered at hello time.
     clients: RwLock<HashMap<ClientId, Arc<Mutex<ConnWriter>>>>,
+    /// The client connections holding staged replies: a connection is listed by whoever
+    /// stages into its empty scratch, so a flush visits these and never scans `clients`.
+    dirty: Mutex<Vec<(ClientId, Arc<Mutex<ConnWriter>>)>>,
+}
+
+impl NodeState {
+    /// Writes out every client connection with staged replies, one `write` each. A
+    /// connection whose write fails is dropped; the others are unaffected.
+    fn flush_clients(&self) {
+        STAGED_REPLY.with(|staged| staged.set(false));
+        loop {
+            // The list is unlocked again before the write, so lanes flush different
+            // clients in parallel.
+            let Some((client, writer)) = self.dirty.lock().pop() else {
+                return;
+            };
+            if writer.lock().flush().is_err() {
+                self.clients.write().remove(&client);
+            }
+        }
+    }
 }
 
 /// The TCP socket backend. See the module docs.
@@ -105,6 +139,7 @@ impl TcpTransport {
                 Arc::new(NodeState {
                     peers: Mutex::new(HashMap::new()),
                     clients: RwLock::new(HashMap::new()),
+                    dirty: Mutex::new(Vec::new()),
                 }),
             );
             listeners.push((id, listener));
@@ -160,18 +195,34 @@ impl Transport for TcpTransport {
     }
 
     fn reply(&self, from: ServerId, client: ClientId, reply: ClientReply) {
-        let writer = self.nodes[&from].clients.read().get(&client).cloned();
-        if let Some(writer) = writer {
-            // Replies flush immediately: the client is blocked waiting on this message.
-            let mut conn = writer.lock();
-            if conn.scratch.stage_reply(&reply).is_ok() && conn.flush().is_err() {
-                self.nodes[&from].clients.write().remove(&client);
-            }
+        let node = &self.nodes[&from];
+        let Some(writer) = node.clients.read().get(&client).cloned() else {
+            return;
+        };
+        let mut conn = writer.lock();
+        let was_clean = conn.scratch.is_empty();
+        if conn.scratch.stage_reply(&reply).is_err() {
+            return;
+        }
+        STAGED_REPLY.with(|staged| staged.set(true));
+        let over_threshold = conn.scratch.len() >= FLUSH_THRESHOLD;
+        drop(conn);
+        if was_clean {
+            node.dirty.lock().push((client, writer));
+        }
+        if over_threshold {
+            node.flush_clients();
         }
     }
 
+    fn flush_replies(&self, from: ServerId) {
+        self.nodes[&from].flush_clients();
+    }
+
     fn flush(&self, from: ServerId) {
-        let mut peers = self.nodes[&from].peers.lock();
+        let node = &self.nodes[&from];
+        node.flush_clients();
+        let mut peers = node.peers.lock();
         peers.retain(|_, conn| conn.flush().is_ok());
     }
 
@@ -183,6 +234,8 @@ impl Transport for TcpTransport {
             conns: HashMap::new(),
             replies_tx: tx,
             replies_rx: rx,
+            ready: VecDeque::new(),
+            staged: false,
         })
     }
 
@@ -269,6 +322,10 @@ fn connection_reader(
     let mut decoder = FrameDecoder::new();
     let mut role: Option<Role> = None;
     'conn: while running.load(Ordering::Relaxed) {
+        if STAGED_REPLY.with(Cell::get) {
+            // The sink answered on this thread; flush before blocking, like any stager.
+            node.flush_clients();
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => decoder.extend(&chunk[..n]),
@@ -338,14 +395,29 @@ struct PortConn {
     reader: Option<JoinHandle<()>>,
 }
 
+impl Drop for PortConn {
+    fn drop(&mut self) {
+        // Shutting the socket down unblocks the reader thread (clones share it).
+        let _ = self.writer.stream.shutdown(Shutdown::Both);
+        if let Some(handle) = self.reader.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
 /// A client's sockets into the cluster: one lazily dialed connection per server the
-/// session talks to, each with a reader thread funneling replies into one merged channel.
+/// session talks to, each with a reader thread funneling reply batches into one merged
+/// channel. Requests stage per connection and leave when the caller is about to wait.
 struct TcpClientPort {
     client: ClientId,
     addrs: HashMap<ServerId, SocketAddr>,
     conns: HashMap<ServerId, PortConn>,
-    replies_tx: Sender<ClientReply>,
-    replies_rx: Receiver<ClientReply>,
+    replies_tx: Sender<Vec<ClientReply>>,
+    replies_rx: Receiver<Vec<ClientReply>>,
+    /// The rest of the reply batch last taken off the channel.
+    ready: VecDeque<ClientReply>,
+    /// Whether any connection holds requests staged since the last flush.
+    staged: bool,
 }
 
 impl TcpClientPort {
@@ -383,43 +455,73 @@ impl ClientPort for TcpClientPort {
         if !self.conns.contains_key(&to) {
             self.connect(to)?;
         }
-        let flushed = {
-            let conn = self.conns.get_mut(&to).expect("just connected");
-            conn.writer.scratch.stage_request(&request)?;
-            conn.writer.flush()
-        };
-        flushed.map_err(|err| {
-            self.conns.remove(&to);
-            Error::ChannelClosed {
-                endpoint: format!("send to {to}: {err}"),
+        let conn = self.conns.get_mut(&to).expect("just connected");
+        conn.writer.scratch.stage_request(&request)?;
+        self.staged = true;
+        if conn.writer.scratch.len() >= FLUSH_THRESHOLD {
+            return self.flush();
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        if !std::mem::take(&mut self.staged) {
+            return Ok(());
+        }
+        let mut failed = None;
+        // One `write` per connection with staged requests; a connection whose write
+        // fails is dropped (with its reader), and the next submit dials afresh.
+        self.conns.retain(|to, conn| match conn.writer.flush() {
+            Ok(()) => true,
+            Err(err) => {
+                failed.get_or_insert((*to, err));
+                false
             }
-        })
+        });
+        match failed {
+            None => Ok(()),
+            Some((to, err)) => Err(Error::ChannelClosed {
+                endpoint: format!("send to {to}: {err}"),
+            }),
+        }
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<ClientReply> {
-        self.replies_rx
-            .recv_timeout(timeout)
-            .map_err(|_| Error::ChannelClosed {
-                endpoint: format!("reply stream of {}", self.client),
-            })
+        loop {
+            if let Some(reply) = self.ready.pop_front() {
+                return Ok(reply);
+            }
+            let batch = match self.replies_rx.try_recv() {
+                Ok(batch) => batch,
+                Err(_) => {
+                    // Nothing to hand back: the caller is about to wait, so what it
+                    // staged has to leave now. A caller handed k replies by one read
+                    // thus sends its k follow-up requests with one write.
+                    self.flush()?;
+                    self.replies_rx
+                        .recv_timeout(timeout)
+                        .map_err(|_| Error::ChannelClosed {
+                            endpoint: format!("reply stream of {}", self.client),
+                        })?
+                }
+            };
+            self.ready = VecDeque::from(batch);
+        }
     }
 }
 
 impl Drop for TcpClientPort {
     fn drop(&mut self) {
-        for (_, mut conn) in self.conns.drain() {
-            // Shutting the socket down unblocks the reader thread (clones share it).
-            let _ = conn.writer.stream.shutdown(Shutdown::Both);
-            if let Some(handle) = conn.reader.take() {
-                let _ = handle.join();
-            }
-        }
+        // Requests submitted and never waited for still leave; the connections then
+        // close as they drop.
+        let _ = self.flush();
     }
 }
 
-/// Reads replies off one client connection into the port's merged reply channel.
-/// Exits when the socket closes (port drop, server shutdown) or the port is gone.
-fn port_reader(mut stream: TcpStream, tx: Sender<ClientReply>) {
+/// Reads replies off one client connection into the port's merged reply channel, all
+/// replies decoded from one `read` as one message. Exits when the socket closes (port
+/// drop, server shutdown), the stream is malformed or the port is gone.
+fn port_reader(mut stream: TcpStream, tx: Sender<Vec<ClientReply>>) {
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut decoder = FrameDecoder::new();
     loop {
@@ -431,20 +533,22 @@ fn port_reader(mut stream: TcpStream, tx: Sender<ClientReply>) {
             }
             Err(_) => return,
         }
-        loop {
+        let mut batch = Vec::new();
+        let well_formed = loop {
             match decoder.next_frame() {
                 Ok(Some((REPLY, payload))) => match codec::decode_reply(payload) {
-                    Ok(reply) => {
-                        if tx.send(reply).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => return,
+                    Ok(reply) => batch.push(reply),
+                    Err(_) => break false,
                 },
-                Ok(Some(_)) => return, // protocol violation
-                Ok(None) => break,
-                Err(_) => return,
+                Ok(None) => break true,
+                Ok(Some(_)) | Err(_) => break false, // protocol violation
             }
+        };
+        if !batch.is_empty() && tx.send(batch).is_err() {
+            return;
+        }
+        if !well_formed {
+            return;
         }
     }
 }
@@ -452,10 +556,26 @@ fn port_reader(mut stream: TcpStream, tx: Sender<ClientReply>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_types::{DependencyVector, Key, LatencyMatrix, Timestamp};
+    use pocc_proto::GetResponse;
+    use pocc_types::{DependencyVector, Key, LatencyMatrix, ReplicaId, Timestamp, Value};
+    use std::time::Instant;
 
-    fn config() -> Config {
-        Config::builder()
+    const A: ServerId = ServerId {
+        replica: ReplicaId(0),
+        partition: pocc_types::PartitionId(0),
+    };
+    const B: ServerId = ServerId {
+        replica: ReplicaId(1),
+        partition: pocc_types::PartitionId(0),
+    };
+    /// Long enough for anything that was written to a socket to have arrived.
+    const SETTLE: Duration = Duration::from_millis(100);
+    const PATIENCE: Duration = Duration::from_secs(5);
+
+    type Events = Receiver<(ServerId, TransportEvent)>;
+
+    fn start() -> (Arc<TcpTransport>, Events) {
+        let config = Config::builder()
             .num_replicas(2)
             .num_partitions(1)
             .latency(LatencyMatrix::uniform(
@@ -464,68 +584,110 @@ mod tests {
                 Duration::from_millis(1),
             ))
             .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn requests_replies_and_peer_messages_cross_real_sockets() {
+            .unwrap();
         let (tx, rx) = unbounded();
         let sink: EventSink = Arc::new(move |to, event| {
             let _ = tx.send((to, event));
         });
-        let t = TcpTransport::start(&config(), sink).unwrap();
-        let a = ServerId::new(0u16, 0u32);
-        let b = ServerId::new(1u16, 0u32);
-        assert!(t.addr(a).is_some());
+        (TcpTransport::start(&config, sink).unwrap(), rx)
+    }
 
-        // Client request in, reply out.
-        let mut port = t.client_port(ClientId(5));
-        port.submit(
-            a,
-            ClientRequest::Get {
-                key: Key(3),
-                rdv: DependencyVector::zero(2),
-            },
-        )
-        .unwrap();
-        let (to, event) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(to, a);
-        assert!(matches!(
-            event,
-            TransportEvent::Client {
-                client: ClientId(5),
-                ..
-            }
-        ));
-        t.reply(
-            a,
-            ClientId(5),
-            ClientReply::Put {
-                update_time: Timestamp(1),
-            },
+    fn get(key: u64) -> ClientRequest {
+        ClientRequest::Get {
+            key: Key(key),
+            rdv: DependencyVector::zero(2),
+        }
+    }
+
+    /// A PUT acknowledgement numbered `seq`.
+    fn ack(seq: u64) -> ClientReply {
+        ClientReply::Put {
+            update_time: Timestamp(seq),
+        }
+    }
+
+    /// A GET reply numbered `seq` that carries `bytes` of value.
+    fn bulky(seq: u64, bytes: usize) -> ClientReply {
+        ClientReply::Get(GetResponse {
+            value: Some(Value::from(vec![7u8; bytes])),
+            update_time: Timestamp(seq),
+            deps: DependencyVector::zero(2),
+            source_replica: ReplicaId(0),
+        })
+    }
+
+    fn seq_of(reply: &ClientReply) -> u64 {
+        match reply {
+            ClientReply::Put { update_time } => update_time.0,
+            ClientReply::Get(resp) => resp.update_time.0,
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+
+    /// The key of the next request to reach the sink, which must come from `client`.
+    fn next_request(events: &Events, client: ClientId) -> u64 {
+        match events.recv_timeout(PATIENCE).expect("a request arrives") {
+            (
+                A,
+                TransportEvent::Client {
+                    client: from,
+                    request: ClientRequest::Get { key, .. } | ClientRequest::Put { key, .. },
+                },
+            ) if from == client => key.0,
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+
+    /// Opens a port for `client` and gets its connection to `A` registered there.
+    fn connected_port(t: &TcpTransport, events: &Events, client: ClientId) -> Box<dyn ClientPort> {
+        let mut port = t.client_port(client);
+        port.submit(A, get(0)).unwrap();
+        port.flush().unwrap();
+        assert_eq!(next_request(events, client), 0);
+        port
+    }
+
+    fn assert_silent(port: &mut dyn ClientPort) {
+        assert!(
+            port.recv_timeout(SETTLE).is_err(),
+            "a reply reached the port before anyone flushed it"
         );
-        assert!(matches!(
-            port.recv_timeout(Duration::from_secs(5)).unwrap(),
-            ClientReply::Put { .. }
-        ));
+    }
+
+    #[test]
+    fn requests_replies_and_peer_messages_cross_real_sockets() {
+        let (t, events) = start();
+        assert!(t.addr(A).is_some());
+
+        // A request leaves when its submitter waits for the reply, not before.
+        let mut port = t.client_port(ClientId(5));
+        port.submit(A, get(3)).unwrap();
+        assert!(events.recv_timeout(SETTLE).is_err(), "submit only stages");
+        assert!(port.recv_timeout(Duration::ZERO).is_err());
+        assert_eq!(next_request(&events, ClientId(5)), 3);
+
+        // A reply leaves with the server's flush.
+        t.reply(A, ClientId(5), ack(1));
+        t.flush(A);
+        assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), 1);
 
         // Peer messages stage until the flush, then arrive in order.
         for ts in 1..=3u64 {
             t.send_server(
-                a,
-                b,
+                A,
+                B,
                 ServerMessage::Heartbeat {
                     clock: Timestamp(ts),
                 },
             );
         }
-        t.flush(a);
+        t.flush(A);
         for ts in 1..=3u64 {
-            let (to, event) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(to, b);
+            let (to, event) = events.recv_timeout(PATIENCE).unwrap();
+            assert_eq!(to, B);
             match event {
                 TransportEvent::Peer { from, message } => {
-                    assert_eq!(from, a);
+                    assert_eq!(from, A);
                     assert_eq!(
                         message,
                         ServerMessage::Heartbeat {
@@ -534,6 +696,153 @@ mod tests {
                     );
                 }
                 other => panic!("unexpected event {other:?}"),
+            }
+        }
+        drop(port);
+        t.shutdown();
+    }
+
+    #[test]
+    fn submitted_requests_wait_for_the_port_flush_and_keep_their_order() {
+        let (t, events) = start();
+        let mut port = t.client_port(ClientId(1));
+        for key in 0..100 {
+            port.submit(A, get(key)).unwrap();
+        }
+        assert!(events.recv_timeout(SETTLE).is_err(), "submit only stages");
+        port.flush().unwrap();
+        for key in 0..100 {
+            assert_eq!(next_request(&events, ClientId(1)), key);
+        }
+        drop(port);
+        t.shutdown();
+    }
+
+    #[test]
+    fn staged_replies_wait_for_the_server_flush_and_keep_their_order() {
+        let (t, events) = start();
+        let mut port = connected_port(&t, &events, ClientId(2));
+        for seq in 1..=3 {
+            t.reply(A, ClientId(2), ack(seq));
+        }
+        assert_silent(port.as_mut());
+        // Flushing another server, or this server's replies twice, changes nothing.
+        t.flush(B);
+        assert_silent(port.as_mut());
+        t.flush_replies(A);
+        t.flush_replies(A);
+        for seq in 1..=3 {
+            assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), seq);
+        }
+
+        // An early threshold flush takes everything staged before it along, in order,
+        // and what is staged after it waits for the next flush.
+        t.reply(A, ClientId(2), ack(4));
+        let bulk = FLUSH_THRESHOLD / 3 + 1;
+        for seq in 5..=7 {
+            t.reply(A, ClientId(2), bulky(seq, bulk));
+        }
+        t.reply(A, ClientId(2), ack(8));
+        for seq in 4..=7 {
+            assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), seq);
+        }
+        assert_silent(port.as_mut());
+        t.flush(A);
+        assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), 8);
+        drop(port);
+        t.shutdown();
+    }
+
+    #[test]
+    fn staging_past_the_threshold_flushes_requests_unasked() {
+        let (t, events) = start();
+        let mut port = t.client_port(ClientId(3));
+        let value = Value::from(vec![7u8; FLUSH_THRESHOLD / 3 + 1]);
+        for key in 1..=3 {
+            let put = ClientRequest::Put {
+                key: Key(key),
+                value: value.clone(),
+                dv: DependencyVector::zero(2),
+            };
+            port.submit(A, put).unwrap();
+        }
+        port.submit(A, get(4)).unwrap();
+        // The third PUT crossed the threshold: all three arrive with no flush and no
+        // wait; the GET staged after them stays behind.
+        for key in 1..=3 {
+            assert_eq!(next_request(&events, ClientId(3)), key);
+        }
+        assert!(events.recv_timeout(SETTLE).is_err());
+        port.flush().unwrap();
+        assert_eq!(next_request(&events, ClientId(3)), 4);
+        drop(port);
+        t.shutdown();
+    }
+
+    #[test]
+    fn a_vanished_client_is_dropped_without_harming_the_others() {
+        let (t, events) = start();
+        let gone = connected_port(&t, &events, ClientId(10));
+        let mut port = connected_port(&t, &events, ClientId(11));
+
+        // Replies for both are staged when the first client closes its socket.
+        t.reply(A, ClientId(10), ack(1));
+        t.reply(A, ClientId(11), ack(1));
+        drop(gone);
+        let deadline = Instant::now() + PATIENCE;
+        while t.nodes[&A].clients.read().contains_key(&ClientId(10)) {
+            assert!(
+                Instant::now() < deadline,
+                "the closed client is never dropped"
+            );
+            // Flushing into the closed socket, until the write fails or the reader
+            // sees the end of the stream, whichever comes first.
+            t.reply(A, ClientId(10), ack(2));
+            t.flush(A);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The stale entry of the dropped client does not keep the other's reply back.
+        t.flush(A);
+        assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), 1);
+
+        // Replies to the dropped client vanish; the survivor's flushes keep working.
+        for seq in 2..=4 {
+            t.reply(A, ClientId(10), ack(seq));
+            t.reply(A, ClientId(11), ack(seq));
+            t.flush(A);
+            assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), seq);
+        }
+        assert!(t.nodes[&A].dirty.lock().is_empty());
+        drop(port);
+        t.shutdown();
+    }
+
+    #[test]
+    fn a_sink_that_answers_inline_needs_no_flush() {
+        // No server thread: the sink replies on the connection reader's own thread,
+        // which flushes what it staged before it blocks in `read` again.
+        let far_side: Arc<std::sync::OnceLock<Arc<TcpTransport>>> = Arc::default();
+        let sink: EventSink = {
+            let far_side = Arc::clone(&far_side);
+            Arc::new(move |to, event| {
+                if let (TransportEvent::Client { client, .. }, Some(t)) = (event, far_side.get()) {
+                    t.reply(to, client, ack(9));
+                }
+            })
+        };
+        let config = Config::builder()
+            .num_replicas(1)
+            .num_partitions(1)
+            .build()
+            .unwrap();
+        let t = TcpTransport::start(&config, sink).unwrap();
+        let _ = far_side.set(Arc::clone(&t));
+        let mut port = t.client_port(ClientId(1));
+        for _ in 0..3 {
+            port.submit(A, get(1)).unwrap();
+            port.submit(A, get(2)).unwrap();
+            for _ in 0..2 {
+                assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), 9);
             }
         }
         drop(port);

@@ -57,7 +57,7 @@ impl From<RuntimeProtocol> for ExecProtocol {
 
 /// How many additional inbox events a server thread drains greedily after a blocking
 /// receive before writing out staged transport traffic. Bounds reply latency while
-/// letting the TCP backend coalesce a burst into one `write` per peer.
+/// letting the TCP backend coalesce a burst into one `write` per client and per peer.
 const DRAIN_BUDGET: usize = 128;
 
 /// Builder for [`Cluster`]. Defaults to [`Config::small_test`] running POCC with serial
@@ -280,9 +280,10 @@ impl Drop for Cluster {
 }
 
 /// The per-server thread body: build the protocol state machine, then loop between the
-/// inbox and the periodic tick until shutdown. After every processed batch the staged
-/// transport traffic is flushed, so the TCP backend's write coalescing never defers a
-/// message past the handling of the inputs that produced it.
+/// inbox and the periodic tick until shutdown. Replies and server-to-server messages
+/// alike are only staged while the inbox has more; the flush after every drained batch
+/// (and every tick) comes before the thread blocks again, so the TCP backend's write
+/// coalescing never defers a message past the handling of the inputs that produced it.
 fn server_thread(
     id: ServerId,
     config: Config,
@@ -318,7 +319,8 @@ fn server_thread(
         match inbox.recv_timeout(next_tick - now) {
             Ok(first) => {
                 // Greedily drain whatever else is already queued (bounded), then flush
-                // once: a burst of pipelined requests becomes one write per peer.
+                // once: a burst of pipelined requests becomes one write per client
+                // connection and one per peer.
                 let mut event = Some(first);
                 let mut drained = 0;
                 let mut shutdown = false;
@@ -361,8 +363,10 @@ fn server_thread(
 /// The server-thread body for `worker_lanes > 1`: the thread becomes the dispatcher in
 /// front of a [`ParallelServer`], forwarding client operations to its lanes and handling
 /// server messages, ticks and probes synchronously. Replies leave through the output sink
-/// straight onto the transport (flushed immediately — a client is blocked on each);
-/// replication staged by lanes is written out by this thread's tick/batch flushes.
+/// on whichever lane produced them: the sink stages the reply and flushes replies at once,
+/// because a lane blocks on its mailbox next and no other thread would flush for it
+/// before the next tick. Replication staged by lanes is written out by this thread's
+/// tick/batch flushes.
 fn parallel_server_thread<C: Clock + 'static>(
     id: ServerId,
     config: Config,
@@ -374,7 +378,10 @@ fn parallel_server_thread<C: Clock + 'static>(
 ) {
     let sink_router = router.clone();
     let sink: OutputSink = Arc::new(move |output| match output {
-        ServerOutput::Reply { client, reply } => sink_router.reply(id, client, reply),
+        ServerOutput::Reply { client, reply } => {
+            sink_router.reply(id, client, reply);
+            sink_router.flush_replies(id);
+        }
         ServerOutput::Send { to, message } => sink_router.send_server(id, to, message),
     });
     let server = ParallelServer::start(id, config.clone(), protocol.into(), clock, sink);
@@ -520,6 +527,34 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(found.expect("value replicates").as_slice(), b"wire");
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn lane_replies_over_tcp_do_not_wait_for_the_next_tick() {
+        // Replies leave through the lanes' output sink. With ticks this far apart, a
+        // reply that was only staged there would sit until the dispatcher's next tick.
+        let tick = Duration::from_millis(200);
+        let config = Config::builder()
+            .num_replicas(2)
+            .num_partitions(1)
+            .heartbeat_interval(tick)
+            .build()
+            .unwrap();
+        let cluster = Cluster::builder()
+            .config(config)
+            .protocol(RuntimeProtocol::Pocc)
+            .transport(TransportKind::Tcp)
+            .worker_lanes(2)
+            .start();
+        let mut client = cluster.client(ReplicaId(0));
+        for k in 0..50u64 {
+            let sent = Instant::now();
+            client.put(Key(k), Value::from(k)).unwrap();
+            assert_eq!(client.get(Key(k)).unwrap().unwrap(), Value::from(k));
+            let took = sent.elapsed();
+            assert!(took < tick / 4, "round trips {k} took {took:?}");
+        }
         cluster.shutdown();
     }
 

@@ -1,0 +1,59 @@
+//! Start/stop cycles of a TCP cluster: quick, and every helper thread is joined.
+//!
+//! Alone in its file (and so in its process) because it counts the process's threads.
+
+use pocc_proto::{ClientReply, ProtocolClient};
+use pocc_protocol::Client;
+use pocc_runtime::{Cluster, RuntimeProtocol, TransportKind};
+use pocc_storage::partition_for_key;
+use pocc_types::{Config, Key, ServerId, Value};
+use std::time::{Duration, Instant};
+
+#[cfg(target_os = "linux")]
+fn threads_alive() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task lists this process's threads")
+        .count()
+}
+
+#[test]
+fn tcp_clusters_start_and_stop_quickly_and_leave_no_thread_behind() {
+    let config = Config::builder()
+        .num_replicas(2)
+        .num_partitions(2)
+        .build()
+        .unwrap();
+    #[cfg(target_os = "linux")]
+    let threads_before = threads_alive();
+    let started = Instant::now();
+    for cycle in 0..50u64 {
+        let cluster = Cluster::builder()
+            .config(config.clone())
+            .protocol(RuntimeProtocol::Pocc)
+            .transport(TransportKind::Tcp)
+            .start();
+        // One acknowledged PUT, so that an acceptor, a connection reader and a port
+        // reader have all run before the shutdown.
+        let (id, mut port) = cluster.open_port();
+        let key = Key(cycle);
+        let home = ServerId::new((cycle % 2) as u16, partition_for_key(key, 2));
+        let session = Client::new(id, home, 2);
+        port.submit(home, session.put(key, Value::from(cycle)))
+            .unwrap();
+        let reply = port.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(matches!(reply, ClientReply::Put { .. }), "got {reply:?}");
+        drop(port);
+        cluster.shutdown();
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "50 start/stop cycles took {elapsed:?}"
+    );
+    #[cfg(target_os = "linux")]
+    assert_eq!(
+        threads_alive(),
+        threads_before,
+        "a helper thread outlived its cluster"
+    );
+}
