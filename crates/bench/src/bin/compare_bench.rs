@@ -4,45 +4,32 @@
 //! compare_bench <baseline.json> <current.json> [--threshold 0.25]
 //! compare_bench --validate <file.json>...
 //! compare_bench --digests <baseline DIGESTS.json> <current DIGESTS.json>
-//! compare_bench --scaling <report.json> [--min-ratio 1.5]
 //! compare_bench --microbench <baseline.json> <current.json> [--max-alloc-ratio 1.1]
 //! ```
 //!
-//! Exit codes: 0 = gate passed (no regression / all files valid / no digest drift /
-//! scaling ratio reached), 1 = gate failed, 2 = usage or input error. CI runs the
-//! comparisons as blocking gates: the simulator is seeded and deterministic, so a >25%
-//! throughput regression of the baseline scenario is a real code-path change, not noise
-//! — and any digest drift is a real behaviour change. Entries present only in the
-//! *current* corpus (a new scenario, or a sweep axis the older baseline predates, such
-//! as `core_scaling`'s worker-lane counts) are reported as notes, not failures. A
+//! Exit codes: 0 = gate passed (no regression / all files valid / no digest drift),
+//! 1 = gate failed, 2 = usage or input error. CI runs the comparisons as blocking gates:
+//! the simulator is seeded and deterministic, so a >25% throughput regression of the
+//! baseline scenario is a real code-path change, not noise — and any digest drift is a
+//! real behaviour change. Entries present only in the *current* corpus (a new scenario,
+//! or a sweep axis the older baseline predates) are reported as notes, not failures. A
 //! deliberate trade-off ships with a regenerated `BENCH_baseline.json` (or
 //! `DIGESTS.json`) and an explanation in the PR.
-//!
-//! `--scaling` gates a wall-clock sweep on itself rather than on a baseline file:
-//! throughput at the sweep's largest `x` must be at least `--min-ratio` times the
-//! throughput at its smallest `x` (the `parallel-smoke` job runs it against
-//! `BENCH_core_scaling.json`, where `x` is the worker-lane count).
 //!
 //! `--microbench` compares two `storage_microbench --json` reports and gates on
 //! **allocations per operation** — deterministic under the harness's counting
 //! allocator, so the gate holds on any machine; ns/op is printed but never gated.
 
-use pocc_bench::compare::{
-    compare, microbench, scaling, DEFAULT_MAX_ALLOC_RATIO, DEFAULT_THRESHOLD,
-};
+use pocc_bench::compare::{compare, microbench, DEFAULT_MAX_ALLOC_RATIO, DEFAULT_THRESHOLD};
 use pocc_bench::digest::DigestCorpus;
 use pocc_bench::json;
 use std::process::ExitCode;
-
-/// The default `--min-ratio`: 4 worker lanes must beat 1 lane by at least this factor.
-const DEFAULT_MIN_RATIO: f64 = 1.5;
 
 const USAGE: &str = "\
 USAGE:
   compare_bench <baseline.json> <current.json> [--threshold <fraction>]
   compare_bench --validate <file.json>...
   compare_bench --digests <baseline.json> <current.json>
-  compare_bench --scaling <report.json> [--min-ratio <ratio>]
   compare_bench --microbench <baseline.json> <current.json> [--max-alloc-ratio <ratio>]
 ";
 
@@ -123,61 +110,6 @@ fn main() -> ExitCode {
                 "If the change is intentional, regenerate with: \
                  runner --scenario all --scale {} --digests DIGESTS.json",
                 baseline.scale
-            );
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.first().map(String::as_str) == Some("--scaling") {
-        let mut path = None;
-        let mut min_ratio = DEFAULT_MIN_RATIO;
-        let mut it = args[1..].iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--min-ratio" => {
-                    let v = it.next().and_then(|v| v.parse::<f64>().ok());
-                    match v {
-                        Some(v) if v > 0.0 => min_ratio = v,
-                        _ => {
-                            eprintln!("error: --min-ratio needs a positive number\n{USAGE}");
-                            return ExitCode::from(2);
-                        }
-                    }
-                }
-                other if path.is_none() => path = Some(other.to_string()),
-                other => {
-                    eprintln!("error: unexpected argument {other:?}\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        let Some(path) = path else {
-            eprintln!("error: --scaling needs a report file\n{USAGE}");
-            return ExitCode::from(2);
-        };
-        let doc = match load(&path) {
-            Ok(doc) => doc,
-            Err(err) => {
-                eprintln!("error: {err}");
-                return ExitCode::from(2);
-            }
-        };
-        let summary = match scaling(&doc) {
-            Ok(summary) => summary,
-            Err(err) => {
-                eprintln!("error: {path}: {err}");
-                return ExitCode::from(2);
-            }
-        };
-        print!("{}", summary.render());
-        return if summary.ratio() >= min_ratio {
-            println!("scaling gate passed (minimum {min_ratio:.2}x)");
-            ExitCode::SUCCESS
-        } else {
-            println!(
-                "scaling gate FAILED: {:.2}x is below the {:.2}x minimum",
-                summary.ratio(),
-                min_ratio
             );
             ExitCode::FAILURE
         };

@@ -160,12 +160,7 @@ fn main() -> ExitCode {
         "=== {} — {} transport, {} protocol, {}x{} deployment, {} lane(s) per server",
         o.scenario.name,
         o.transport.name(),
-        match o.protocol {
-            pocc_runtime::RuntimeProtocol::Pocc => "pocc",
-            pocc_runtime::RuntimeProtocol::Cure => "cure",
-            pocc_runtime::RuntimeProtocol::HaPocc => "hapocc",
-            pocc_runtime::RuntimeProtocol::Adaptive => "adaptive",
-        },
+        loadgen::protocol_label(o.protocol),
         o.replicas,
         o.partitions,
         o.lanes,

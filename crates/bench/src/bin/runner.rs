@@ -10,7 +10,7 @@
 //! malformed report fails the run instead of poisoning downstream tooling.
 
 use pocc_bench::digest::DigestCorpus;
-use pocc_bench::scenarios::{self, PointResult, ScenarioKind};
+use pocc_bench::scenarios::{self, PointResult};
 use pocc_bench::{fmt_ms, fmt_tput, json, Scale};
 use std::process::ExitCode;
 
@@ -30,7 +30,7 @@ OPTIONS:
   --list                 list registered scenarios and exit
   --scenario <sel>       scenario to run (repeatable); a selector is an exact name,
                          a trailing-* prefix glob such as 'chaos_*', or 'all'
-  --scale <scale>        smoke | quick | full (default: POCC_BENCH_SCALE or quick)
+  --scale <scale>        smoke | quick | full (default: quick)
   --out <file>           output path (single scenario only; default BENCH_<name>.json)
   --out-dir <dir>        directory for BENCH_<name>.json files (default: .)
   --digests <file>       also write a digest corpus (DIGESTS.json) covering every
@@ -41,7 +41,7 @@ OPTIONS:
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         scenarios: Vec::new(),
-        scale: Scale::from_env(),
+        scale: Scale::Quick,
         out: None,
         out_dir: ".".into(),
         digests: None,
@@ -96,24 +96,19 @@ fn main() -> ExitCode {
 
     if args.list {
         println!(
-            "{:<24} {:<22} {:<10} {:>7}  DESCRIPTION",
-            "NAME", "X-AXIS", "KIND", "POINTS"
+            "{:<24} {:<22} {:>7}  DESCRIPTION",
+            "NAME", "X-AXIS", "POINTS"
         );
         for scenario in scenarios::all() {
             println!(
-                "{:<24} {:<22} {:<10} {:>7}  {}",
+                "{:<24} {:<22} {:>7}  {}",
                 scenario.name,
                 scenario.x_axis,
-                scenario.kind.name(),
                 scenario.points(args.scale).len(),
                 scenario.title
             );
         }
-        println!(
-            "\n(point counts at {} scale; wall-clock scenarios run on OS threads and \
-             are excluded from --digests corpora)",
-            args.scale.name()
-        );
+        println!("\n(point counts at {} scale)", args.scale.name());
         return ExitCode::SUCCESS;
     }
 
@@ -156,17 +151,7 @@ fn main() -> ExitCode {
             scenario.title
         );
         let report = scenario.run(args.scale, print_point);
-        match scenario.kind {
-            ScenarioKind::Sim => corpus.add_report(&report),
-            ScenarioKind::Parallel => {
-                if args.digests.is_some() {
-                    println!(
-                        "    (wall-clock scenario: timing-dependent, left out of the \
-                         digest corpus)"
-                    );
-                }
-            }
-        }
+        corpus.add_report(&report);
         let doc = report.to_json();
         if let Err(err) = json::validate_report(&doc) {
             eprintln!("error: {}: schema validation failed: {err}", scenario.name);

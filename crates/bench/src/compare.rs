@@ -146,115 +146,6 @@ pub fn compare(baseline: &Json, current: &Json, threshold: f64) -> Result<Compar
     })
 }
 
-/// The scaling summary of one report (`compare_bench --scaling`): throughput at the
-/// sweep's smallest and largest `x`, taken from a single report rather than from a
-/// baseline/current pair. Built for wall-clock sweeps like `core_scaling`, where `x` is
-/// the worker-lane count and the gate is "top of the sweep ÷ bottom of the sweep".
-#[derive(Clone, Debug)]
-pub struct ScalingSummary {
-    /// The scenario name.
-    pub scenario: String,
-    /// What `x` means (the report's `x_axis`).
-    pub x_axis: String,
-    /// Label of the smallest-`x` point.
-    pub base_label: String,
-    /// The smallest `x`.
-    pub base_x: f64,
-    /// Throughput at the smallest `x`.
-    pub base_tput: f64,
-    /// Label of the largest-`x` point.
-    pub top_label: String,
-    /// The largest `x`.
-    pub top_x: f64,
-    /// Throughput at the largest `x`.
-    pub top_tput: f64,
-}
-
-impl ScalingSummary {
-    /// Throughput at the largest `x` over throughput at the smallest `x`.
-    pub fn ratio(&self) -> f64 {
-        if self.base_tput > 0.0 {
-            self.top_tput / self.base_tput
-        } else {
-            0.0
-        }
-    }
-
-    /// A human-readable summary line.
-    pub fn render(&self) -> String {
-        format!(
-            "scenario {}: {} {} -> {}\n  {:<40} {:>14.0} ops/s\n  {:<40} {:>14.0} ops/s\n  scaling ratio: {:.2}x\n",
-            self.scenario,
-            self.x_axis,
-            self.base_x,
-            self.top_x,
-            self.base_label,
-            self.base_tput,
-            self.top_label,
-            self.top_tput,
-            self.ratio(),
-        )
-    }
-}
-
-/// Extracts the scaling summary of a report: the points with the smallest and largest
-/// `x`. Errors if the report has fewer than two distinct `x` values (no sweep to gate).
-pub fn scaling(report: &Json) -> Result<ScalingSummary, String> {
-    let scenario = report
-        .get("scenario")
-        .and_then(Json::as_str)
-        .ok_or("report has no scenario name")?
-        .to_string();
-    let x_axis = report
-        .get("x_axis")
-        .and_then(Json::as_str)
-        .unwrap_or("x")
-        .to_string();
-    let points = report
-        .get("points")
-        .and_then(Json::as_array)
-        .ok_or("report has no points array")?;
-    let mut parsed = Vec::new();
-    for p in points {
-        let label = p
-            .get("label")
-            .and_then(Json::as_str)
-            .ok_or("point without label")?
-            .to_string();
-        let x = p.get("x").and_then(Json::as_f64).ok_or("point without x")?;
-        let tput = p
-            .get("throughput_ops_per_sec")
-            .and_then(Json::as_f64)
-            .ok_or("point without throughput")?;
-        parsed.push((label, x, tput));
-    }
-    let (base_label, base_x, base_tput) = parsed
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .cloned()
-        .ok_or("report has no points")?;
-    let (top_label, top_x, top_tput) = parsed
-        .iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .cloned()
-        .ok_or("report has no points")?;
-    if base_x == top_x {
-        return Err(format!(
-            "scenario {scenario}: all points share x = {base_x}; nothing to gate"
-        ));
-    }
-    Ok(ScalingSummary {
-        scenario,
-        x_axis,
-        base_label,
-        base_x,
-        base_tput,
-        top_label,
-        top_x,
-        top_tput,
-    })
-}
-
 /// The default `--max-alloc-ratio`: a bench's allocations per operation may grow to at
 /// most this multiple of the baseline before the gate fails.
 pub const DEFAULT_MAX_ALLOC_RATIO: f64 = 1.10;
@@ -463,60 +354,6 @@ mod tests {
         let base = report("a", &[]);
         let cur = report("b", &[]);
         assert!(compare(&base, &cur, 0.25).is_err());
-    }
-
-    fn sweep_report(scenario: &str, points: &[(&str, f64, f64)]) -> Json {
-        Json::Obj(vec![
-            ("scenario".into(), Json::str(scenario)),
-            ("x_axis".into(), Json::str("worker_lanes")),
-            (
-                "points".into(),
-                Json::Arr(
-                    points
-                        .iter()
-                        .map(|(label, x, tput)| {
-                            Json::Obj(vec![
-                                ("label".into(), Json::str(*label)),
-                                ("x".into(), Json::num(*x)),
-                                ("throughput_ops_per_sec".into(), Json::num(*tput)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    #[test]
-    fn scaling_takes_the_sweeps_extremes() {
-        let doc = sweep_report(
-            "core_scaling",
-            &[
-                ("POCC/lanes=1", 1.0, 100_000.0),
-                ("POCC/lanes=2", 2.0, 170_000.0),
-                ("POCC/lanes=4", 4.0, 210_000.0),
-            ],
-        );
-        let summary = scaling(&doc).unwrap();
-        assert_eq!(summary.base_label, "POCC/lanes=1");
-        assert_eq!(summary.top_label, "POCC/lanes=4");
-        assert!((summary.ratio() - 2.1).abs() < 1e-9);
-        assert!(summary.render().contains("2.10x"));
-    }
-
-    #[test]
-    fn scaling_rejects_sweeps_without_an_axis() {
-        let doc = sweep_report("s", &[("a", 1.0, 10.0), ("b", 1.0, 20.0)]);
-        assert!(scaling(&doc).is_err());
-        let doc = sweep_report("s", &[]);
-        assert!(scaling(&doc).is_err());
-        assert!(scaling(&Json::Obj(vec![("scenario".into(), Json::str("s"))])).is_err());
-    }
-
-    #[test]
-    fn scaling_with_zero_base_throughput_never_passes() {
-        let doc = sweep_report("s", &[("a", 1.0, 0.0), ("b", 4.0, 100.0)]);
-        assert_eq!(scaling(&doc).unwrap().ratio(), 0.0);
     }
 
     fn microbench_report(benches: &[(&str, f64, f64)]) -> Json {

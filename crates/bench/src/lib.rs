@@ -19,17 +19,12 @@
 //!   cluster runtime (channel or TCP transport) on a fixed arrival schedule with
 //!   pipelined connections and coordinated-omission-safe latency capture, reporting
 //!   through the same `BENCH_*.json` schema.
-//! * [`parallel`] — the wall-clock driver behind `core_scaling`: runs the threaded
-//!   shard-parallel server runtime (`pocc-exec`) on real OS threads and reports measured
-//!   throughput per worker-lane count. Wall-clock scenarios are excluded from the digest
-//!   corpus; CI gates their lane-scaling ratio with `compare_bench --scaling`.
 //!
 //! The `runner` binary drives it all: `cargo run --release -p pocc-bench --bin runner --
 //! --scenario <name> --out BENCH_<name>.json`. The simulator is deterministic, so the
 //! same scenario at the same scale produces byte-identical JSON on every machine.
 //!
-//! Three scales are supported, selected by `--scale` or the `POCC_BENCH_SCALE`
-//! environment variable:
+//! Three scales are supported, selected by `--scale`:
 //!
 //! * `smoke` — a tiny deployment (2 partitions, sub-second windows) that runs every
 //!   scenario in seconds; used by the CI `bench-smoke` gate and the scenario tests;
@@ -46,14 +41,13 @@ pub mod compare;
 pub mod digest;
 pub mod json;
 pub mod loadgen;
-pub mod parallel;
 pub mod scenarios;
 
 use pocc_sim::{ProtocolKind, SimConfig, SimConfigBuilder, SimReport};
 use pocc_workload::WorkloadMix;
 use std::time::Duration;
 
-/// The sweep scale, selected by `--scale` or the `POCC_BENCH_SCALE` environment variable.
+/// The sweep scale, selected by `--scale`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scale {
     /// Tiny deployment for CI smoke runs and tests; seconds of wall-clock for the whole
@@ -66,14 +60,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (`POCC_BENCH_SCALE=smoke|quick|full`).
-    pub fn from_env() -> Scale {
-        std::env::var("POCC_BENCH_SCALE")
-            .ok()
-            .and_then(|v| Scale::parse(&v))
-            .unwrap_or(Scale::Quick)
-    }
-
     /// Parses a scale name (case-insensitive).
     pub fn parse(name: &str) -> Option<Scale> {
         match name.to_ascii_lowercase().as_str() {
@@ -216,9 +202,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_defaults_to_quick() {
-        // The environment variable is not set in the test environment.
-        assert_eq!(Scale::from_env(), Scale::Quick);
+    fn scales_order_by_deployment_size() {
         assert_eq!(Scale::Quick.max_partitions(), 8);
         assert_eq!(Scale::Full.max_partitions(), 32);
         assert_eq!(Scale::Smoke.max_partitions(), 2);

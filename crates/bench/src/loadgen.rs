@@ -30,7 +30,7 @@
 use crate::scenarios::{PointResult, ScenarioReport, SEED};
 use crate::Scale;
 use pocc_protocol::{Client, ProtocolClient};
-use pocc_runtime::{ClientPort, Cluster, RuntimeProtocol, TransportKind};
+use pocc_runtime::{ClientPort, Cluster, TransportKind};
 use pocc_sim::{LatencyStats, ProtocolKind, SimConfig, SimReport};
 use pocc_storage::{ShardStats, StoreStats};
 use pocc_types::{Config, Key, LatencyMatrix, PartitionId, ServerId, Value};
@@ -92,12 +92,12 @@ pub fn find_scenario(name: &str) -> Option<&'static LoadScenario> {
 }
 
 /// Parses a runtime protocol name for `--protocol`.
-pub fn parse_protocol(name: &str) -> Option<RuntimeProtocol> {
+pub fn parse_protocol(name: &str) -> Option<ProtocolKind> {
     match name.to_ascii_lowercase().as_str() {
-        "pocc" => Some(RuntimeProtocol::Pocc),
-        "cure" => Some(RuntimeProtocol::Cure),
-        "hapocc" | "ha-pocc" | "ha_pocc" => Some(RuntimeProtocol::HaPocc),
-        "adaptive" => Some(RuntimeProtocol::Adaptive),
+        "pocc" => Some(ProtocolKind::Pocc),
+        "cure" => Some(ProtocolKind::Cure),
+        "hapocc" | "ha-pocc" | "ha_pocc" => Some(ProtocolKind::HaPocc),
+        "adaptive" => Some(ProtocolKind::Adaptive),
         _ => None,
     }
 }
@@ -107,21 +107,13 @@ pub fn protocol_names() -> &'static [&'static str] {
     &["pocc", "cure", "hapocc", "adaptive"]
 }
 
-fn protocol_kind(protocol: RuntimeProtocol) -> ProtocolKind {
+/// The `--protocol` name of `protocol`, as it appears in labels and log lines.
+pub fn protocol_label(protocol: ProtocolKind) -> &'static str {
     match protocol {
-        RuntimeProtocol::Pocc => ProtocolKind::Pocc,
-        RuntimeProtocol::Cure => ProtocolKind::Cure,
-        RuntimeProtocol::HaPocc => ProtocolKind::HaPocc,
-        RuntimeProtocol::Adaptive => ProtocolKind::Adaptive,
-    }
-}
-
-fn protocol_label(protocol: RuntimeProtocol) -> &'static str {
-    match protocol {
-        RuntimeProtocol::Pocc => "pocc",
-        RuntimeProtocol::Cure => "cure",
-        RuntimeProtocol::HaPocc => "hapocc",
-        RuntimeProtocol::Adaptive => "adaptive",
+        ProtocolKind::Pocc => "pocc",
+        ProtocolKind::Cure => "cure",
+        ProtocolKind::HaPocc => "hapocc",
+        ProtocolKind::Adaptive => "adaptive",
     }
 }
 
@@ -136,7 +128,7 @@ pub struct LoadOptions {
     /// The transport backend the cluster runs on.
     pub transport: TransportKind,
     /// The protocol under load.
-    pub protocol: RuntimeProtocol,
+    pub protocol: ProtocolKind,
     /// The scale label recorded in the report.
     pub scale: Scale,
     /// Number of data centers.
@@ -174,7 +166,7 @@ impl LoadOptions {
         LoadOptions {
             scenario,
             transport: TransportKind::Tcp,
-            protocol: RuntimeProtocol::Pocc,
+            protocol: ProtocolKind::Pocc,
             scale: Scale::Smoke,
             replicas: 2,
             partitions: 2,
@@ -464,10 +456,7 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
         .worker_lanes(options.lanes)
         .start();
 
-    let snapshot_reads = matches!(
-        options.protocol,
-        RuntimeProtocol::Cure | RuntimeProtocol::Adaptive
-    );
+    let snapshot_reads = options.protocol.snapshot_reads();
     let keyspace = KeySpace::new(options.partitions, options.keys_per_partition);
     let servers: Vec<ServerId> = deployment.servers().collect();
     let conn_rate = options.rate / options.conns as f64;
@@ -609,9 +598,8 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
         duplicated_messages: 0,
     };
 
-    let kind = protocol_kind(options.protocol);
     let report = SimReport {
-        protocol: kind,
+        protocol: options.protocol,
         replicas: options.replicas,
         partitions: options.partitions,
         clients: options.conns,
@@ -636,7 +624,7 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
 
     // The config block of the JSON point documents the run's actual dimensions.
     let config = SimConfig::builder()
-        .protocol(kind)
+        .protocol(options.protocol)
         .deployment(deployment)
         .clients_per_partition(
             options
@@ -752,7 +740,7 @@ mod tests {
         assert!(find_scenario("steady").is_some());
         assert!(find_scenario("loadgen_burst").is_some());
         assert!(find_scenario("nope").is_none());
-        assert_eq!(parse_protocol("HaPocc"), Some(RuntimeProtocol::HaPocc));
+        assert_eq!(parse_protocol("HaPocc"), Some(ProtocolKind::HaPocc));
         assert_eq!(parse_protocol("nope"), None);
     }
 }

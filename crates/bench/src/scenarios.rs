@@ -29,27 +29,6 @@ use std::time::Duration;
 /// two runs of the same scenario are comparable sample-for-sample).
 pub const SEED: u64 = 42;
 
-/// How a scenario's points are executed.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ScenarioKind {
-    /// Deterministic discrete-event simulation: same seed, same digest, every machine.
-    Sim,
-    /// Wall-clock execution on the threaded shard-parallel runtime (`pocc-exec`).
-    /// Timing-dependent, so excluded from the digest corpus; gated by throughput ratio
-    /// (`compare_bench --scaling`) instead of digest equality.
-    Parallel,
-}
-
-impl ScenarioKind {
-    /// Short name for `--list` output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ScenarioKind::Sim => "sim",
-            ScenarioKind::Parallel => "wall-clock",
-        }
-    }
-}
-
 /// A named benchmark scenario.
 pub struct Scenario {
     /// The registry name (`--scenario <name>`; also the `BENCH_<name>.json` stem).
@@ -58,8 +37,6 @@ pub struct Scenario {
     pub title: &'static str,
     /// What the swept `x` of each point means.
     pub x_axis: &'static str,
-    /// How the points run (simulated vs wall-clock).
-    pub kind: ScenarioKind,
     points_fn: fn(Scale) -> Vec<ScenarioPoint>,
 }
 
@@ -110,10 +87,7 @@ impl Scenario {
     pub fn run(&self, scale: Scale, mut on_point: impl FnMut(&PointResult)) -> ScenarioReport {
         let mut points = Vec::new();
         for p in self.points(scale) {
-            let report = match self.kind {
-                ScenarioKind::Sim => Simulation::new(p.config.clone()).run(),
-                ScenarioKind::Parallel => crate::parallel::run_point(scale, &p),
-            };
+            let report = Simulation::new(p.config.clone()).run();
             let result = PointResult {
                 label: p.label,
                 x: p.x,
@@ -343,190 +317,151 @@ pub fn all() -> Vec<Scenario> {
             name: "fig1a_scalability",
             title: "Figure 1a: throughput vs number of partitions (GET:PUT = p:1)",
             x_axis: "partitions",
-            kind: ScenarioKind::Sim,
             points_fn: fig1a,
         },
         Scenario {
             name: "fig1b_resptime",
             title: "Figure 1b: avg. response time vs throughput",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: fig1b,
         },
         Scenario {
             name: "fig1c_write_intensity",
             title: "Figure 1c: throughput vs GET:PUT ratio",
             x_axis: "gets_per_put",
-            kind: ScenarioKind::Sim,
             points_fn: fig1c,
         },
         Scenario {
             name: "fig2a_blocking",
             title: "Figure 2a: POCC blocking probability and blocking time vs load",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: fig2a,
         },
         Scenario {
             name: "fig2b_staleness",
             title: "Figure 2b: data staleness in Cure* vs load",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: fig2b,
         },
         Scenario {
             name: "fig3a_tx_scalability",
             title: "Figure 3a: throughput vs partitions contacted per RO-TX",
             x_axis: "partitions_per_tx",
-            kind: ScenarioKind::Sim,
             points_fn: fig3a,
         },
         Scenario {
             name: "fig3b_tx_clients",
             title: "Figure 3b: throughput and RO-TX response time vs clients per partition",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: fig3b,
         },
         Scenario {
             name: "fig3c_tx_blocking",
             title: "Figure 3c: POCC blocking under the transactional workload",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: fig3c,
         },
         Scenario {
             name: "fig3d_tx_staleness",
             title: "Figure 3d: staleness of transactional reads vs clients per partition",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: fig3d,
         },
         Scenario {
             name: "ablation_stabilization",
             title: "Ablation: Cure* stabilization interval vs staleness",
             x_axis: "stabilization_interval_ms",
-            kind: ScenarioKind::Sim,
             points_fn: ablation_stabilization,
         },
         Scenario {
             name: "ablation_heartbeat",
             title: "Ablation: POCC heartbeat interval vs blocking",
             x_axis: "heartbeat_interval_ms",
-            kind: ScenarioKind::Sim,
             points_fn: ablation_heartbeat,
         },
         Scenario {
             name: "ablation_clock_skew",
             title: "Ablation: POCC clock skew vs blocking and clock waits",
             x_axis: "max_clock_skew_ms",
-            kind: ScenarioKind::Sim,
             points_fn: ablation_clock_skew,
         },
         Scenario {
             name: "ablation_sharding",
             title: "Ablation: storage shards x replication batching",
             x_axis: "storage_shards",
-            kind: ScenarioKind::Sim,
             points_fn: ablation_sharding,
         },
         Scenario {
             name: "hot_key_skew",
             title: "Hot-key workload: zipf exponent sweep (uniform through super-zipfian)",
             x_axis: "zipf_theta",
-            kind: ScenarioKind::Sim,
             points_fn: hot_key_skew,
         },
         Scenario {
             name: "large_values",
             title: "Large-value payloads: value size sweep",
             x_axis: "value_size_bytes",
-            kind: ScenarioKind::Sim,
             points_fn: large_values,
         },
         Scenario {
             name: "read_heavy",
             title: "Read-heavy mix (GET:PUT = 31:1) vs load",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: read_heavy,
         },
         Scenario {
             name: "write_heavy",
             title: "Write-heavy mix (GET:PUT = 1:1) vs load",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: write_heavy,
         },
         Scenario {
             name: "tx_size_sweep",
             title: "POCC RO-TX latency vs transaction size",
             x_axis: "partitions_per_tx",
-            kind: ScenarioKind::Sim,
             points_fn: tx_size_sweep,
         },
         Scenario {
             name: "adaptive_vs_pocc",
             title: "Adaptive vs POCC vs Cure*: blocking and staleness under load",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: adaptive_vs_pocc,
         },
         Scenario {
             name: "adaptive_hot_key",
             title: "Adaptive under hot-key churn: zipf exponent sweep with per-key fall-back",
             x_axis: "zipf_theta",
-            kind: ScenarioKind::Sim,
             points_fn: adaptive_hot_key,
         },
         Scenario {
             name: "partition_heal",
             title: "HA-POCC under a WAN partition that heals (SimNetwork fault injection)",
             x_axis: "partition_duration_ms",
-            kind: ScenarioKind::Sim,
             points_fn: partition_heal,
         },
         Scenario {
             name: "chaos_partition_storm",
             title: "Chaos: seeded random partition/lag/drop storms (ChaosGen schedules)",
             x_axis: "chaos_seed",
-            kind: ScenarioKind::Sim,
             points_fn: chaos_partition_storm,
         },
         Scenario {
             name: "chaos_lag_drop",
             title: "Chaos: scripted lag spike + drop window + duplication window, all protocols",
             x_axis: "protocol_index",
-            kind: ScenarioKind::Sim,
             points_fn: chaos_lag_drop,
         },
         Scenario {
             name: "chaos_restart",
             title: "Chaos: whole-DC restart (frozen processing, retained state) vs outage length",
             x_axis: "outage_ms",
-            kind: ScenarioKind::Sim,
             points_fn: chaos_restart,
         },
         Scenario {
             name: "baseline",
             title: "Seed-equivalent configuration (1 shard, no batching): the regression baseline",
             x_axis: "clients_per_partition",
-            kind: ScenarioKind::Sim,
             points_fn: baseline,
-        },
-        Scenario {
-            name: "core_scaling",
-            title: "Threaded runtime: wall-clock throughput vs worker-lane count (write-heavy)",
-            x_axis: "worker_lanes",
-            kind: ScenarioKind::Parallel,
-            points_fn: core_scaling,
-        },
-        Scenario {
-            name: "replication_scaling",
-            title: "Threaded runtime: wall-clock remote-apply throughput vs worker-lane count (3 replicas)",
-            x_axis: "worker_lanes",
-            kind: ScenarioKind::Parallel,
-            points_fn: replication_scaling,
         },
     ]
 }
@@ -1111,12 +1046,6 @@ fn chaos_partition_storm(scale: Scale) -> Vec<ScenarioPoint> {
 }
 
 fn chaos_lag_drop(scale: Scale) -> Vec<ScenarioPoint> {
-    const ALL: [ProtocolKind; 4] = [
-        ProtocolKind::Pocc,
-        ProtocolKind::Cure,
-        ProtocolKind::HaPocc,
-        ProtocolKind::Adaptive,
-    ];
     let w = scale.warmup();
     let d = scale.duration();
     let schedule = ChaosSchedule::new()
@@ -1139,7 +1068,8 @@ fn chaos_lag_drop(scale: Scale) -> Vec<ScenarioPoint> {
             a: ReplicaId(1),
             b: ReplicaId(2),
         });
-    ALL.into_iter()
+    ProtocolKind::ALL
+        .into_iter()
         .enumerate()
         .map(|(i, protocol)| ScenarioPoint {
             label: label(protocol, "chaos", "scripted"),
@@ -1172,65 +1102,6 @@ fn chaos_restart(scale: Scale) -> Vec<ScenarioPoint> {
         }
     }
     points
-}
-
-/// The tentpole's evidence scenario: one server, one partition, POCC, swept over worker
-/// lane counts on the threaded runtime ([`crate::parallel`]). Storage shards stay at the
-/// default 8 so every lane count divides them evenly (lanes map to disjoint shard sets).
-/// The workload and stream length are fixed per scale, so throughput differences between
-/// points are the lanes, nothing else.
-fn core_scaling(scale: Scale) -> Vec<ScenarioPoint> {
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|lanes| {
-            let deployment = pocc_types::Config::builder()
-                .num_replicas(1)
-                .num_partitions(1)
-                .worker_lanes(lanes)
-                .build()
-                .expect("core_scaling deployment is valid");
-            ScenarioPoint {
-                label: label(ProtocolKind::Pocc, "lanes", lanes),
-                x: lanes as f64,
-                config: point(scale, ProtocolKind::Pocc)
-                    .deployment(deployment)
-                    .clients_per_partition(1)
-                    .mix(WorkloadMix::write_heavy())
-                    .value_size(64)
-                    .build(),
-            }
-        })
-        .collect()
-}
-
-/// The remote-apply pipeline's evidence scenario: one server configured as replica 0 of
-/// a three-replica deployment, swept over worker lane counts. The driver
-/// ([`crate::parallel`]) feeds it batched `Replicate` traffic from the two synthetic
-/// sibling origins at twice the client PUT volume — the steady-state ratio on a real
-/// replica — so the throughput ratio between points measures how well remote installs
-/// parallelise across lanes instead of serialising on the spine.
-fn replication_scaling(scale: Scale) -> Vec<ScenarioPoint> {
-    [1usize, 2, 4]
-        .into_iter()
-        .map(|lanes| {
-            let deployment = pocc_types::Config::builder()
-                .num_replicas(3)
-                .num_partitions(1)
-                .worker_lanes(lanes)
-                .build()
-                .expect("replication_scaling deployment is valid");
-            ScenarioPoint {
-                label: label(ProtocolKind::Pocc, "lanes", lanes),
-                x: lanes as f64,
-                config: point(scale, ProtocolKind::Pocc)
-                    .deployment(deployment)
-                    .clients_per_partition(1)
-                    .mix(WorkloadMix::write_heavy())
-                    .value_size(64)
-                    .build(),
-            }
-        })
-        .collect()
 }
 
 fn baseline(scale: Scale) -> Vec<ScenarioPoint> {

@@ -45,14 +45,9 @@ fn corpus_parses_and_carries_the_current_schema_version() {
 
 #[test]
 fn corpus_covers_the_whole_scenario_registry_point_for_point() {
-    // Wall-clock scenarios (e.g. core_scaling) are timing-dependent and deliberately
-    // excluded from the corpus; only deterministic simulator scenarios are covered.
-    let sim_scenarios: Vec<_> = scenarios::all()
-        .into_iter()
-        .filter(|s| s.kind == scenarios::ScenarioKind::Sim)
-        .collect();
+    let registry = scenarios::all();
     let corpus = checked_in_corpus();
-    for scenario in &sim_scenarios {
+    for scenario in &registry {
         let entry = corpus
             .scenarios
             .iter()
@@ -72,7 +67,7 @@ fn corpus_covers_the_whole_scenario_registry_point_for_point() {
     }
     assert_eq!(
         corpus.scenarios.len(),
-        sim_scenarios.len(),
+        registry.len(),
         "corpus contains scenarios no longer in the registry — regenerate"
     );
 }

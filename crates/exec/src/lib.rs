@@ -59,30 +59,80 @@ pub use snapshot::PublishedVector;
 
 use pocc_clock::Clock;
 use pocc_engine::VisibilityPolicy;
-use pocc_types::{Config, Timestamp};
+use pocc_proto::InstrumentedServer;
+use pocc_types::{Config, ServerId, Timestamp};
 
-/// Which of the four protocol variants a [`ParallelServer`] runs.
+/// Which of the four protocol variants a server runs. The four are one engine with four
+/// visibility policies, so this enum lives in the lowest crate that links all of them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecProtocol {
-    /// Plain POCC: optimistic freshest reads.
+pub enum ProtocolKind {
+    /// The optimistic protocol (the paper's contribution): freshest-version reads.
     Pocc,
-    /// Cure\*: pessimistic GSS-stable reads.
+    /// The pessimistic baseline (Cure\*): GSS-stable reads.
     Cure,
-    /// HA-POCC: optimistic with partition-tolerant mode switching.
+    /// POCC with the availability fall-back of §III-B.
     HaPocc,
-    /// Adaptive: per-key churn-based fallback from optimistic to stable-bounded reads.
+    /// Per-key optimism: POCC reads for calm keys, GSS-stable-bounded reads for keys
+    /// under remote churn.
     Adaptive,
 }
 
-impl ExecProtocol {
+/// The name `benchmark/` (frozen by `BENCHMARK.json`) imports [`ProtocolKind`] under.
+pub use ProtocolKind as ExecProtocol;
+
+impl std::fmt::Display for ProtocolKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ProtocolKind::Pocc => "POCC",
+            ProtocolKind::Cure => "Cure*",
+            ProtocolKind::HaPocc => "HA-POCC",
+            ProtocolKind::Adaptive => "Adaptive",
+        })
+    }
+}
+
+impl ProtocolKind {
+    /// Every protocol, in presentation order.
+    pub const ALL: [ProtocolKind; 4] = [
+        ProtocolKind::Pocc,
+        ProtocolKind::Cure,
+        ProtocolKind::HaPocc,
+        ProtocolKind::Adaptive,
+    ];
+
+    /// Whether client sessions must carry their full history in GET request vectors
+    /// because the protocol serves reads from a snapshot (see
+    /// `Client::new_snapshot_reads`).
+    pub fn snapshot_reads(self) -> bool {
+        matches!(self, ProtocolKind::Cure | ProtocolKind::Adaptive)
+    }
+
+    /// Builds the serial (single-threaded, sans-IO) server for `id`, with the protocol's
+    /// concrete policy type — the one place the four server types are named.
+    pub fn server<C: Clock + 'static>(
+        self,
+        id: ServerId,
+        config: Config,
+        clock: C,
+    ) -> Box<dyn InstrumentedServer> {
+        match self {
+            ProtocolKind::Pocc => Box::new(pocc_protocol::PoccServer::new(id, config, clock)),
+            ProtocolKind::Cure => Box::new(pocc_cure::CureServer::new(id, config, clock)),
+            ProtocolKind::HaPocc => Box::new(pocc_ha::HaPoccServer::new(id, config, clock)),
+            ProtocolKind::Adaptive => {
+                Box::new(pocc_adaptive::AdaptiveServer::new(id, config, clock))
+            }
+        }
+    }
+
     /// Builds the protocol's visibility policy, boxed so one engine type serves all four
-    /// variants.
+    /// variants behind a [`ParallelServer`].
     pub fn policy<C: Clock>(self, config: &Config, now: Timestamp) -> Box<dyn VisibilityPolicy<C>> {
         match self {
-            ExecProtocol::Pocc => Box::new(pocc_protocol::PoccPolicy),
-            ExecProtocol::Cure => Box::new(pocc_cure::CurePolicy),
-            ExecProtocol::HaPocc => Box::new(pocc_ha::HaPolicy::new(config, now)),
-            ExecProtocol::Adaptive => Box::new(pocc_adaptive::AdaptivePolicy::default()),
+            ProtocolKind::Pocc => Box::new(pocc_protocol::PoccPolicy),
+            ProtocolKind::Cure => Box::new(pocc_cure::CurePolicy),
+            ProtocolKind::HaPocc => Box::new(pocc_ha::HaPolicy::new(config, now)),
+            ProtocolKind::Adaptive => Box::new(pocc_adaptive::AdaptivePolicy::default()),
         }
     }
 
@@ -92,14 +142,14 @@ impl ExecProtocol {
         match self {
             // POCC reads are freshest-version chain-head reads: a lane can serve them
             // from the shared store once the client's remote dependencies are covered.
-            ExecProtocol::Pocc => FastPathProfile {
+            ProtocolKind::Pocc => FastPathProfile {
                 puts: true,
                 puts_check_deps: true,
                 gets: true,
             },
             // Cure* PUTs are unconditional, but its GETs do GSS staleness accounting on
             // the engine, so reads go through the spine.
-            ExecProtocol::Cure => FastPathProfile {
+            ProtocolKind::Cure => FastPathProfile {
                 puts: true,
                 puts_check_deps: false,
                 gets: false,
@@ -107,14 +157,14 @@ impl ExecProtocol {
             // HA-POCC records *every* client request in its session bookkeeping (the
             // optimistic-client set consulted on fallback aborts), so no operation may
             // bypass the policy.
-            ExecProtocol::HaPocc => FastPathProfile {
+            ProtocolKind::HaPocc => FastPathProfile {
                 puts: false,
                 puts_check_deps: true,
                 gets: false,
             },
             // Adaptive PUTs are POCC PUTs (local writes do not touch the churn
             // classifier), but GETs consult per-key policy state.
-            ExecProtocol::Adaptive => FastPathProfile {
+            ProtocolKind::Adaptive => FastPathProfile {
                 puts: true,
                 puts_check_deps: true,
                 gets: false,
@@ -125,7 +175,7 @@ impl ExecProtocol {
 
 /// Which operation kinds a protocol allows the worker lanes to serve directly, bypassing
 /// the policy dispatch on the spine. Derived from each policy's semantics — see
-/// [`ExecProtocol::fast_path`].
+/// [`ProtocolKind::fast_path`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FastPathProfile {
     /// Whether lanes may pipeline eligible PUTs (reserve a timestamp, insert off-lock).
@@ -137,4 +187,76 @@ pub struct FastPathProfile {
     /// snapshot covers them, entirely-local read-only transactions — from the store
     /// directly.
     pub gets: bool,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pocc_clock::ManualClock;
+    use pocc_proto::{ClientRequest, MetricsSnapshot, ServerIntrospect, ServerOutput};
+    use pocc_types::{ClientId, DependencyVector, Key, ReplicaId, Value};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    #[test]
+    fn protocol_kind_display() {
+        let names: Vec<String> = ProtocolKind::ALL.iter().map(|p| p.to_string()).collect();
+        assert_eq!(names, ["POCC", "Cure*", "HA-POCC", "Adaptive"]);
+    }
+
+    /// `server` (concrete policy, serial) and `policy` (boxed, behind a one-lane
+    /// [`ParallelServer`]) must build the same protocol: the same 24 writes and one tick
+    /// leave the same store and the same counters.
+    #[test]
+    fn server_and_policy_agree_for_every_protocol() {
+        let id = ServerId::new(ReplicaId(0), 0u32);
+        let config = Config::builder()
+            .num_replicas(2)
+            .num_partitions(1)
+            .build()
+            .expect("valid config");
+        let put = |i: u64| ClientRequest::Put {
+            key: Key(i % 8),
+            value: Value::from(i),
+            dv: DependencyVector::zero(2),
+        };
+        for protocol in ProtocolKind::ALL {
+            let clock = ManualClock::new(Timestamp::from(Duration::from_millis(10)));
+            let mut serial = protocol.server(id, config.clone(), clock.clone());
+            for i in 0..24u64 {
+                clock.advance(Duration::from_micros(100));
+                serial.handle_client_request(ClientId(i), put(i));
+            }
+            clock.advance(Duration::from_millis(2));
+            serial.tick();
+
+            let clock = ManualClock::new(Timestamp::from(Duration::from_millis(10)));
+            let (tx, rx) = crossbeam::channel::unbounded();
+            let sink: OutputSink = Arc::new(move |out| {
+                let _ = tx.send(out);
+            });
+            let parallel = ParallelServer::start(id, config.clone(), protocol, clock.clone(), sink);
+            for i in 0..24u64 {
+                clock.advance(Duration::from_micros(100));
+                parallel.submit_client(ClientId(i), put(i)).unwrap();
+                // One write at a time, so the lane reads the same clock the serial run did.
+                while !matches!(rx.recv().unwrap(), ServerOutput::Reply { .. }) {}
+            }
+            clock.advance(Duration::from_millis(2));
+            parallel.tick();
+
+            assert_eq!(serial.digest(), parallel.digest(), "{protocol}");
+            // The contention block only exists on the threaded side.
+            let metrics = MetricsSnapshot {
+                lane_fast_path_hits: 0,
+                lane_fast_path_misses: 0,
+                spine_acquisitions: 0,
+                drain_spins: 0,
+                ..parallel.metrics()
+            };
+            assert_eq!(serial.metrics(), metrics, "{protocol}");
+            assert_eq!(metrics.puts_served, 24, "{protocol}");
+            assert_eq!(metrics.replicate_sent, 24, "{protocol}");
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! The threaded server: worker lanes over a spine-locked protocol engine.
 
 use crate::snapshot::PublishedVector;
-use crate::{ExecProtocol, FastPathProfile};
+use crate::{FastPathProfile, ProtocolKind};
 use crossbeam::channel::{bounded, Receiver, SyncSender};
 use parking_lot::Mutex;
 use pocc_clock::Clock;
@@ -620,7 +620,7 @@ impl<C: Clock + 'static> ParallelServer<C> {
     pub fn start(
         id: ServerId,
         config: Config,
-        protocol: ExecProtocol,
+        protocol: ProtocolKind,
         clock: C,
         sink: OutputSink,
     ) -> Self {
@@ -817,7 +817,7 @@ mod tests {
     }
 
     fn start(
-        protocol: ExecProtocol,
+        protocol: ProtocolKind,
         lanes: usize,
     ) -> (
         ParallelServer<MonotonicClock<SystemClock>>,
@@ -827,7 +827,7 @@ mod tests {
     }
 
     fn start_with_config(
-        protocol: ExecProtocol,
+        protocol: ProtocolKind,
         config: Config,
     ) -> (
         ParallelServer<MonotonicClock<SystemClock>>,
@@ -862,7 +862,7 @@ mod tests {
 
     #[test]
     fn pocc_put_then_get_round_trip() {
-        let (server, rx) = start(ExecProtocol::Pocc, 2);
+        let (server, rx) = start(ProtocolKind::Pocc, 2);
         let client = ClientId(1);
         let dv = DependencyVector::zero(1);
         server
@@ -901,7 +901,7 @@ mod tests {
 
     #[test]
     fn concurrent_puts_all_publish_with_unique_timestamps() {
-        let (server, rx) = start(ExecProtocol::Pocc, 4);
+        let (server, rx) = start(ProtocolKind::Pocc, 4);
         let n = 400u64;
         for i in 0..n {
             server
@@ -935,12 +935,7 @@ mod tests {
 
     #[test]
     fn every_protocol_serves_the_client_api() {
-        for protocol in [
-            ExecProtocol::Pocc,
-            ExecProtocol::Cure,
-            ExecProtocol::HaPocc,
-            ExecProtocol::Adaptive,
-        ] {
+        for protocol in ProtocolKind::ALL {
             let (server, rx) = start(protocol, 2);
             let client = ClientId(9);
             let dv = DependencyVector::zero(1);
@@ -995,7 +990,7 @@ mod tests {
 
     #[test]
     fn ticks_interleaved_with_writes_keep_the_engine_consistent() {
-        let (server, rx) = start(ExecProtocol::Pocc, 2);
+        let (server, rx) = start(ProtocolKind::Pocc, 2);
         for i in 0..100u64 {
             server
                 .submit_client(
@@ -1020,7 +1015,7 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_reports_server_closed_instead_of_panicking() {
-        let (mut server, _rx) = start(ExecProtocol::Pocc, 2);
+        let (mut server, _rx) = start(ProtocolKind::Pocc, 2);
         server.shutdown();
         let result = server.submit_client(
             ClientId(1),
@@ -1034,43 +1029,63 @@ mod tests {
 
     #[test]
     fn remote_versions_are_applied_off_spine_and_become_visible() {
-        let config = Config::builder()
-            .num_replicas(3)
-            .num_partitions(1)
-            .worker_lanes(4)
-            .build()
-            .expect("valid config");
-        let (server, rx) = start_with_config(ExecProtocol::Pocc, config);
-        let origin_a = ServerId::new(ReplicaId(1), PartitionId(0));
-        let origin_b = ServerId::new(ReplicaId(2), PartitionId(0));
-        let n = 200u64;
-        for i in 0..n {
-            let mk = |origin: ServerId, ts: u64| ServerMessage::Replicate {
-                version: Version::new(
-                    Key(i),
-                    Value::from(i),
-                    origin.replica,
-                    Timestamp::from_micros(ts),
-                    DependencyVector::zero(3),
-                ),
-            };
-            // Per-origin timestamps strictly increase, as FIFO replication guarantees.
-            server.handle_server_message(origin_a, mk(origin_a, i + 1));
-            server.handle_server_message(origin_b, mk(origin_b, i + 1));
-        }
-        let metrics = server.metrics();
-        assert_eq!(metrics.replicate_received, 2 * n);
-        assert_eq!(server.store_stats().versions as u64, 2 * n);
+        // Alone, and interleaved one-to-two with client PUTs (what a replica of a
+        // three-replica deployment sees when every replica writes at the same rate).
+        for client_puts in [false, true] {
+            let config = Config::builder()
+                .num_replicas(3)
+                .num_partitions(1)
+                .worker_lanes(4)
+                .build()
+                .expect("valid config");
+            let (server, rx) = start_with_config(ProtocolKind::Pocc, config);
+            let origin_a = ServerId::new(ReplicaId(1), PartitionId(0));
+            let origin_b = ServerId::new(ReplicaId(2), PartitionId(0));
+            let n = 200u64;
+            for i in 0..n {
+                let mk = |origin: ServerId, ts: u64| ServerMessage::Replicate {
+                    version: Version::new(
+                        Key(i),
+                        Value::from(i),
+                        origin.replica,
+                        Timestamp::from_micros(ts),
+                        DependencyVector::zero(3),
+                    ),
+                };
+                // Per-origin timestamps strictly increase, as FIFO replication guarantees.
+                server.handle_server_message(origin_a, mk(origin_a, i + 1));
+                server.handle_server_message(origin_b, mk(origin_b, i + 1));
+                if client_puts {
+                    let put = ClientRequest::Put {
+                        key: Key(i),
+                        value: Value::from(i),
+                        dv: DependencyVector::zero(3),
+                    };
+                    server
+                        .submit_client(ClientId(i), put)
+                        .expect("server is running");
+                }
+            }
+            let local = if client_puts { n } else { 0 };
+            for _ in 0..local {
+                assert!(matches!(recv_reply(&rx), ClientReply::Put { .. }));
+            }
+            // Every injected version is absorbed and counted, every PUT published.
+            let metrics = server.metrics();
+            assert_eq!(metrics.replicate_received, 2 * n);
+            assert_eq!(metrics.puts_served, local);
+            assert_eq!(server.store_stats().versions as u64, 2 * n + local);
 
-        // A GET depending on the last remote version is served once published.
-        let mut rdv = DependencyVector::zero(3);
-        rdv.set(ReplicaId(1), Timestamp::from_micros(n));
-        server
-            .submit_client(ClientId(1), ClientRequest::Get { key: Key(0), rdv })
-            .expect("server is running");
-        match recv_reply(&rx) {
-            ClientReply::Get(resp) => assert!(resp.value.is_some()),
-            other => panic!("expected a GET reply, got {other:?}"),
+            // A GET depending on the last remote version is served once published.
+            let mut rdv = DependencyVector::zero(3);
+            rdv.set(ReplicaId(1), Timestamp::from_micros(n));
+            server
+                .submit_client(ClientId(1), ClientRequest::Get { key: Key(0), rdv })
+                .expect("server is running");
+            match recv_reply(&rx) {
+                ClientReply::Get(resp) => assert!(resp.value.is_some()),
+                other => panic!("expected a GET reply, got {other:?}"),
+            }
         }
     }
 
@@ -1082,7 +1097,7 @@ mod tests {
             .worker_lanes(2)
             .build()
             .expect("valid config");
-        let (server, _rx) = start_with_config(ExecProtocol::Pocc, config);
+        let (server, _rx) = start_with_config(ProtocolKind::Pocc, config);
         let origin = ServerId::new(ReplicaId(1), PartitionId(0));
         let versions: Vec<ServerMessage> = (0..50u64)
             .map(|i| ServerMessage::Replicate {

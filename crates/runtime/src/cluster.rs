@@ -3,14 +3,10 @@
 use crate::client::ClusterClient;
 use crate::router::{Inbound, Router};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
-use pocc_adaptive::AdaptiveServer;
 use pocc_clock::{Clock, MonotonicClock, SystemClock};
-use pocc_cure::CureServer;
-use pocc_exec::{ExecProtocol, OutputSink, ParallelServer};
-use pocc_ha::HaPoccServer;
+use pocc_exec::{OutputSink, ParallelServer, ProtocolKind};
 use pocc_net::transport::{ClientPort, TransportKind};
-use pocc_proto::{InstrumentedServer, MetricsSnapshot, ServerIntrospect, ServerOutput};
-use pocc_protocol::PoccServer;
+use pocc_proto::{MetricsSnapshot, ServerIntrospect, ServerOutput};
 use pocc_storage::StoreStats;
 use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Timestamp};
 use std::net::SocketAddr;
@@ -18,19 +14,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which protocol the cluster's servers run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RuntimeProtocol {
-    /// The optimistic protocol (POCC).
-    Pocc,
-    /// The pessimistic baseline (Cure\*).
-    Cure,
-    /// POCC with the availability fall-back (HA-POCC).
-    HaPocc,
-    /// Per-key optimism with a GSS-stable fall-back for keys under remote churn.
-    Adaptive,
-}
 
 /// A consistent snapshot of one server's introspection surface, taken on the server's own
 /// thread (serial servers) or with the write pipeline fully drained (parallel servers).
@@ -44,17 +27,6 @@ pub struct ServerProbe {
     pub store_stats: StoreStats,
 }
 
-impl From<RuntimeProtocol> for ExecProtocol {
-    fn from(protocol: RuntimeProtocol) -> ExecProtocol {
-        match protocol {
-            RuntimeProtocol::Pocc => ExecProtocol::Pocc,
-            RuntimeProtocol::Cure => ExecProtocol::Cure,
-            RuntimeProtocol::HaPocc => ExecProtocol::HaPocc,
-            RuntimeProtocol::Adaptive => ExecProtocol::Adaptive,
-        }
-    }
-}
-
 /// How many additional inbox events a server thread drains greedily after a blocking
 /// receive before writing out staged transport traffic. Bounds reply latency while
 /// letting the TCP backend coalesce a burst into one `write` per client and per peer.
@@ -66,10 +38,10 @@ const DRAIN_BUDGET: usize = 128;
 /// and [`ClusterBuilder::transport`] to pick the transport backend.
 ///
 /// ```
-/// use pocc_runtime::{Cluster, RuntimeProtocol, TransportKind};
+/// use pocc_runtime::{Cluster, ProtocolKind, TransportKind};
 ///
 /// let cluster = Cluster::builder()
-///     .protocol(RuntimeProtocol::Pocc)
+///     .protocol(ProtocolKind::Pocc)
 ///     .transport(TransportKind::Channel)
 ///     .worker_lanes(2)
 ///     .start();
@@ -78,7 +50,7 @@ const DRAIN_BUDGET: usize = 128;
 #[derive(Clone, Debug)]
 pub struct ClusterBuilder {
     config: Config,
-    protocol: RuntimeProtocol,
+    protocol: ProtocolKind,
     transport: TransportKind,
 }
 
@@ -86,7 +58,7 @@ impl Default for ClusterBuilder {
     fn default() -> Self {
         ClusterBuilder {
             config: Config::small_test(),
-            protocol: RuntimeProtocol::Pocc,
+            protocol: ProtocolKind::Pocc,
             transport: TransportKind::Channel,
         }
     }
@@ -100,7 +72,7 @@ impl ClusterBuilder {
     }
 
     /// Runs `protocol` on every server.
-    pub fn protocol(mut self, protocol: RuntimeProtocol) -> Self {
+    pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
         self.protocol = protocol;
         self
     }
@@ -119,42 +91,14 @@ impl ClusterBuilder {
         self
     }
 
-    /// Starts the cluster.
+    /// Starts the cluster: one thread per server of the configuration, all running the
+    /// chosen protocol over the chosen transport.
     pub fn start(self) -> Cluster {
-        Cluster::start_inner(self.config, self.protocol, self.transport)
-    }
-}
-
-/// A running in-process cluster: one thread per server (plus that server's worker lanes
-/// when `worker_lanes > 1`) connected by the chosen transport backend.
-///
-/// Create it with [`Cluster::builder`], obtain client handles with [`Cluster::client`],
-/// and stop it with [`Cluster::shutdown`] (also invoked on drop).
-pub struct Cluster {
-    router: Router,
-    threads: Vec<JoinHandle<()>>,
-    running: Arc<AtomicBool>,
-    next_client: Arc<AtomicU64>,
-    protocol: RuntimeProtocol,
-    transport: TransportKind,
-}
-
-impl Cluster {
-    /// Returns a builder for configuring and starting a cluster.
-    pub fn builder() -> ClusterBuilder {
-        ClusterBuilder::default()
-    }
-
-    /// Starts a cluster of `config.num_servers()` server threads running `protocol`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Cluster::builder().config(..).protocol(..).start()`"
-    )]
-    pub fn start(config: Config, protocol: RuntimeProtocol) -> Cluster {
-        Cluster::start_inner(config, protocol, TransportKind::Channel)
-    }
-
-    fn start_inner(config: Config, protocol: RuntimeProtocol, transport: TransportKind) -> Cluster {
+        let ClusterBuilder {
+            config,
+            protocol,
+            transport,
+        } = self;
         config.validate().expect("cluster configuration is valid");
         let (router, mut inboxes) = Router::new(config.clone(), transport);
         let running = Arc::new(AtomicBool::new(true));
@@ -190,9 +134,30 @@ impl Cluster {
             transport,
         }
     }
+}
+
+/// A running in-process cluster: one thread per server (plus that server's worker lanes
+/// when `worker_lanes > 1`) connected by the chosen transport backend.
+///
+/// Create it with [`Cluster::builder`], obtain client handles with [`Cluster::client`],
+/// and stop it with [`Cluster::shutdown`] (also invoked on drop).
+pub struct Cluster {
+    router: Router,
+    threads: Vec<JoinHandle<()>>,
+    running: Arc<AtomicBool>,
+    next_client: Arc<AtomicU64>,
+    protocol: ProtocolKind,
+    transport: TransportKind,
+}
+
+impl Cluster {
+    /// Returns a builder for configuring and starting a cluster.
+    pub fn builder() -> ClusterBuilder {
+        ClusterBuilder::default()
+    }
 
     /// The protocol this cluster runs.
-    pub fn protocol(&self) -> RuntimeProtocol {
+    pub fn protocol(&self) -> ProtocolKind {
         self.protocol
     }
 
@@ -220,10 +185,7 @@ impl Cluster {
         let home = ServerId::new(replica, partition);
         // Snapshot-serving protocols need the full session history in GET request
         // vectors (see `Client::new_snapshot_reads`).
-        let snapshot_reads = matches!(
-            self.protocol,
-            RuntimeProtocol::Cure | RuntimeProtocol::Adaptive
-        );
+        let snapshot_reads = self.protocol.snapshot_reads();
         let port = self.router.client_port(id);
         ClusterClient::new(id, home, self.config().clone(), port, snapshot_reads)
     }
@@ -287,7 +249,7 @@ impl Drop for Cluster {
 fn server_thread(
     id: ServerId,
     config: Config,
-    protocol: RuntimeProtocol,
+    protocol: ProtocolKind,
     router: Router,
     inbox: Receiver<Inbound>,
     running: Arc<AtomicBool>,
@@ -297,12 +259,7 @@ fn server_thread(
         parallel_server_thread(id, config, protocol, router, inbox, running, clock);
         return;
     }
-    let mut server: Box<dyn InstrumentedServer> = match protocol {
-        RuntimeProtocol::Pocc => Box::new(PoccServer::new(id, config.clone(), clock)),
-        RuntimeProtocol::Cure => Box::new(CureServer::new(id, config.clone(), clock)),
-        RuntimeProtocol::HaPocc => Box::new(HaPoccServer::new(id, config.clone(), clock)),
-        RuntimeProtocol::Adaptive => Box::new(AdaptiveServer::new(id, config.clone(), clock)),
-    };
+    let mut server = protocol.server(id, config.clone(), clock);
 
     let tick_every = config.heartbeat_interval;
     let mut next_tick = Instant::now() + tick_every;
@@ -370,7 +327,7 @@ fn server_thread(
 fn parallel_server_thread<C: Clock + 'static>(
     id: ServerId,
     config: Config,
-    protocol: RuntimeProtocol,
+    protocol: ProtocolKind,
     router: Router,
     inbox: Receiver<Inbound>,
     running: Arc<AtomicBool>,
@@ -384,7 +341,7 @@ fn parallel_server_thread<C: Clock + 'static>(
         }
         ServerOutput::Send { to, message } => sink_router.send_server(id, to, message),
     });
-    let server = ParallelServer::start(id, config.clone(), protocol.into(), clock, sink);
+    let server = ParallelServer::start(id, config.clone(), protocol, clock, sink);
 
     let tick_every = config.heartbeat_interval;
     let mut next_tick = Instant::now() + tick_every;
@@ -445,12 +402,6 @@ pub(crate) fn server_for_key(config: &Config, replica: ReplicaId, key: Key) -> S
     )
 }
 
-/// Convenience: a timestamp representing "now" relative to the cluster epoch, used by
-/// tests that need to compare against update times returned by the cluster.
-pub(crate) fn _now_since(epoch: Instant) -> Timestamp {
-    Timestamp::from_micros(epoch.elapsed().as_micros() as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,7 +424,7 @@ mod tests {
     fn put_then_get_through_a_real_cluster() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .start();
         let mut client = cluster.client(ReplicaId(0));
         let ut = client.put(Key(7), Value::from("v")).unwrap();
@@ -487,7 +438,7 @@ mod tests {
     fn writes_replicate_across_data_centers() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .start();
         let mut writer = cluster.client(ReplicaId(0));
         let mut reader = cluster.client(ReplicaId(1));
@@ -509,7 +460,7 @@ mod tests {
     fn tcp_cluster_serves_clients_and_replicates() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .transport(TransportKind::Tcp)
             .start();
         assert!(cluster.server_addr(ServerId::new(0u16, 0u32)).is_some());
@@ -543,7 +494,7 @@ mod tests {
             .unwrap();
         let cluster = Cluster::builder()
             .config(config)
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .transport(TransportKind::Tcp)
             .worker_lanes(2)
             .start();
@@ -562,7 +513,7 @@ mod tests {
     fn adaptive_cluster_serves_the_same_api() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Adaptive)
+            .protocol(ProtocolKind::Adaptive)
             .start();
         let mut client = cluster.client(ReplicaId(0));
         client.put(Key(11), Value::from("adaptive")).unwrap();
@@ -579,7 +530,7 @@ mod tests {
     fn cure_cluster_serves_the_same_api() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Cure)
+            .protocol(ProtocolKind::Cure)
             .start();
         let mut client = cluster.client(ReplicaId(0));
         client.put(Key(9), Value::from("cure")).unwrap();
@@ -593,7 +544,7 @@ mod tests {
     fn read_only_transactions_span_partitions() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .start();
         let mut client = cluster.client(ReplicaId(0));
         // Write to several keys so the transaction spans both partitions.
@@ -615,7 +566,7 @@ mod tests {
     fn parallel_servers_serve_clients_and_replicate() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .worker_lanes(4)
             .start();
         let mut writer = cluster.client(ReplicaId(0));
@@ -648,7 +599,7 @@ mod tests {
     fn probes_reach_serial_servers() {
         let cluster = Cluster::builder()
             .config(small_config())
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .start();
         let mut client = cluster.client(ReplicaId(0));
         client.put(Key(1), Value::from("p")).unwrap();

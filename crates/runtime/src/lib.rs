@@ -17,7 +17,7 @@
 //! # Example
 //!
 //! ```
-//! use pocc_runtime::{Cluster, RuntimeProtocol};
+//! use pocc_runtime::{Cluster, ProtocolKind};
 //! use pocc_types::{Config, Key, ReplicaId, Value};
 //! use std::time::Duration;
 //!
@@ -33,7 +33,7 @@
 //!     .unwrap();
 //! let cluster = Cluster::builder()
 //!     .config(config)
-//!     .protocol(RuntimeProtocol::Pocc)
+//!     .protocol(ProtocolKind::Pocc)
 //!     .start();
 //! let mut client = cluster.client(ReplicaId(0));
 //! client.put(Key(1), Value::from("hello")).unwrap();
@@ -57,6 +57,9 @@ mod cluster;
 mod router;
 
 pub use client::ClusterClient;
-pub use cluster::{Cluster, ClusterBuilder, RuntimeProtocol, ServerProbe};
+pub use cluster::{Cluster, ClusterBuilder, ServerProbe};
+pub use pocc_exec::ProtocolKind;
+/// The name `benchmark/` (frozen by `BENCHMARK.json`) imports [`ProtocolKind`] under.
+pub use pocc_exec::ProtocolKind as RuntimeProtocol;
 pub use pocc_net::transport::{ClientPort, TransportKind};
 pub use router::Router;

@@ -4,7 +4,7 @@
 
 use pocc_proto::{ClientReply, ProtocolClient};
 use pocc_protocol::Client;
-use pocc_runtime::{Cluster, RuntimeProtocol, TransportKind};
+use pocc_runtime::{Cluster, ProtocolKind, TransportKind};
 use pocc_storage::partition_for_key;
 use pocc_types::{Config, Key, ServerId, Value};
 use std::time::{Duration, Instant};
@@ -29,7 +29,7 @@ fn tcp_clusters_start_and_stop_quickly_and_leave_no_thread_behind() {
     for cycle in 0..50u64 {
         let cluster = Cluster::builder()
             .config(config.clone())
-            .protocol(RuntimeProtocol::Pocc)
+            .protocol(ProtocolKind::Pocc)
             .transport(TransportKind::Tcp)
             .start();
         // One acknowledged PUT, so that an acceptor, a connection reader and a port

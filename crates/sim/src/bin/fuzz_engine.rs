@@ -23,13 +23,6 @@ struct Args {
     quiet: bool,
 }
 
-const ALL_PROTOCOLS: [ProtocolKind; 4] = [
-    ProtocolKind::Pocc,
-    ProtocolKind::Cure,
-    ProtocolKind::HaPocc,
-    ProtocolKind::Adaptive,
-];
-
 fn usage() -> ! {
     eprintln!(
         "usage: fuzz_engine [--seeds N] [--start-seed S] [--steps K] \
@@ -43,7 +36,7 @@ fn parse_args() -> Args {
         seeds: 100,
         start_seed: 0,
         steps: FuzzCase::default().steps,
-        protocols: ALL_PROTOCOLS.to_vec(),
+        protocols: ProtocolKind::ALL.to_vec(),
         chaos: true,
         cross: true,
         quiet: false,
@@ -72,7 +65,7 @@ fn parse_args() -> Args {
                     "cure" => vec![ProtocolKind::Cure],
                     "ha" => vec![ProtocolKind::HaPocc],
                     "adaptive" => vec![ProtocolKind::Adaptive],
-                    "all" => ALL_PROTOCOLS.to_vec(),
+                    "all" => ProtocolKind::ALL.to_vec(),
                     other => {
                         eprintln!("unknown protocol {other:?}");
                         usage()

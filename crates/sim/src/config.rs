@@ -1,35 +1,10 @@
 //! Simulation configuration.
 
 use crate::chaos::{ChaosSchedule, ChaosStep};
+use pocc_exec::ProtocolKind;
 use pocc_types::{Config, ReplicaId};
 use pocc_workload::WorkloadMix;
 use std::time::Duration;
-
-/// Which protocol implementation the simulated servers run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProtocolKind {
-    /// The optimistic protocol (the paper's contribution).
-    Pocc,
-    /// The pessimistic baseline (Cure\*).
-    Cure,
-    /// POCC with the availability fall-back of §III-B.
-    HaPocc,
-    /// Per-key optimism: POCC reads for calm keys, GSS-stable-bounded reads for keys
-    /// under remote churn.
-    Adaptive,
-}
-
-impl std::fmt::Display for ProtocolKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ProtocolKind::Pocc => "POCC",
-            ProtocolKind::Cure => "Cure*",
-            ProtocolKind::HaPocc => "HA-POCC",
-            ProtocolKind::Adaptive => "Adaptive",
-        };
-        f.write_str(s)
-    }
-}
 
 /// A scheduled network fault.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -501,13 +476,5 @@ mod tests {
             .build();
         assert_eq!(cfg.chaos, schedule, "chaos() replaces earlier steps");
         assert!(SimConfig::builder().build().chaos.is_empty());
-    }
-
-    #[test]
-    fn protocol_kind_display() {
-        assert_eq!(ProtocolKind::Pocc.to_string(), "POCC");
-        assert_eq!(ProtocolKind::Cure.to_string(), "Cure*");
-        assert_eq!(ProtocolKind::HaPocc.to_string(), "HA-POCC");
-        assert_eq!(ProtocolKind::Adaptive.to_string(), "Adaptive");
     }
 }

@@ -1,8 +1,7 @@
 //! A seeded interleaving fuzzer for the protocol engine.
 //!
-//! [`run_fuzz_case`] drives a hand-pumped cluster of [`pocc_proto::ProtocolServer`]s — no
-//! event queue,
-//! no latency model — through an arbitrary interleaving of client operations, message
+//! [`run_fuzz_case`] drives the hand-pumped [`SerialCluster`] — no event queue, no latency
+//! model — through an arbitrary interleaving of client operations, message
 //! deliveries, server ticks, clock advances and chaos toggles (partitions, heals,
 //! drop/duplication of idempotent periodic messages), all drawn from one seeded RNG. After
 //! the scripted steps the harness heals every partition and drains the cluster to
@@ -29,19 +28,17 @@
 //! shrink reported walks you straight to the first bad read (unset, empty or `0`
 //! disables it).
 
-use crate::config::ProtocolKind;
 use crate::consistency::ConsistencyChecker;
-use pocc_adaptive::AdaptiveServer;
-use pocc_clock::{Clock, ManualClock};
-use pocc_cure::CureServer;
-use pocc_ha::HaPoccServer;
-use pocc_proto::{ClientReply, InstrumentedServer, ProtocolClient, ServerMessage, ServerOutput};
-use pocc_protocol::{Client, PoccServer};
+use crate::reference::{Digest, Link, SerialCluster};
+use pocc_clock::Clock;
+use pocc_exec::ProtocolKind;
+use pocc_proto::{ClientReply, ProtocolClient, ServerMessage};
+use pocc_protocol::Client;
 use pocc_storage::partition_for_key;
 use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Timestamp, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::Duration;
 
@@ -141,12 +138,6 @@ pub struct FuzzFailure {
 impl fmt::Display for FuzzFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let c = &self.case;
-        let protocol_expr = match c.protocol {
-            ProtocolKind::Pocc => "ProtocolKind::Pocc",
-            ProtocolKind::Cure => "ProtocolKind::Cure",
-            ProtocolKind::HaPocc => "ProtocolKind::HaPocc",
-            ProtocolKind::Adaptive => "ProtocolKind::Adaptive",
-        };
         writeln!(
             f,
             "engine fuzzer failure: protocol={} seed={} steps={} (shrunk from {})",
@@ -170,7 +161,7 @@ impl fmt::Display for FuzzFailure {
         writeln!(f, "    use pocc::sim::fuzz::{{run_fuzz_case, FuzzCase}};")?;
         writeln!(f, "    use pocc::sim::ProtocolKind;")?;
         writeln!(f, "    let outcome = run_fuzz_case(&FuzzCase {{")?;
-        writeln!(f, "        protocol: {protocol_expr},")?;
+        writeln!(f, "        protocol: ProtocolKind::{:?},", c.protocol)?;
         writeln!(f, "        replicas: {},", c.replicas)?;
         writeln!(f, "        partitions: {},", c.partitions)?;
         writeln!(f, "        clients: {},", c.clients)?;
@@ -202,19 +193,18 @@ struct FuzzClient {
     pending: Option<Pending>,
 }
 
+/// The fuzzer's half of the cluster: closed-loop clients, the checker, partitions and the
+/// trace. Servers, link queues and the clock are the [`SerialCluster`]'s.
 struct Cluster {
-    deployment: Config,
-    clock: ManualClock,
-    servers: BTreeMap<ServerId, Box<dyn InstrumentedServer>>,
-    /// Per-directed-link FIFO queues of undelivered messages.
-    links: BTreeMap<(ServerId, ServerId), VecDeque<ServerMessage>>,
+    net: SerialCluster,
     /// Partitioned DC pairs (both orderings stored).
     partitioned: BTreeSet<(u16, u16)>,
     clients: Vec<FuzzClient>,
     checker: ConsistencyChecker,
     ops_completed: u64,
     sessions_reinitialized: u64,
-    /// Whether to narrate every step to stderr (the `POCC_FUZZ_TRACE` debug aid).
+    /// Whether to narrate every issued request to stderr (the `POCC_FUZZ_TRACE` debug
+    /// aid; deliveries and replies are narrated by the [`SerialCluster`]).
     trace: bool,
 }
 
@@ -222,20 +212,6 @@ struct Cluster {
 /// and `0` mean off; anything else means on.
 fn trace_enabled() -> bool {
     std::env::var_os("POCC_FUZZ_TRACE").is_some_and(|v| !v.is_empty() && v != *"0")
-}
-
-fn build_server(
-    protocol: ProtocolKind,
-    id: ServerId,
-    cfg: &Config,
-    clock: &ManualClock,
-) -> Box<dyn InstrumentedServer> {
-    match protocol {
-        ProtocolKind::Pocc => Box::new(PoccServer::new(id, cfg.clone(), clock.clone())),
-        ProtocolKind::Cure => Box::new(CureServer::new(id, cfg.clone(), clock.clone())),
-        ProtocolKind::HaPocc => Box::new(HaPoccServer::new(id, cfg.clone(), clock.clone())),
-        ProtocolKind::Adaptive => Box::new(AdaptiveServer::new(id, cfg.clone(), clock.clone())),
-    }
 }
 
 impl Cluster {
@@ -246,23 +222,15 @@ impl Cluster {
             .storage_shards(2)
             .build()
             .expect("fuzz deployment config is valid");
-        let clock = ManualClock::new(Timestamp::from(Duration::from_millis(10)));
-        let servers: BTreeMap<ServerId, Box<dyn InstrumentedServer>> = deployment
-            .servers()
-            .map(|id| (id, build_server(case.protocol, id, &deployment, &clock)))
-            .collect();
         let clients: Vec<FuzzClient> = (0..case.clients)
             .map(|i| {
                 let replica = ReplicaId((i % case.replicas) as u16);
                 let home = ServerId::new(replica, 0u32);
                 let id = ClientId(i as u64);
-                let session = match case.protocol {
-                    ProtocolKind::Cure | ProtocolKind::Adaptive => {
-                        Client::new_snapshot_reads(id, home, case.replicas)
-                    }
-                    ProtocolKind::Pocc | ProtocolKind::HaPocc => {
-                        Client::new(id, home, case.replicas)
-                    }
+                let session = if case.protocol.snapshot_reads() {
+                    Client::new_snapshot_reads(id, home, case.replicas)
+                } else {
+                    Client::new(id, home, case.replicas)
                 };
                 FuzzClient {
                     session,
@@ -271,41 +239,30 @@ impl Cluster {
                 }
             })
             .collect();
+        let trace = trace_enabled();
+        let mut net = SerialCluster::new(case.protocol, deployment);
+        net.set_narration(trace);
         Cluster {
-            deployment,
-            clock,
-            servers,
-            links: BTreeMap::new(),
+            net,
             partitioned: BTreeSet::new(),
             clients,
             checker: ConsistencyChecker::new(),
             ops_completed: 0,
             sessions_reinitialized: 0,
-            trace: trace_enabled(),
+            trace,
         }
     }
 
-    /// Routes server outputs: messages join their link queue, replies are processed by
-    /// the owning client immediately (and fed to the checker first).
-    fn route(&mut self, from: ServerId, outputs: Vec<ServerOutput>) {
-        for output in outputs {
-            match output {
-                ServerOutput::Send { to, message } => {
-                    self.links.entry((from, to)).or_default().push_back(message);
-                }
-                ServerOutput::Reply { client, reply } => self.client_reply(client, reply),
-            }
-        }
-    }
-
-    fn trace(&self, what: impl FnOnce() -> String) {
-        if self.trace {
-            eprintln!("[t={:?}] {}", self.clock.now(), what());
+    /// Lets `step` pump the servers, then feeds every reply they produced to its client
+    /// (and to the checker first), in the order the servers produced them.
+    fn pump(&mut self, step: impl FnOnce(&mut SerialCluster)) {
+        step(&mut self.net);
+        for (client, reply) in self.net.take_replies() {
+            self.client_reply(client, reply);
         }
     }
 
     fn client_reply(&mut self, client_id: ClientId, reply: ClientReply) {
-        self.trace(|| format!("reply to {client_id:?}: {reply:?}"));
         let idx = client_id.raw() as usize;
         let pending = self.clients[idx].pending.take();
         let home_replica = self.clients[idx].home.replica;
@@ -378,57 +335,30 @@ impl Cluster {
             }
         };
         let home = self.clients[idx].home;
-        let partition = partition_for_key(key, self.deployment.num_partitions);
+        let partition = partition_for_key(key, self.net.config().num_partitions);
         let target = ServerId::new(home.replica, partition);
         self.clients[idx].pending = Some(pending);
         let client_id = self.clients[idx].session.client_id();
-        self.trace(|| format!("issue {client_id:?} -> {target}: {request:?}"));
-        let outputs = self
-            .servers
-            .get_mut(&target)
-            .expect("client targets a server of this deployment")
-            .handle_client_request(client_id, request);
-        self.route(target, outputs);
+        if self.trace {
+            let now = self.net.clock().now();
+            eprintln!("[t={now:?}] issue {client_id:?} -> {target}: {request:?}");
+        }
+        self.pump(|net| net.submit(client_id, target, request));
     }
 
-    fn link_blocked(&self, link: &(ServerId, ServerId)) -> bool {
+    fn link_blocked(&self, link: &Link) -> bool {
         self.partitioned
             .contains(&(link.0.replica.0, link.1.replica.0))
     }
 
     /// Non-empty links eligible for delivery (partitioned pairs hold their traffic).
-    fn open_links(&self) -> Vec<(ServerId, ServerId)> {
-        self.links
+    fn open_links(&self) -> Vec<Link> {
+        self.net
+            .links()
             .iter()
             .filter(|(link, queue)| !queue.is_empty() && !self.link_blocked(link))
             .map(|(link, _)| *link)
             .collect()
-    }
-
-    fn deliver_head(&mut self, link: (ServerId, ServerId)) {
-        if let Some(message) = self.links.get_mut(&link).and_then(|q| q.pop_front()) {
-            self.trace(|| {
-                let summary = match &message {
-                    ServerMessage::Replicate { version } => format!(
-                        "Replicate key={:?} ut={:?} src={:?}",
-                        version.key, version.update_time, version.source_replica
-                    ),
-                    other => format!("{other:?}").chars().take(120).collect(),
-                };
-                format!("deliver {} -> {}: {}", link.0, link.1, summary)
-            });
-            let outputs = self
-                .servers
-                .get_mut(&link.1)
-                .expect("messages target servers of this deployment")
-                .handle_server_message(link.0, message);
-            self.route(link.1, outputs);
-        }
-    }
-
-    fn tick(&mut self, id: ServerId) {
-        let outputs = self.servers.get_mut(&id).expect("server exists").tick();
-        self.route(id, outputs);
     }
 
     /// Heals everything and pumps the cluster until no message is in flight, advancing
@@ -436,47 +366,12 @@ impl Cluster {
     /// randomness, so it is identical for every step-count prefix of the same seed.
     fn drain(&mut self) {
         self.partitioned.clear();
-        let ids: Vec<ServerId> = self.servers.keys().copied().collect();
-        let beat = self
-            .deployment
-            .heartbeat_interval
-            .max(Duration::from_millis(1));
         for _ in 0..40 {
-            self.clock.advance(beat);
-            for id in &ids {
-                self.tick(*id);
-            }
-            loop {
-                let pending: Vec<(ServerId, ServerId)> = self
-                    .links
-                    .iter()
-                    .filter(|(_, q)| !q.is_empty())
-                    .map(|(link, _)| *link)
-                    .collect();
-                if pending.is_empty() {
-                    break;
-                }
-                for link in pending {
-                    while self.links.get(&link).is_some_and(|q| !q.is_empty()) {
-                        self.deliver_head(link);
-                    }
-                }
-            }
+            self.pump(|net| {
+                net.tick_all();
+                net.deliver_all();
+            });
         }
-    }
-
-    fn converged(&self) -> bool {
-        for partition in self.deployment.partitions() {
-            let digests: Vec<_> = self
-                .deployment
-                .replicas()
-                .map(|replica| self.servers[&ServerId::new(replica, partition)].digest())
-                .collect();
-            if digests.windows(2).any(|w| w[0] != w[1]) {
-                return false;
-            }
-        }
-        true
     }
 }
 
@@ -510,19 +405,21 @@ pub fn run_fuzz_case(case: &FuzzCase) -> FuzzOutcome {
                 let open = cluster.open_links();
                 if !open.is_empty() {
                     let link = open[rng.gen_range(0..open.len())];
-                    cluster.deliver_head(link);
+                    cluster.pump(|net| {
+                        net.deliver_head(link);
+                    });
                 }
             }
             // Tick one random server.
             7 => {
-                let ids: Vec<ServerId> = cluster.servers.keys().copied().collect();
+                let ids: Vec<ServerId> = cluster.net.servers().map(|(id, _)| id).collect();
                 let id = ids[rng.gen_range(0..ids.len())];
-                cluster.tick(id);
+                cluster.pump(|net| net.tick(id));
             }
             // Advance the shared clock.
             8 => {
                 let micros = rng.gen_range(100..5_000u64);
-                cluster.clock.advance(Duration::from_micros(micros));
+                cluster.net.clock().advance(Duration::from_micros(micros));
             }
             // A chaos toggle.
             _ => {
@@ -546,8 +443,9 @@ pub fn run_fuzz_case(case: &FuzzCase) -> FuzzOutcome {
                     // Drop or duplicate the head of a random link, if it is an
                     // idempotent periodic message.
                     kind => {
-                        let candidates: Vec<(ServerId, ServerId)> = cluster
-                            .links
+                        let candidates: Vec<Link> = cluster
+                            .net
+                            .links()
                             .iter()
                             .filter(|(_, q)| q.front().is_some_and(expendable))
                             .map(|(link, _)| *link)
@@ -556,7 +454,7 @@ pub fn run_fuzz_case(case: &FuzzCase) -> FuzzOutcome {
                             continue;
                         }
                         let link = candidates[rng.gen_range(0..candidates.len())];
-                        let queue = cluster.links.get_mut(&link).expect("candidate link");
+                        let queue = cluster.net.link_mut(link).expect("candidate link");
                         if kind == 2 {
                             queue.pop_front();
                         } else if let Some(head) = queue.front().cloned() {
@@ -580,7 +478,7 @@ pub fn run_fuzz_case(case: &FuzzCase) -> FuzzOutcome {
         ops_completed: cluster.ops_completed,
         sessions_reinitialized: cluster.sessions_reinitialized,
         violations: violations.len(),
-        converged: cluster.converged(),
+        converged: cluster.net.converged(),
         stuck_clients,
         first_violation: violations.first().map(|v| format!("{v:?}")),
     }
@@ -666,18 +564,12 @@ fn generate_script(seed: u64, ops: usize, clients: usize, keys: u64) -> Vec<Scri
 }
 
 /// Per-server replicated state fingerprint: every key's full version chain, in order.
-type StateFingerprint = BTreeMap<ServerId, Vec<(Key, Timestamp, ReplicaId)>>;
+type StateFingerprint = BTreeMap<ServerId, Digest>;
 
 /// Replays one seeded write-only script through all four protocols and verifies they
 /// build byte-identical replicated state on every server. Returns a description of the
 /// first divergence, if any.
 pub fn cross_protocol_check(seed: u64, ops: usize) -> Result<(), String> {
-    const PROTOCOLS: [ProtocolKind; 4] = [
-        ProtocolKind::Pocc,
-        ProtocolKind::Cure,
-        ProtocolKind::HaPocc,
-        ProtocolKind::Adaptive,
-    ];
     let case = FuzzCase {
         steps: 0,
         chaos: false,
@@ -686,55 +578,28 @@ pub fn cross_protocol_check(seed: u64, ops: usize) -> Result<(), String> {
     let script = generate_script(seed, ops, case.clients, case.keys);
 
     let mut reference: Option<(ProtocolKind, StateFingerprint)> = None;
-    for protocol in PROTOCOLS {
+    for protocol in ProtocolKind::ALL {
         let mut cluster = Cluster::new(&FuzzCase { protocol, ..case });
-        let ids: Vec<ServerId> = cluster.servers.keys().copied().collect();
         for item in &script {
             match *item {
                 ScriptItem::Put { client, key, value } => {
                     // Advance the shared clock so update times keep moving; the amount is
                     // fixed, hence identical across protocols.
-                    cluster.clock.advance(Duration::from_micros(500));
+                    cluster.net.clock().advance(Duration::from_micros(500));
                     let request = cluster.clients[client].session.put(key, Value::from(value));
                     let client_id = cluster.clients[client].session.client_id();
                     cluster.clients[client].pending = Some(Pending::Put(key));
                     let home = cluster.clients[client].home;
-                    let partition = partition_for_key(key, cluster.deployment.num_partitions);
+                    let partition = partition_for_key(key, cluster.net.config().num_partitions);
                     let target = ServerId::new(home.replica, partition);
-                    let outputs = cluster
-                        .servers
-                        .get_mut(&target)
-                        .expect("server exists")
-                        .handle_client_request(client_id, request);
-                    cluster.route(target, outputs);
+                    cluster.pump(|net| net.submit(client_id, target, request));
                 }
-                ScriptItem::TickAll => {
-                    cluster.clock.advance(cluster.deployment.heartbeat_interval);
-                    for id in &ids {
-                        cluster.tick(*id);
-                    }
-                }
-                ScriptItem::DeliverAll => {
-                    let links: Vec<(ServerId, ServerId)> = cluster
-                        .links
-                        .iter()
-                        .filter(|(_, q)| !q.is_empty())
-                        .map(|(link, _)| *link)
-                        .collect();
-                    for link in links {
-                        while cluster.links.get(&link).is_some_and(|q| !q.is_empty()) {
-                            cluster.deliver_head(link);
-                        }
-                    }
-                }
+                ScriptItem::TickAll => cluster.pump(SerialCluster::tick_all),
+                ScriptItem::DeliverAll => cluster.pump(SerialCluster::deliver_all),
             }
         }
         cluster.drain();
-        let digests: StateFingerprint = cluster
-            .servers
-            .iter()
-            .map(|(id, s)| (*id, s.digest()))
-            .collect();
+        let digests: StateFingerprint = cluster.net.digests();
         match &reference {
             None => reference = Some((protocol, digests)),
             Some((ref_protocol, ref_digests)) => {
@@ -855,12 +720,7 @@ mod tests {
 
     #[test]
     fn all_protocols_survive_a_quick_seed_batch() {
-        for protocol in [
-            ProtocolKind::Pocc,
-            ProtocolKind::Cure,
-            ProtocolKind::HaPocc,
-            ProtocolKind::Adaptive,
-        ] {
+        for protocol in ProtocolKind::ALL {
             for seed in 0..8u64 {
                 let case = FuzzCase {
                     protocol,

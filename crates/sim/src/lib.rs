@@ -40,13 +40,15 @@ mod consistency;
 mod event;
 pub mod fuzz;
 mod metrics;
+pub mod reference;
 mod report;
 mod simulation;
 
 pub use chaos::{ChaosAction, ChaosGen, ChaosSchedule, ChaosStep};
-pub use config::{FaultEvent, ProtocolKind, SimConfig, SimConfigBuilder};
+pub use config::{FaultEvent, SimConfig, SimConfigBuilder};
 pub use consistency::ConsistencyChecker;
 pub use event::Event;
 pub use metrics::LatencyStats;
+pub use pocc_exec::ProtocolKind;
 pub use report::SimReport;
 pub use simulation::Simulation;

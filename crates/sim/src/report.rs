@@ -1,7 +1,7 @@
 //! The result of one simulation run.
 
-use crate::config::ProtocolKind;
 use crate::metrics::LatencyStats;
+use pocc_exec::ProtocolKind;
 use pocc_net::NetworkStats;
 use pocc_proto::MetricsSnapshot;
 use pocc_storage::{ShardStats, StoreStats};

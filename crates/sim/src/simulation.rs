@@ -1,21 +1,18 @@
 //! The simulation engine: builds a deployment and runs the event loop.
 
 use crate::chaos::{ChaosAction, ChaosStep};
-use crate::config::{FaultEvent, ProtocolKind, SimConfig};
+use crate::config::{FaultEvent, SimConfig};
 use crate::consistency::ConsistencyChecker;
 use crate::event::{Event, EventQueue};
 use crate::metrics::LatencyStats;
 use crate::report::SimReport;
-use pocc_adaptive::AdaptiveServer;
 use pocc_clock::{ClockFactory, ManualClock, SkewModel};
-use pocc_cure::CureServer;
-use pocc_ha::HaPoccServer;
 use pocc_net::{LatencyModel, SimNetwork};
 use pocc_proto::{
     ClientReply, ClientRequest, Envelope, InstrumentedServer, MetricsSnapshot, ProtocolClient,
     ServerMessage, ServerOutput,
 };
-use pocc_protocol::{Client, PoccServer};
+use pocc_protocol::Client;
 use pocc_types::{ClientId, Key, ServerId, Timestamp};
 use pocc_workload::{KeySpace, OperationKind, WorkloadGenerator};
 use rand::rngs::StdRng;
@@ -109,14 +106,7 @@ impl Simulation {
         let mut servers = HashMap::new();
         for id in deployment.servers() {
             let clock = factory.clock_for(id);
-            let server: Box<dyn InstrumentedServer> = match cfg.protocol {
-                ProtocolKind::Pocc => Box::new(PoccServer::new(id, deployment.clone(), clock)),
-                ProtocolKind::Cure => Box::new(CureServer::new(id, deployment.clone(), clock)),
-                ProtocolKind::HaPocc => Box::new(HaPoccServer::new(id, deployment.clone(), clock)),
-                ProtocolKind::Adaptive => {
-                    Box::new(AdaptiveServer::new(id, deployment.clone(), clock))
-                }
-            };
+            let server = cfg.protocol.server(id, deployment.clone(), clock);
             servers.insert(
                 id,
                 ServerEntry {
@@ -143,13 +133,10 @@ impl Simulation {
                     .with_value_size(cfg.value_size);
                     // Snapshot-serving protocols need the full session history in GET
                     // request vectors (see `Client::new_snapshot_reads`).
-                    let session = match cfg.protocol {
-                        ProtocolKind::Cure | ProtocolKind::Adaptive => {
-                            Client::new_snapshot_reads(id, home, deployment.num_replicas)
-                        }
-                        ProtocolKind::Pocc | ProtocolKind::HaPocc => {
-                            Client::new(id, home, deployment.num_replicas)
-                        }
+                    let session = if cfg.protocol.snapshot_reads() {
+                        Client::new_snapshot_reads(id, home, deployment.num_replicas)
+                    } else {
+                        Client::new(id, home, deployment.num_replicas)
                     };
                     clients.push(ClientEntry {
                         session,
@@ -686,7 +673,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtocolKind;
+    use pocc_exec::ProtocolKind;
     use pocc_types::ReplicaId;
     use pocc_workload::WorkloadMix;
 

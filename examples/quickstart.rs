@@ -31,7 +31,7 @@ fn main() {
     );
     let cluster = Cluster::builder()
         .config(config)
-        .protocol(RuntimeProtocol::Pocc)
+        .protocol(ProtocolKind::Pocc)
         .start();
 
     // A client in data center 0 writes a few related keys.

@@ -33,7 +33,7 @@ fn main() {
         .expect("valid configuration");
     let cluster = Cluster::builder()
         .config(config)
-        .protocol(RuntimeProtocol::Pocc)
+        .protocol(ProtocolKind::Pocc)
         .start();
 
     let mut alice = cluster.client(ReplicaId(0));

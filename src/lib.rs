@@ -28,7 +28,7 @@
 //! ```
 //! use pocc::prelude::*;
 //!
-//! let cluster = Cluster::builder().protocol(RuntimeProtocol::Pocc).start();
+//! let cluster = Cluster::builder().protocol(ProtocolKind::Pocc).start();
 //! let mut client = cluster.client(ReplicaId(0));
 //! client.put(Key(1), Value::from("hello, geo-replication")).unwrap();
 //! assert!(client.get(Key(1)).unwrap().is_some());
@@ -81,26 +81,22 @@ pub use pocc_workload as workload;
 pub use pocc_adaptive::AdaptiveServer;
 pub use pocc_cure::CureServer;
 pub use pocc_engine::{EngineCore, ProtocolEngine, VisibilityPolicy};
-pub use pocc_exec::{ExecProtocol, ParallelServer};
+pub use pocc_exec::{ParallelServer, ProtocolKind};
 pub use pocc_ha::{HaPoccServer, HaSession};
 pub use pocc_proto::{InstrumentedServer, ProtocolClient, ProtocolServer, ServerIntrospect};
 pub use pocc_protocol::{Client, PoccServer};
-pub use pocc_runtime::{
-    Cluster, ClusterBuilder, ClusterClient, RuntimeProtocol, ServerProbe, TransportKind,
-};
-pub use pocc_sim::{ProtocolKind, SimConfig, SimReport, Simulation};
+pub use pocc_runtime::{Cluster, ClusterBuilder, ClusterClient, ServerProbe, TransportKind};
+pub use pocc_sim::{SimConfig, SimReport, Simulation};
 pub use pocc_types::{Config, Key, ReplicaId, Timestamp, Value};
 
 /// One-stop imports for applications, examples and benchmarks: the cluster builder and
-/// client handles, protocol selection for both deployment modes, configuration builders,
+/// client handles, protocol selection, configuration builders,
 /// the simulator entry points and the common value types.
 pub mod prelude {
-    pub use pocc_exec::{ExecProtocol, FastPathProfile, OutputSink, ParallelServer};
+    pub use pocc_exec::{FastPathProfile, OutputSink, ParallelServer, ProtocolKind};
     pub use pocc_proto::{InstrumentedServer, ProtocolClient, ProtocolServer, ServerIntrospect};
-    pub use pocc_runtime::{
-        Cluster, ClusterBuilder, ClusterClient, RuntimeProtocol, ServerProbe, TransportKind,
-    };
-    pub use pocc_sim::{ProtocolKind, SimConfig, SimConfigBuilder, SimReport, Simulation};
+    pub use pocc_runtime::{Cluster, ClusterBuilder, ClusterClient, ServerProbe, TransportKind};
+    pub use pocc_sim::{SimConfig, SimConfigBuilder, SimReport, Simulation};
     pub use pocc_types::{
         ClientId, Config, ConfigBuilder, DependencyVector, Key, LatencyMatrix, PartitionId,
         ReplicaId, ServerId, Timestamp, Value, VersionVector,

@@ -11,25 +11,24 @@
 //!   replication by up to a tick does not break causality or convergence under a real
 //!   interleaved workload.
 
-use pocc::clock::ManualClock;
-use pocc::proto::{ClientRequest, ProtocolServer, ServerIntrospect, ServerOutput};
+use pocc::proto::{ClientRequest, ServerIntrospect};
 use pocc::protocol::PoccServer;
+use pocc::sim::reference::{Digest, SerialCluster};
 use pocc::sim::{ProtocolKind, SimConfig, Simulation};
 use pocc::types::{
-    ClientId, Config, DependencyVector, Key, ReplicaId, ServerId, Timestamp, Value, VersionVector,
+    ClientId, Config, DependencyVector, Key, ReplicaId, ServerId, Value, VersionVector,
 };
 use pocc::workload::WorkloadMix;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::time::Duration;
 
-const MS: u64 = 1_000;
-
 /// What a server ends up with once traffic drains: its store digest plus version vector.
-type ServerState = (Vec<(Key, Timestamp, ReplicaId)>, VersionVector);
+type ServerState = (Digest, VersionVector);
 
-/// Runs a small cluster to quiescence: `writes` PUTs spread over the servers, then
-/// enough ticks to flush every batch and deliver every message. Returns each server's
-/// `(digest, version vector)`.
+/// Runs a small cluster to quiescence: 24 PUTs spread over the servers, then enough ticks
+/// to flush every batch and deliver every message. Returns each server's
+/// `(digest, version vector)`. The cluster holds concrete `PoccServer`s because the
+/// version vector is not part of the trait surface.
 fn run_cluster(batching: bool) -> HashMap<ServerId, ServerState> {
     let cfg = Config::builder()
         .num_replicas(3)
@@ -38,70 +37,37 @@ fn run_cluster(batching: bool) -> HashMap<ServerId, ServerState> {
         .replication_batching(batching)
         .build()
         .unwrap();
-    let clock = ManualClock::new(Timestamp(10 * MS));
-    let mut servers: HashMap<ServerId, PoccServer<ManualClock>> = cfg
-        .servers()
-        .map(|id| (id, PoccServer::new(id, cfg.clone(), clock.clone())))
-        .collect();
-
-    let mut in_flight: VecDeque<(ServerId, ServerId, pocc::proto::ServerMessage)> = VecDeque::new();
-    let collect =
-        |from: ServerId,
-         outputs: Vec<ServerOutput>,
-         in_flight: &mut VecDeque<(ServerId, ServerId, pocc::proto::ServerMessage)>| {
-            for output in outputs {
-                if let ServerOutput::Send { to, message } = output {
-                    in_flight.push_back((from, to, message));
-                }
-            }
-        };
+    let mut cluster = SerialCluster::with_servers(cfg, |id, cfg, clock| {
+        Box::new(PoccServer::new(id, cfg, clock))
+    });
 
     // 24 writes, directed at the server owning each key, round-robin over the replicas.
-    let mut written = 0u64;
-    let mut key = 0u64;
-    while written < 24 {
-        let partition = pocc::storage::partition_for_key(Key(key), cfg.num_partitions);
-        let replica = ReplicaId((written % 3) as u16);
-        let target = ServerId::new(replica, partition);
-        clock.set(Timestamp((10 + written) * MS));
-        let outputs = servers.get_mut(&target).unwrap().handle_client_request(
+    for written in 0..24u64 {
+        let key = Key(written);
+        let partition = pocc::storage::partition_for_key(key, cluster.config().num_partitions);
+        let target = ServerId::new(ReplicaId((written % 3) as u16), partition);
+        cluster.clock().advance(Duration::from_millis(1));
+        cluster.submit(
             ClientId(written),
+            target,
             ClientRequest::Put {
-                key: Key(key),
+                key,
                 value: Value::from(written),
                 dv: DependencyVector::zero(3),
             },
         );
-        collect(target, outputs, &mut in_flight);
-        written += 1;
-        key += 1;
     }
 
     // Drain: alternate ticks (which flush batches and emit heartbeats) with message
     // delivery until the cluster is quiescent.
-    for round in 0..20u64 {
-        clock.set(Timestamp((40 + round) * MS));
-        let ids: Vec<ServerId> = servers.keys().copied().collect();
-        for id in ids {
-            let outputs = servers.get_mut(&id).unwrap().tick();
-            collect(id, outputs, &mut in_flight);
-        }
-        while let Some((from, to, message)) = in_flight.pop_front() {
-            let outputs = servers
-                .get_mut(&to)
-                .unwrap()
-                .handle_server_message(from, message);
-            collect(to, outputs, &mut in_flight);
-        }
+    for _ in 0..20 {
+        cluster.tick_all();
+        cluster.deliver_all();
     }
 
-    servers
-        .into_iter()
-        .map(|(id, s)| {
-            let digest = s.digest();
-            let vv = s.version_vector().clone();
-            (id, (digest, vv))
-        })
+    cluster
+        .servers()
+        .map(|(id, s)| (id, (s.digest(), s.version_vector().clone())))
         .collect()
 }
 

@@ -83,12 +83,7 @@ fn scripted_mixed_schedule_is_checker_clean_on_every_protocol() {
             b: ReplicaId(1),
         });
     assert!(schedule.ends_by(WARMUP + DURATION));
-    for protocol in [
-        ProtocolKind::Pocc,
-        ProtocolKind::Cure,
-        ProtocolKind::HaPocc,
-        ProtocolKind::Adaptive,
-    ] {
+    for protocol in ProtocolKind::ALL {
         let report = Simulation::new(base(protocol, 7).chaos(schedule.clone()).build()).run();
         assert_clean(&format!("{protocol:?}/scripted"), &report);
     }

@@ -21,12 +21,7 @@ fn sweep_seeds() -> u64 {
 
 #[test]
 fn bounded_sweep_is_clean_for_every_protocol() {
-    for protocol in [
-        ProtocolKind::Pocc,
-        ProtocolKind::Cure,
-        ProtocolKind::HaPocc,
-        ProtocolKind::Adaptive,
-    ] {
+    for protocol in ProtocolKind::ALL {
         for seed in 0..sweep_seeds() {
             let case = FuzzCase {
                 protocol,

@@ -4,8 +4,8 @@
 //! The same seeded, scripted workload — single writer per key, so the final value of
 //! every key is determined by the script alone, not by timestamp races — runs through
 //!
-//! * a hand-pumped serial cluster (the simulator's execution model: one state machine per
-//!   server, messages delivered deterministically), and
+//! * the hand-pumped serial reference cluster (`pocc::sim::reference::SerialCluster`: one
+//!   state machine per server, messages delivered deterministically), and
 //! * a real [`Cluster`] with `worker_lanes = 4`, where every server dispatches operations
 //!   to lane threads and pipelines its writes.
 //!
@@ -18,105 +18,17 @@
 //! deployment where every server's remote-apply volume is twice its local write volume —
 //! the shape that exercises the threaded runtime's per-origin replication pipeline.
 
-use pocc::clock::ManualClock;
+mod common;
+
+use common::{assert_agree, check_outcome, run_cluster, run_serial, Op, Outcome, PARTITIONS};
 use pocc::prelude::*;
-use pocc::proto::{ClientReply, ClientRequest, ServerMessage, ServerOutput};
-use pocc::protocol::Client;
-use pocc::sim::ConsistencyChecker;
-use pocc::storage::partition_for_key;
-use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 const BASE_REPLICAS: usize = 2;
 const MULTI_REPLICAS: usize = 3;
-const PARTITIONS: usize = 2;
-const CLIENTS: usize = 4;
-const KEYS_PER_CLIENT: u64 = 16;
-const OPS_PER_CLIENT: usize = 60;
-const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
-const PROTOCOLS: [RuntimeProtocol; 4] = [
-    RuntimeProtocol::Pocc,
-    RuntimeProtocol::Cure,
-    RuntimeProtocol::HaPocc,
-    RuntimeProtocol::Adaptive,
-];
-
-#[derive(Clone, Debug)]
-enum Op {
-    Put(Key, u64),
-    Get(Key),
-    RoTx(Vec<Key>),
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Keys owned (written) exclusively by `client`.
-fn own_key(client: usize, r: u64) -> Key {
-    Key(client as u64 * 1_000 + (r % KEYS_PER_CLIENT))
-}
-
-/// The per-client operation scripts. Every PUT targets a key of the issuing client's own
-/// range; GETs and RO-TXs range over the whole keyspace.
 fn scripts() -> Vec<Vec<Op>> {
-    (0..CLIENTS)
-        .map(|client| {
-            let mut rng = SEED ^ (client as u64 + 1).wrapping_mul(0xd130_2b97_9af5_2857);
-            (0..OPS_PER_CLIENT)
-                .map(|step| {
-                    let roll = xorshift(&mut rng);
-                    if step % 10 == 9 {
-                        let keys = (0..3)
-                            .map(|i| {
-                                let owner = (xorshift(&mut rng) as usize + i) % CLIENTS;
-                                own_key(owner, xorshift(&mut rng))
-                            })
-                            .collect();
-                        Op::RoTx(keys)
-                    } else if roll.is_multiple_of(3) {
-                        let owner = xorshift(&mut rng) as usize % CLIENTS;
-                        Op::Get(own_key(owner, xorshift(&mut rng)))
-                    } else {
-                        Op::Put(own_key(client, xorshift(&mut rng)), xorshift(&mut rng))
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The final value of every written key, determined by the scripts alone.
-fn expected_final_values(scripts: &[Vec<Op>]) -> HashMap<Key, Value> {
-    let mut map = HashMap::new();
-    for script in scripts {
-        for op in script {
-            if let Op::Put(key, value) = op {
-                map.insert(*key, Value::from(*value));
-            }
-        }
-    }
-    map
-}
-
-fn op_counts(scripts: &[Vec<Op>]) -> (u64, u64, u64) {
-    let mut puts = 0;
-    let mut gets = 0;
-    let mut txs = 0;
-    for op in scripts.iter().flatten() {
-        match op {
-            Op::Put(..) => puts += 1,
-            Op::Get(..) => gets += 1,
-            Op::RoTx(..) => txs += 1,
-        }
-    }
-    (puts, gets, txs)
+    common::scripts(0x9e37_79b9_7f4a_7c15, 0xd130_2b97_9af5_2857, 16, 60)
 }
 
 fn config(replicas: usize) -> Config {
@@ -133,446 +45,24 @@ fn config(replicas: usize) -> Config {
         .unwrap()
 }
 
-fn uses_snapshot_reads(protocol: RuntimeProtocol) -> bool {
-    matches!(protocol, RuntimeProtocol::Cure | RuntimeProtocol::Adaptive)
-}
-
-/// What both drivers must agree on.
-struct Outcome {
-    /// Final value of every script key, read back after the cluster drained.
-    final_values: HashMap<Key, Value>,
-    /// Summed metric counters across all servers.
-    puts_served: u64,
-    gets_served: u64,
-    rotx_served: u64,
-    replicate_sent: u64,
-    sessions_aborted: u64,
-    /// Violations found by the exact checker.
-    violations: usize,
-}
-
-fn check_outcome(label: &str, outcome: &Outcome, scripts: &[Vec<Op>], replicas: usize) {
-    let (puts, gets, txs) = op_counts(scripts);
-    let expected = expected_final_values(scripts);
-    assert_eq!(outcome.violations, 0, "{label}: causal violations");
-    assert_eq!(outcome.sessions_aborted, 0, "{label}: aborted sessions");
-    assert_eq!(outcome.puts_served, puts, "{label}: puts served");
-    // Final read-back GETs are not part of the script, so served >= issued.
-    assert!(
-        outcome.gets_served >= gets,
-        "{label}: gets served {} < issued {gets}",
-        outcome.gets_served
-    );
-    assert_eq!(outcome.rotx_served, txs, "{label}: transactions served");
-    assert_eq!(
-        outcome.replicate_sent,
-        puts * (replicas as u64 - 1),
-        "{label}: replication fan-out"
-    );
-    assert_eq!(
-        &outcome.final_values, &expected,
-        "{label}: converged store does not match the script"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Driver 1: the serial, deterministically pumped cluster.
-// ---------------------------------------------------------------------------
-
-struct SerialDriver {
-    servers: HashMap<ServerId, Box<dyn InstrumentedServer>>,
-    in_flight: VecDeque<(ServerId, ServerId, ServerMessage)>,
-    replies: HashMap<ClientId, VecDeque<ClientReply>>,
-    clock: ManualClock,
-    now_us: u64,
-}
-
-impl SerialDriver {
-    fn new(protocol: RuntimeProtocol, cfg: &Config) -> Self {
-        let clock = ManualClock::new(Timestamp(10_000));
-        let servers = cfg
-            .servers()
-            .map(|id| {
-                let server: Box<dyn InstrumentedServer> = match protocol {
-                    RuntimeProtocol::Pocc => {
-                        Box::new(pocc::PoccServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                    RuntimeProtocol::Cure => {
-                        Box::new(pocc::CureServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                    RuntimeProtocol::HaPocc => {
-                        Box::new(pocc::HaPoccServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                    RuntimeProtocol::Adaptive => {
-                        Box::new(pocc::AdaptiveServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                };
-                (id, server)
-            })
-            .collect();
-        SerialDriver {
-            servers,
-            in_flight: VecDeque::new(),
-            replies: HashMap::new(),
-            clock,
-            now_us: 10_000,
-        }
-    }
-
-    fn absorb(&mut self, from: ServerId, outputs: Vec<ServerOutput>) {
-        for output in outputs {
-            match output {
-                ServerOutput::Reply { client, reply } => {
-                    self.replies.entry(client).or_default().push_back(reply)
-                }
-                ServerOutput::Send { to, message } => self.in_flight.push_back((from, to, message)),
-            }
-        }
-    }
-
-    fn deliver_all(&mut self) {
-        while let Some((from, to, message)) = self.in_flight.pop_front() {
-            let outputs = self
-                .servers
-                .get_mut(&to)
-                .unwrap()
-                .handle_server_message(from, message);
-            self.absorb(to, outputs);
-        }
-    }
-
-    fn tick_all(&mut self) {
-        self.now_us += 500;
-        self.clock.set(Timestamp(self.now_us));
-        let ids: Vec<ServerId> = self.servers.keys().copied().collect();
-        for id in ids {
-            let outputs = self.servers.get_mut(&id).unwrap().tick();
-            self.absorb(id, outputs);
-        }
-    }
-
-    fn submit(&mut self, client: ClientId, target: ServerId, request: ClientRequest) {
-        self.now_us += 20;
-        self.clock.set(Timestamp(self.now_us));
-        let outputs = self
-            .servers
-            .get_mut(&target)
-            .unwrap()
-            .handle_client_request(client, request);
-        self.absorb(target, outputs);
-    }
-
-    /// Pumps ticks and deliveries until `client` has a reply (blocked operations wait for
-    /// replication and heartbeats, both of which the pump drives).
-    fn await_reply(&mut self, client: ClientId) -> ClientReply {
-        for _ in 0..10_000 {
-            if let Some(reply) = self.replies.get_mut(&client).and_then(|q| q.pop_front()) {
-                return reply;
-            }
-            self.deliver_all();
-            self.tick_all();
-        }
-        panic!("client {client:?} never received a reply");
-    }
-}
-
-fn run_serial(protocol: RuntimeProtocol, scripts: &[Vec<Op>], replicas: usize) -> Outcome {
-    let cfg = config(replicas);
-    let mut driver = SerialDriver::new(protocol, &cfg);
-    let mut checker = ConsistencyChecker::new();
-
-    let mut sessions: Vec<Client> = (0..CLIENTS)
-        .map(|i| {
-            let id = ClientId(i as u64);
-            let home = ServerId::new(ReplicaId((i % replicas) as u16), 0u32);
-            if uses_snapshot_reads(protocol) {
-                Client::new_snapshot_reads(id, home, replicas)
-            } else {
-                Client::new(id, home, replicas)
-            }
-        })
-        .collect();
-
-    // Interleave the scripts round-robin so cross-client causality actually develops.
-    #[allow(clippy::needless_range_loop)] // `step` is the round-robin outer index
-    for step in 0..OPS_PER_CLIENT {
-        for (i, session) in sessions.iter_mut().enumerate() {
-            let id = ClientId(i as u64);
-            let replica = ReplicaId((i % replicas) as u16);
-            let op = &scripts[i][step];
-            let (target, request) = match op {
-                Op::Put(key, value) => (
-                    ServerId::new(replica, partition_for_key(*key, PARTITIONS)),
-                    session.put(*key, Value::from(*value)),
-                ),
-                Op::Get(key) => (
-                    ServerId::new(replica, partition_for_key(*key, PARTITIONS)),
-                    session.get(*key),
-                ),
-                Op::RoTx(keys) => (
-                    ServerId::new(replica, partition_for_key(keys[0], PARTITIONS)),
-                    session.ro_tx(keys.clone()),
-                ),
-            };
-            driver.submit(id, target, request);
-            let reply = driver.await_reply(id);
-            session.process_reply(&reply).expect("no aborts expected");
-            match (&reply, op) {
-                (ClientReply::Put { update_time }, Op::Put(key, _)) => {
-                    checker.record_write(id, *key, *update_time, replica);
-                }
-                (ClientReply::Get(resp), Op::Get(key)) => {
-                    let returned = resp
-                        .value
-                        .as_ref()
-                        .map(|_| (resp.update_time, resp.source_replica));
-                    checker.record_read(id, *key, returned);
-                }
-                (ClientReply::RoTx { items }, Op::RoTx(_)) => {
-                    let recorded: Vec<_> = items
-                        .iter()
-                        .map(|item| {
-                            let returned =
-                                item.response.value.as_ref().map(|_| {
-                                    (item.response.update_time, item.response.source_replica)
-                                });
-                            (item.key, returned)
-                        })
-                        .collect();
-                    checker.record_transaction(id, &recorded);
-                }
-                (reply, op) => panic!("mismatched reply {reply:?} for op {op:?}"),
-            }
-        }
-    }
-
-    // Drain to quiescence, then verify convergence across replicas.
-    for _ in 0..40 {
-        driver.tick_all();
-        driver.deliver_all();
-    }
-    let digests: HashMap<ServerId, _> = driver
-        .servers
-        .iter()
-        .map(|(id, s)| (*id, s.digest()))
-        .collect();
-    for partition in 0..PARTITIONS {
-        let per_replica: Vec<_> = digests
-            .iter()
-            .filter(|(id, _)| id.partition.index() == partition)
-            .map(|(_, d)| d.clone())
-            .collect();
-        assert!(
-            per_replica.windows(2).all(|w| w[0] == w[1]),
-            "serial {protocol:?}: partition {partition} replicas diverged"
-        );
-    }
-
-    // Read the final values back through a fresh session at replica 0. Stable-reads
-    // protocols bound visibility by the GSS, which trails the newest writes — pump ticks
-    // and retry until the script's final value becomes visible.
-    let mut final_values = HashMap::new();
-    let mut reader = Client::new(ClientId(9_999), ServerId::new(ReplicaId(0), 0u32), replicas);
-    let expected = expected_final_values(scripts);
-    for (key, wanted) in &expected {
-        let target = ServerId::new(ReplicaId(0), partition_for_key(*key, PARTITIONS));
-        for attempt in 0..200 {
-            let request = reader.get(*key);
-            driver.submit(ClientId(9_999), target, request);
-            let reply = driver.await_reply(ClientId(9_999));
-            reader.process_reply(&reply).unwrap();
-            let ClientReply::Get(resp) = reply else {
-                panic!("unexpected reply to the read-back GET");
-            };
-            if resp.value.as_ref() == Some(wanted) {
-                final_values.insert(*key, resp.value.unwrap());
-                break;
-            }
-            assert!(
-                attempt < 199,
-                "serial {protocol:?}: {key} never reached its final value"
-            );
-            driver.tick_all();
-            driver.deliver_all();
-        }
-    }
-
-    let mut totals = MetricsTotals::default();
-    for server in driver.servers.values() {
-        totals.add(&server.metrics());
-    }
-    Outcome {
-        final_values,
-        puts_served: totals.puts,
-        gets_served: totals.gets,
-        rotx_served: totals.rotx,
-        replicate_sent: totals.replicate,
-        sessions_aborted: totals.aborted,
-        violations: checker.violations().len(),
-    }
-}
-
-#[derive(Default)]
-struct MetricsTotals {
-    puts: u64,
-    gets: u64,
-    rotx: u64,
-    replicate: u64,
-    aborted: u64,
-}
-
-impl MetricsTotals {
-    fn add(&mut self, m: &pocc::proto::MetricsSnapshot) {
-        self.puts += m.puts_served;
-        self.gets += m.gets_served;
-        self.rotx += m.rotx_served;
-        self.replicate += m.replicate_sent;
-        self.aborted += m.sessions_aborted;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Driver 2: the threaded cluster with shard-parallel servers.
-// ---------------------------------------------------------------------------
-
 fn run_parallel(
-    protocol: RuntimeProtocol,
+    protocol: ProtocolKind,
     scripts: &[Vec<Op>],
     lanes: usize,
     replicas: usize,
 ) -> Outcome {
-    let cluster = Cluster::builder()
+    let builder = Cluster::builder()
         .config(config(replicas))
         .protocol(protocol)
-        .worker_lanes(lanes)
-        .start();
-    let mut checker = ConsistencyChecker::new();
-    let mut clients: Vec<ClusterClient> = (0..CLIENTS)
-        .map(|i| cluster.client(ReplicaId((i % replicas) as u16)))
-        .collect();
-
-    #[allow(clippy::needless_range_loop)] // `step` is the round-robin outer index
-    for step in 0..OPS_PER_CLIENT {
-        for (i, client) in clients.iter_mut().enumerate() {
-            let id = client.id();
-            let replica = client.replica();
-            match &scripts[i][step] {
-                Op::Put(key, value) => {
-                    let update_time = client.put(*key, Value::from(*value)).unwrap();
-                    checker.record_write(id, *key, update_time, replica);
-                }
-                Op::Get(key) => {
-                    let resp = client.get_versioned(*key).unwrap();
-                    let returned = resp
-                        .value
-                        .as_ref()
-                        .map(|_| (resp.update_time, resp.source_replica));
-                    checker.record_read(id, *key, returned);
-                }
-                Op::RoTx(keys) => {
-                    let items = client.ro_tx_versioned(keys.clone()).unwrap();
-                    let recorded: Vec<_> = items
-                        .iter()
-                        .map(|item| {
-                            let returned =
-                                item.response.value.as_ref().map(|_| {
-                                    (item.response.update_time, item.response.source_replica)
-                                });
-                            (item.key, returned)
-                        })
-                        .collect();
-                    checker.record_transaction(id, &recorded);
-                }
-            }
-        }
-    }
-
-    // Wait for replication to drain: every partition's replicas must reach identical
-    // digests (probes drain each server's write pipeline first).
-    let mut converged = false;
-    for _ in 0..2_000 {
-        let probes = cluster.probe_all();
-        converged = (0..PARTITIONS).all(|partition| {
-            let per_replica: Vec<_> = probes
-                .iter()
-                .filter(|(id, _)| id.partition.index() == partition)
-                .map(|(_, p)| p.digest.clone())
-                .collect();
-            per_replica.windows(2).all(|w| w[0] == w[1])
-        });
-        if converged {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert!(
-        converged,
-        "parallel {protocol:?}: replicas did not converge"
-    );
-
-    // Read the final values back through a fresh session at replica 0, retrying while
-    // the GSS of stable-reads protocols catches up with the newest writes.
-    let mut reader = cluster.client(ReplicaId(0));
-    let mut final_values = HashMap::new();
-    let expected = expected_final_values(scripts);
-    for (key, wanted) in &expected {
-        for attempt in 0..500 {
-            if reader.get(*key).unwrap().as_ref() == Some(wanted) {
-                final_values.insert(*key, wanted.clone());
-                break;
-            }
-            assert!(
-                attempt < 499,
-                "parallel {protocol:?}: {key} never reached its final value"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    let mut totals = MetricsTotals::default();
-    for (_, probe) in cluster.probe_all() {
-        totals.add(&probe.metrics);
-    }
-    cluster.shutdown();
-    Outcome {
-        final_values,
-        puts_served: totals.puts,
-        gets_served: totals.gets,
-        rotx_served: totals.rotx,
-        replicate_sent: totals.replicate,
-        sessions_aborted: totals.aborted,
-        violations: checker.violations().len(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The differential tests.
-// ---------------------------------------------------------------------------
-
-fn assert_drivers_agree(label: &str, serial: &Outcome, parallel: &Outcome) {
-    assert_eq!(
-        serial.final_values, parallel.final_values,
-        "{label}: drivers disagree on final per-key values"
-    );
-    assert_eq!(
-        serial.puts_served, parallel.puts_served,
-        "{label}: drivers disagree on puts served"
-    );
-    assert_eq!(
-        serial.rotx_served, parallel.rotx_served,
-        "{label}: drivers disagree on transactions served"
-    );
-    assert_eq!(
-        serial.replicate_sent, parallel.replicate_sent,
-        "{label}: drivers disagree on replication volume"
-    );
+        .worker_lanes(lanes);
+    run_cluster(builder, scripts)
 }
 
 #[test]
 fn serial_and_parallel_drivers_agree_for_every_protocol() {
     let scripts = scripts();
-    for protocol in PROTOCOLS {
-        let serial = run_serial(protocol, &scripts, BASE_REPLICAS);
+    for protocol in ProtocolKind::ALL {
+        let serial = run_serial(protocol, &scripts, config(BASE_REPLICAS));
         check_outcome(
             &format!("serial {protocol:?}"),
             &serial,
@@ -588,7 +78,7 @@ fn serial_and_parallel_drivers_agree_for_every_protocol() {
             BASE_REPLICAS,
         );
 
-        assert_drivers_agree(&format!("{protocol:?}"), &serial, &parallel);
+        assert_agree(&format!("{protocol:?}"), &serial, &parallel);
     }
 }
 
@@ -596,7 +86,7 @@ fn serial_and_parallel_drivers_agree_for_every_protocol() {
 fn parallel_runtime_is_clean_at_every_lane_count() {
     let scripts = scripts();
     for lanes in [1, 2, 4] {
-        let outcome = run_parallel(RuntimeProtocol::Pocc, &scripts, lanes, BASE_REPLICAS);
+        let outcome = run_parallel(ProtocolKind::Pocc, &scripts, lanes, BASE_REPLICAS);
         check_outcome(
             &format!("POCC lanes={lanes}"),
             &outcome,
@@ -612,8 +102,8 @@ fn parallel_runtime_is_clean_at_every_lane_count() {
 #[test]
 fn multi_replica_topology_matches_the_serial_driver() {
     let scripts = scripts();
-    for protocol in PROTOCOLS {
-        let serial = run_serial(protocol, &scripts, MULTI_REPLICAS);
+    for protocol in ProtocolKind::ALL {
+        let serial = run_serial(protocol, &scripts, config(MULTI_REPLICAS));
         check_outcome(
             &format!("serial {protocol:?} x{MULTI_REPLICAS}"),
             &serial,
@@ -630,7 +120,7 @@ fn multi_replica_topology_matches_the_serial_driver() {
                 &scripts,
                 MULTI_REPLICAS,
             );
-            assert_drivers_agree(&label, &serial, &parallel);
+            assert_agree(&label, &serial, &parallel);
         }
     }
 }

@@ -13,48 +13,18 @@
 //! * Full simulations of all four protocols with the exact causal-consistency checker
 //!   enabled: zero violations and full convergence under a real interleaved workload.
 
-use pocc::adaptive::AdaptiveServer;
-use pocc::clock::ManualClock;
-use pocc::cure::CureServer;
-use pocc::ha::HaPoccServer;
-use pocc::proto::{ClientRequest, InstrumentedServer, ServerMessage, ServerOutput};
-use pocc::protocol::PoccServer;
+use pocc::proto::ClientRequest;
+use pocc::sim::reference::{Digest, SerialCluster};
 use pocc::sim::{ProtocolKind, SimConfig, Simulation};
-use pocc::types::{ClientId, Config, DependencyVector, Key, ReplicaId, ServerId, Timestamp, Value};
+use pocc::types::{ClientId, Config, DependencyVector, Key, ReplicaId, ServerId, Value};
 use pocc::workload::WorkloadMix;
-use std::collections::{HashMap, VecDeque};
+use std::collections::BTreeMap;
 use std::time::Duration;
-
-const MS: u64 = 1_000;
-
-const PROTOCOLS: [ProtocolKind; 4] = [
-    ProtocolKind::Pocc,
-    ProtocolKind::Cure,
-    ProtocolKind::HaPocc,
-    ProtocolKind::Adaptive,
-];
-
-/// What a server ends up with once traffic drains: its store digest.
-type ServerState = HashMap<ServerId, Vec<(Key, Timestamp, ReplicaId)>>;
-
-fn build_server(
-    protocol: ProtocolKind,
-    id: ServerId,
-    cfg: &Config,
-    clock: &ManualClock,
-) -> Box<dyn InstrumentedServer> {
-    match protocol {
-        ProtocolKind::Pocc => Box::new(PoccServer::new(id, cfg.clone(), clock.clone())),
-        ProtocolKind::Cure => Box::new(CureServer::new(id, cfg.clone(), clock.clone())),
-        ProtocolKind::HaPocc => Box::new(HaPoccServer::new(id, cfg.clone(), clock.clone())),
-        ProtocolKind::Adaptive => Box::new(AdaptiveServer::new(id, cfg.clone(), clock.clone())),
-    }
-}
 
 /// Runs a small cluster of `protocol` servers to quiescence: a fixed write script spread
 /// over the servers, then enough ticks to flush every batch and deliver every message.
 /// Returns each server's store digest.
-fn run_cluster(protocol: ProtocolKind, batching: bool) -> ServerState {
+fn run_cluster(protocol: ProtocolKind, batching: bool) -> BTreeMap<ServerId, Digest> {
     let cfg = Config::builder()
         .num_replicas(3)
         .num_partitions(2)
@@ -62,61 +32,32 @@ fn run_cluster(protocol: ProtocolKind, batching: bool) -> ServerState {
         .replication_batching(batching)
         .build()
         .unwrap();
-    let clock = ManualClock::new(Timestamp(10 * MS));
-    let mut servers: HashMap<ServerId, Box<dyn InstrumentedServer>> = cfg
-        .servers()
-        .map(|id| (id, build_server(protocol, id, &cfg, &clock)))
-        .collect();
-
-    let mut in_flight: VecDeque<(ServerId, ServerId, ServerMessage)> = VecDeque::new();
-    let collect =
-        |from: ServerId,
-         outputs: Vec<ServerOutput>,
-         in_flight: &mut VecDeque<(ServerId, ServerId, ServerMessage)>| {
-            for output in outputs {
-                if let ServerOutput::Send { to, message } = output {
-                    in_flight.push_back((from, to, message));
-                }
-            }
-        };
+    let mut cluster = SerialCluster::new(protocol, cfg);
 
     // 24 writes, directed at the server owning each key, round-robin over the replicas.
     for written in 0..24u64 {
         let key = Key(written);
-        let partition = pocc::storage::partition_for_key(key, cfg.num_partitions);
-        let replica = ReplicaId((written % 3) as u16);
-        let target = ServerId::new(replica, partition);
-        clock.set(Timestamp((10 + written) * MS));
-        let outputs = servers.get_mut(&target).unwrap().handle_client_request(
+        let partition = pocc::storage::partition_for_key(key, cluster.config().num_partitions);
+        let target = ServerId::new(ReplicaId((written % 3) as u16), partition);
+        cluster.clock().advance(Duration::from_millis(1));
+        cluster.submit(
             ClientId(written),
+            target,
             ClientRequest::Put {
                 key,
                 value: Value::from(written),
                 dv: DependencyVector::zero(3),
             },
         );
-        collect(target, outputs, &mut in_flight);
     }
 
     // Drain: alternate ticks (which flush batches, emit heartbeats and run the periodic
     // protocols) with message delivery until the cluster is quiescent.
-    for round in 0..20u64 {
-        clock.set(Timestamp((40 + round) * MS));
-        let ids: Vec<ServerId> = servers.keys().copied().collect();
-        for id in ids {
-            let outputs = servers.get_mut(&id).unwrap().tick();
-            collect(id, outputs, &mut in_flight);
-        }
-        while let Some((from, to, message)) = in_flight.pop_front() {
-            let outputs = servers
-                .get_mut(&to)
-                .unwrap()
-                .handle_server_message(from, message);
-            collect(to, outputs, &mut in_flight);
-        }
+    for _ in 0..20 {
+        cluster.tick_all();
+        cluster.deliver_all();
     }
-
-    servers.iter().map(|(id, s)| (*id, s.digest())).collect()
+    cluster.digests()
 }
 
 #[test]
@@ -136,11 +77,7 @@ fn all_protocols_build_identical_replicated_state() {
                 "siblings of partition {partition} diverged (batching={batching})"
             );
         }
-        for protocol in [
-            ProtocolKind::Cure,
-            ProtocolKind::HaPocc,
-            ProtocolKind::Adaptive,
-        ] {
+        for protocol in ProtocolKind::ALL.into_iter().skip(1) {
             let state = run_cluster(protocol, batching);
             assert_eq!(state.len(), reference.len());
             for (id, digest) in &reference {
@@ -177,7 +114,7 @@ fn checked_sim(protocol: ProtocolKind, batching: bool) -> pocc::sim::SimReport {
 
 #[test]
 fn every_protocol_is_causally_clean_and_convergent_under_the_checker() {
-    for protocol in PROTOCOLS {
+    for protocol in ProtocolKind::ALL {
         for batching in [false, true] {
             let report = checked_sim(protocol, batching);
             assert!(

@@ -7,7 +7,7 @@
 use pocc::prelude::*;
 use std::time::Duration;
 
-fn start(config: Config, protocol: RuntimeProtocol) -> Cluster {
+fn start(config: Config, protocol: ProtocolKind) -> Cluster {
     Cluster::builder().config(config).protocol(protocol).start()
 }
 
@@ -37,7 +37,7 @@ fn eventually<T>(mut f: impl FnMut() -> Option<T>) -> T {
 
 #[test]
 fn writes_are_read_back_in_session() {
-    let cluster = start(config(3, 4, 10), RuntimeProtocol::Pocc);
+    let cluster = start(config(3, 4, 10), ProtocolKind::Pocc);
     let mut client = cluster.client(ReplicaId(1));
     for k in 0..20u64 {
         client.put(Key(k), Value::from(k)).unwrap();
@@ -51,7 +51,7 @@ fn writes_are_read_back_in_session() {
 
 #[test]
 fn geo_replication_delivers_updates_to_every_data_center() {
-    let cluster = start(config(3, 2, 5), RuntimeProtocol::Pocc);
+    let cluster = start(config(3, 2, 5), ProtocolKind::Pocc);
     let mut writer = cluster.client(ReplicaId(0));
     writer.put(Key(1), Value::from("everywhere")).unwrap();
     for replica in 1..3u16 {
@@ -66,7 +66,7 @@ fn geo_replication_delivers_updates_to_every_data_center() {
 fn causal_order_is_preserved_across_data_centers() {
     // The photo/comment scenario: whenever the dependent item is visible remotely, its
     // dependency must be visible too, for many rounds and several interleavings.
-    let cluster = start(config(2, 4, 8), RuntimeProtocol::Pocc);
+    let cluster = start(config(2, 4, 8), ProtocolKind::Pocc);
     let mut alice = cluster.client(ReplicaId(0));
     let mut bob = cluster.client(ReplicaId(1));
     for round in 0..20u64 {
@@ -88,7 +88,7 @@ fn causal_order_is_preserved_across_data_centers() {
 
 #[test]
 fn read_dependencies_propagate_between_clients_of_the_same_dc() {
-    let cluster = start(config(2, 4, 8), RuntimeProtocol::Pocc);
+    let cluster = start(config(2, 4, 8), ProtocolKind::Pocc);
     let mut writer = cluster.client(ReplicaId(0));
     let mut relay = cluster.client(ReplicaId(1));
     let mut reader = cluster.client(ReplicaId(1));
@@ -112,7 +112,7 @@ fn read_dependencies_propagate_between_clients_of_the_same_dc() {
 
 #[test]
 fn read_only_transactions_return_complete_snapshots() {
-    let cluster = start(config(2, 4, 5), RuntimeProtocol::Pocc);
+    let cluster = start(config(2, 4, 5), ProtocolKind::Pocc);
     let mut client = cluster.client(ReplicaId(0));
     let keys: Vec<Key> = (100..110u64).map(Key).collect();
     for (i, key) in keys.iter().enumerate() {
@@ -129,7 +129,7 @@ fn read_only_transactions_return_complete_snapshots() {
 
 #[test]
 fn cure_cluster_eventually_exposes_remote_writes() {
-    let cluster = start(config(3, 2, 5), RuntimeProtocol::Cure);
+    let cluster = start(config(3, 2, 5), ProtocolKind::Cure);
     let mut writer = cluster.client(ReplicaId(0));
     let mut reader = cluster.client(ReplicaId(2));
     writer.put(Key(5), Value::from("stable")).unwrap();
@@ -142,7 +142,7 @@ fn cure_cluster_eventually_exposes_remote_writes() {
 
 #[test]
 fn ha_cluster_serves_all_operation_types() {
-    let cluster = start(config(2, 2, 5), RuntimeProtocol::HaPocc);
+    let cluster = start(config(2, 2, 5), ProtocolKind::HaPocc);
     let mut client = cluster.client(ReplicaId(0));
     client.put(Key(1), Value::from("ha")).unwrap();
     assert_eq!(client.get(Key(1)).unwrap().unwrap().as_slice(), b"ha");
@@ -154,7 +154,7 @@ fn ha_cluster_serves_all_operation_types() {
 
 #[test]
 fn many_clients_in_parallel_do_not_interfere() {
-    let cluster = start(config(2, 4, 3), RuntimeProtocol::Pocc);
+    let cluster = start(config(2, 4, 3), ProtocolKind::Pocc);
     let mut handles = Vec::new();
     for t in 0..6u64 {
         let mut client = cluster.client(ReplicaId((t % 2) as u16));

@@ -4,8 +4,8 @@
 //! The same seeded, scripted workload — single writer per key, so the final value of
 //! every key is determined by the script alone, not by timestamp races — runs through
 //!
-//! * a hand-pumped serial cluster (the `SimNetwork` execution model: one state machine
-//!   per server, messages delivered deterministically),
+//! * the hand-pumped serial reference cluster (`pocc::sim::reference::SerialCluster`: one
+//!   state machine per server, messages delivered deterministically),
 //! * a real [`Cluster`] on the **channel transport** (threads and in-process queues with
 //!   emulated WAN delays), and
 //! * a real [`Cluster`] on the **TCP transport** (real localhost sockets, length-prefixed
@@ -17,91 +17,13 @@
 //! point. The channel/TCP agreement in particular pins the socket path's framing, write
 //! batching and flush ordering to the in-process semantics.
 
-use pocc::clock::ManualClock;
+mod common;
+
+use common::{assert_agree, check_outcome, run_cluster, run_serial, PARTITIONS};
 use pocc::prelude::*;
-use pocc::proto::{ClientReply, ClientRequest, ServerMessage, ServerOutput};
-use pocc::protocol::Client;
-use pocc::sim::ConsistencyChecker;
-use pocc::storage::partition_for_key;
-use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 const REPLICAS: usize = 2;
-const PARTITIONS: usize = 2;
-const CLIENTS: usize = 4;
-const KEYS_PER_CLIENT: u64 = 12;
-const OPS_PER_CLIENT: usize = 40;
-const SEED: u64 = 0xd130_2b97_9af5_2857;
-
-const PROTOCOLS: [RuntimeProtocol; 4] = [
-    RuntimeProtocol::Pocc,
-    RuntimeProtocol::Cure,
-    RuntimeProtocol::HaPocc,
-    RuntimeProtocol::Adaptive,
-];
-
-#[derive(Clone, Debug)]
-enum Op {
-    Put(Key, u64),
-    Get(Key),
-    RoTx(Vec<Key>),
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-/// Keys owned (written) exclusively by `client`.
-fn own_key(client: usize, r: u64) -> Key {
-    Key(client as u64 * 1_000 + (r % KEYS_PER_CLIENT))
-}
-
-/// The per-client operation scripts: PUTs stay within the issuing client's key range,
-/// GETs and RO-TXs range over everyone's keys so causality crosses clients.
-fn scripts() -> Vec<Vec<Op>> {
-    (0..CLIENTS)
-        .map(|client| {
-            let mut rng = SEED ^ (client as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            (0..OPS_PER_CLIENT)
-                .map(|step| {
-                    let roll = xorshift(&mut rng);
-                    if step % 10 == 9 {
-                        let keys = (0..3)
-                            .map(|i| {
-                                let owner = (xorshift(&mut rng) as usize + i) % CLIENTS;
-                                own_key(owner, xorshift(&mut rng))
-                            })
-                            .collect();
-                        Op::RoTx(keys)
-                    } else if roll.is_multiple_of(3) {
-                        let owner = xorshift(&mut rng) as usize % CLIENTS;
-                        Op::Get(own_key(owner, xorshift(&mut rng)))
-                    } else {
-                        Op::Put(own_key(client, xorshift(&mut rng)), xorshift(&mut rng))
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// The final value of every written key, determined by the scripts alone.
-fn expected_final_values(scripts: &[Vec<Op>]) -> HashMap<Key, Value> {
-    let mut map = HashMap::new();
-    for script in scripts {
-        for op in script {
-            if let Op::Put(key, value) = op {
-                map.insert(*key, Value::from(*value));
-            }
-        }
-    }
-    map
-}
 
 fn config() -> Config {
     Config::builder()
@@ -116,442 +38,29 @@ fn config() -> Config {
         .unwrap()
 }
 
-fn uses_snapshot_reads(protocol: RuntimeProtocol) -> bool {
-    matches!(protocol, RuntimeProtocol::Cure | RuntimeProtocol::Adaptive)
-}
-
-/// What every driver must agree on.
-struct Outcome {
-    final_values: HashMap<Key, Value>,
-    puts_served: u64,
-    rotx_served: u64,
-    replicate_sent: u64,
-    sessions_aborted: u64,
-    violations: usize,
-}
-
-fn check_outcome(label: &str, outcome: &Outcome, scripts: &[Vec<Op>]) {
-    let mut puts = 0u64;
-    let mut txs = 0u64;
-    for op in scripts.iter().flatten() {
-        match op {
-            Op::Put(..) => puts += 1,
-            Op::RoTx(..) => txs += 1,
-            Op::Get(..) => {}
-        }
-    }
-    assert_eq!(outcome.violations, 0, "{label}: causal violations");
-    assert_eq!(outcome.sessions_aborted, 0, "{label}: aborted sessions");
-    assert_eq!(outcome.puts_served, puts, "{label}: puts served");
-    assert_eq!(outcome.rotx_served, txs, "{label}: transactions served");
-    assert_eq!(
-        outcome.replicate_sent,
-        puts * (REPLICAS as u64 - 1),
-        "{label}: replication fan-out"
-    );
-    assert_eq!(
-        &outcome.final_values,
-        &expected_final_values(scripts),
-        "{label}: converged store does not match the script"
-    );
-}
-
-fn record(
-    checker: &mut ConsistencyChecker,
-    id: ClientId,
-    replica: ReplicaId,
-    op: &Op,
-    reply: &ClientReply,
-) {
-    match (reply, op) {
-        (ClientReply::Put { update_time }, Op::Put(key, _)) => {
-            checker.record_write(id, *key, *update_time, replica);
-        }
-        (ClientReply::Get(resp), Op::Get(key)) => {
-            let returned = resp
-                .value
-                .as_ref()
-                .map(|_| (resp.update_time, resp.source_replica));
-            checker.record_read(id, *key, returned);
-        }
-        (ClientReply::RoTx { items }, Op::RoTx(_)) => {
-            let recorded: Vec<_> = items
-                .iter()
-                .map(|item| {
-                    let returned = item
-                        .response
-                        .value
-                        .as_ref()
-                        .map(|_| (item.response.update_time, item.response.source_replica));
-                    (item.key, returned)
-                })
-                .collect();
-            checker.record_transaction(id, &recorded);
-        }
-        (reply, op) => panic!("mismatched reply {reply:?} for op {op:?}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Driver 1: the serial, deterministically pumped cluster (SimNetwork model).
-// ---------------------------------------------------------------------------
-
-struct SerialDriver {
-    servers: HashMap<ServerId, Box<dyn InstrumentedServer>>,
-    in_flight: VecDeque<(ServerId, ServerId, ServerMessage)>,
-    replies: HashMap<ClientId, VecDeque<ClientReply>>,
-    clock: ManualClock,
-    now_us: u64,
-}
-
-impl SerialDriver {
-    fn new(protocol: RuntimeProtocol, cfg: &Config) -> Self {
-        let clock = ManualClock::new(Timestamp(10_000));
-        let servers = cfg
-            .servers()
-            .map(|id| {
-                let server: Box<dyn InstrumentedServer> = match protocol {
-                    RuntimeProtocol::Pocc => {
-                        Box::new(pocc::PoccServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                    RuntimeProtocol::Cure => {
-                        Box::new(pocc::CureServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                    RuntimeProtocol::HaPocc => {
-                        Box::new(pocc::HaPoccServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                    RuntimeProtocol::Adaptive => {
-                        Box::new(pocc::AdaptiveServer::new(id, cfg.clone(), clock.clone()))
-                    }
-                };
-                (id, server)
-            })
-            .collect();
-        SerialDriver {
-            servers,
-            in_flight: VecDeque::new(),
-            replies: HashMap::new(),
-            clock,
-            now_us: 10_000,
-        }
-    }
-
-    fn absorb(&mut self, from: ServerId, outputs: Vec<ServerOutput>) {
-        for output in outputs {
-            match output {
-                ServerOutput::Reply { client, reply } => {
-                    self.replies.entry(client).or_default().push_back(reply)
-                }
-                ServerOutput::Send { to, message } => self.in_flight.push_back((from, to, message)),
-            }
-        }
-    }
-
-    fn deliver_all(&mut self) {
-        while let Some((from, to, message)) = self.in_flight.pop_front() {
-            let outputs = self
-                .servers
-                .get_mut(&to)
-                .unwrap()
-                .handle_server_message(from, message);
-            self.absorb(to, outputs);
-        }
-    }
-
-    fn tick_all(&mut self) {
-        self.now_us += 500;
-        self.clock.set(Timestamp(self.now_us));
-        let ids: Vec<ServerId> = self.servers.keys().copied().collect();
-        for id in ids {
-            let outputs = self.servers.get_mut(&id).unwrap().tick();
-            self.absorb(id, outputs);
-        }
-    }
-
-    fn submit(&mut self, client: ClientId, target: ServerId, request: ClientRequest) {
-        self.now_us += 20;
-        self.clock.set(Timestamp(self.now_us));
-        let outputs = self
-            .servers
-            .get_mut(&target)
-            .unwrap()
-            .handle_client_request(client, request);
-        self.absorb(target, outputs);
-    }
-
-    fn await_reply(&mut self, client: ClientId) -> ClientReply {
-        for _ in 0..10_000 {
-            if let Some(reply) = self.replies.get_mut(&client).and_then(|q| q.pop_front()) {
-                return reply;
-            }
-            self.deliver_all();
-            self.tick_all();
-        }
-        panic!("client {client:?} never received a reply");
-    }
-}
-
-fn run_serial(protocol: RuntimeProtocol, scripts: &[Vec<Op>]) -> Outcome {
-    let cfg = config();
-    let mut driver = SerialDriver::new(protocol, &cfg);
-    let mut checker = ConsistencyChecker::new();
-
-    let mut sessions: Vec<Client> = (0..CLIENTS)
-        .map(|i| {
-            let id = ClientId(i as u64);
-            let home = ServerId::new(ReplicaId((i % REPLICAS) as u16), 0u32);
-            if uses_snapshot_reads(protocol) {
-                Client::new_snapshot_reads(id, home, REPLICAS)
-            } else {
-                Client::new(id, home, REPLICAS)
-            }
-        })
-        .collect();
-
-    #[allow(clippy::needless_range_loop)] // `step` is the round-robin outer index
-    for step in 0..OPS_PER_CLIENT {
-        for (i, session) in sessions.iter_mut().enumerate() {
-            let id = ClientId(i as u64);
-            let replica = ReplicaId((i % REPLICAS) as u16);
-            let op = &scripts[i][step];
-            let (target, request) = match op {
-                Op::Put(key, value) => (
-                    ServerId::new(replica, partition_for_key(*key, PARTITIONS)),
-                    session.put(*key, Value::from(*value)),
-                ),
-                Op::Get(key) => (
-                    ServerId::new(replica, partition_for_key(*key, PARTITIONS)),
-                    session.get(*key),
-                ),
-                Op::RoTx(keys) => (
-                    ServerId::new(replica, partition_for_key(keys[0], PARTITIONS)),
-                    session.ro_tx(keys.clone()),
-                ),
-            };
-            driver.submit(id, target, request);
-            let reply = driver.await_reply(id);
-            session.process_reply(&reply).expect("no aborts expected");
-            record(&mut checker, id, replica, op, &reply);
-        }
-    }
-
-    for _ in 0..40 {
-        driver.tick_all();
-        driver.deliver_all();
-    }
-    for partition in 0..PARTITIONS {
-        let per_replica: Vec<_> = driver
-            .servers
-            .iter()
-            .filter(|(id, _)| id.partition.index() == partition)
-            .map(|(_, s)| s.digest())
-            .collect();
-        assert!(
-            per_replica.windows(2).all(|w| w[0] == w[1]),
-            "serial {protocol:?}: partition {partition} replicas diverged"
-        );
-    }
-
-    // Read the final values back through a fresh session at replica 0, pumping ticks
-    // until stable-reads protocols let the newest writes become visible.
-    let mut final_values = HashMap::new();
-    let mut reader = Client::new(ClientId(9_999), ServerId::new(ReplicaId(0), 0u32), REPLICAS);
-    for (key, wanted) in &expected_final_values(scripts) {
-        let target = ServerId::new(ReplicaId(0), partition_for_key(*key, PARTITIONS));
-        for attempt in 0..200 {
-            let request = reader.get(*key);
-            driver.submit(ClientId(9_999), target, request);
-            let reply = driver.await_reply(ClientId(9_999));
-            reader.process_reply(&reply).unwrap();
-            let ClientReply::Get(resp) = reply else {
-                panic!("unexpected reply to the read-back GET");
-            };
-            if resp.value.as_ref() == Some(wanted) {
-                final_values.insert(*key, resp.value.unwrap());
-                break;
-            }
-            assert!(
-                attempt < 199,
-                "serial {protocol:?}: {key} never reached its final value"
-            );
-            driver.tick_all();
-            driver.deliver_all();
-        }
-    }
-
-    let mut totals = MetricsTotals::default();
-    for server in driver.servers.values() {
-        totals.add(&server.metrics());
-    }
-    totals.into_outcome(final_values, checker.violations().len())
-}
-
-#[derive(Default)]
-struct MetricsTotals {
-    puts: u64,
-    rotx: u64,
-    replicate: u64,
-    aborted: u64,
-}
-
-impl MetricsTotals {
-    fn add(&mut self, m: &pocc::proto::MetricsSnapshot) {
-        self.puts += m.puts_served;
-        self.rotx += m.rotx_served;
-        self.replicate += m.replicate_sent;
-        self.aborted += m.sessions_aborted;
-    }
-
-    fn into_outcome(self, final_values: HashMap<Key, Value>, violations: usize) -> Outcome {
-        Outcome {
-            final_values,
-            puts_served: self.puts,
-            rotx_served: self.rotx,
-            replicate_sent: self.replicate,
-            sessions_aborted: self.aborted,
-            violations,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Drivers 2 and 3: the threaded cluster on a real transport backend.
-// ---------------------------------------------------------------------------
-
-fn run_cluster(
-    protocol: RuntimeProtocol,
-    scripts: &[Vec<Op>],
-    transport: TransportKind,
-) -> Outcome {
-    let cluster = Cluster::builder()
-        .config(config())
-        .protocol(protocol)
-        .transport(transport)
-        .start();
-    let mut checker = ConsistencyChecker::new();
-    let mut clients: Vec<ClusterClient> = (0..CLIENTS)
-        .map(|i| cluster.client(ReplicaId((i % REPLICAS) as u16)))
-        .collect();
-
-    #[allow(clippy::needless_range_loop)] // `step` is the round-robin outer index
-    for step in 0..OPS_PER_CLIENT {
-        for (i, client) in clients.iter_mut().enumerate() {
-            let id = client.id();
-            let replica = client.replica();
-            let op = &scripts[i][step];
-            match op {
-                Op::Put(key, value) => {
-                    let update_time = client.put(*key, Value::from(*value)).unwrap();
-                    checker.record_write(id, *key, update_time, replica);
-                }
-                Op::Get(key) => {
-                    let resp = client.get_versioned(*key).unwrap();
-                    let returned = resp
-                        .value
-                        .as_ref()
-                        .map(|_| (resp.update_time, resp.source_replica));
-                    checker.record_read(id, *key, returned);
-                }
-                Op::RoTx(keys) => {
-                    let items = client.ro_tx_versioned(keys.clone()).unwrap();
-                    let recorded: Vec<_> = items
-                        .iter()
-                        .map(|item| {
-                            let returned =
-                                item.response.value.as_ref().map(|_| {
-                                    (item.response.update_time, item.response.source_replica)
-                                });
-                            (item.key, returned)
-                        })
-                        .collect();
-                    checker.record_transaction(id, &recorded);
-                }
-            }
-        }
-    }
-
-    // Wait for replication to drain: every partition's replicas must reach identical
-    // digests.
-    let mut converged = false;
-    for _ in 0..2_000 {
-        let probes = cluster.probe_all();
-        converged = (0..PARTITIONS).all(|partition| {
-            let per_replica: Vec<_> = probes
-                .iter()
-                .filter(|(id, _)| id.partition.index() == partition)
-                .map(|(_, p)| p.digest.clone())
-                .collect();
-            per_replica.windows(2).all(|w| w[0] == w[1])
-        });
-        if converged {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert!(
-        converged,
-        "{transport:?} {protocol:?}: replicas did not converge"
-    );
-
-    let mut reader = cluster.client(ReplicaId(0));
-    let mut final_values = HashMap::new();
-    for (key, wanted) in &expected_final_values(scripts) {
-        for attempt in 0..500 {
-            if reader.get(*key).unwrap().as_ref() == Some(wanted) {
-                final_values.insert(*key, wanted.clone());
-                break;
-            }
-            assert!(
-                attempt < 499,
-                "{transport:?} {protocol:?}: {key} never reached its final value"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    let mut totals = MetricsTotals::default();
-    for (_, probe) in cluster.probe_all() {
-        totals.add(&probe.metrics);
-    }
-    cluster.shutdown();
-    totals.into_outcome(final_values, checker.violations().len())
-}
-
-// ---------------------------------------------------------------------------
-// The differential tests.
-// ---------------------------------------------------------------------------
-
-fn assert_agree(label: &str, a: &Outcome, b: &Outcome) {
-    assert_eq!(
-        a.final_values, b.final_values,
-        "{label}: drivers disagree on final per-key values"
-    );
-    assert_eq!(
-        a.puts_served, b.puts_served,
-        "{label}: drivers disagree on puts served"
-    );
-    assert_eq!(
-        a.rotx_served, b.rotx_served,
-        "{label}: drivers disagree on transactions served"
-    );
-    assert_eq!(
-        a.replicate_sent, b.replicate_sent,
-        "{label}: drivers disagree on replication volume"
-    );
-}
-
 #[test]
 fn serial_channel_and_tcp_agree_for_every_protocol() {
-    let scripts = scripts();
-    for protocol in PROTOCOLS {
-        let serial = run_serial(protocol, &scripts);
-        check_outcome(&format!("serial {protocol:?}"), &serial, &scripts);
+    let scripts = common::scripts(0xd130_2b97_9af5_2857, 0x9e37_79b9_7f4a_7c15, 12, 40);
+    let on = |protocol, transport| {
+        Cluster::builder()
+            .config(config())
+            .protocol(protocol)
+            .transport(transport)
+    };
+    for protocol in ProtocolKind::ALL {
+        let serial = run_serial(protocol, &scripts, config());
+        check_outcome(&format!("serial {protocol:?}"), &serial, &scripts, REPLICAS);
 
-        let channel = run_cluster(protocol, &scripts, TransportKind::Channel);
-        check_outcome(&format!("channel {protocol:?}"), &channel, &scripts);
+        let channel = run_cluster(on(protocol, TransportKind::Channel), &scripts);
+        check_outcome(
+            &format!("channel {protocol:?}"),
+            &channel,
+            &scripts,
+            REPLICAS,
+        );
 
-        let tcp = run_cluster(protocol, &scripts, TransportKind::Tcp);
-        check_outcome(&format!("tcp {protocol:?}"), &tcp, &scripts);
+        let tcp = run_cluster(on(protocol, TransportKind::Tcp), &scripts);
+        check_outcome(&format!("tcp {protocol:?}"), &tcp, &scripts, REPLICAS);
 
         assert_agree(&format!("{protocol:?} serial/channel"), &serial, &channel);
         assert_agree(&format!("{protocol:?} channel/tcp"), &channel, &tcp);
