@@ -9,8 +9,8 @@
 //! * Keys with little or no *observed remote churn* — the vast majority under a skewed
 //!   workload, including read-hot keys that are rarely written remotely — are served
 //!   exactly like POCC: freshest version, optimistic, maximum freshness.
-//! * Keys whose remote-update rate crosses `Config::adaptive_churn_threshold` within one
-//!   `Config::adaptive_churn_window` are the ones whose optimistic reads would hand out
+//! * Keys whose remote-update rate reaches [`CHURN_THRESHOLD`] within one
+//!   [`CHURN_WINDOW`] are the ones whose optimistic reads would hand out
 //!   unstable dependencies (and cause downstream blocking); their reads fall back to the
 //!   snapshot `GSS ∨ RDV ∨ local`: the freshest version that is globally stable, part of
 //!   the client's own causal history, or locally originated.
@@ -24,7 +24,7 @@
 //! dependencies that make later optimistic reads block. (Locally originated versions
 //! remain visible and may still carry dependencies beyond the GSS — that is what keeps
 //! read-your-writes intact.) Churn scores halve every window, so a key that cools down
-//! becomes optimistic again.
+//! becomes optimistic again. Both tuning values are constants: no scenario sweeps them.
 //!
 //! Like the other three protocols, the whole variant is one [`VisibilityPolicy`] over
 //! [`pocc_engine::ProtocolEngine`] — see the "Adding a protocol variant" how-to in
@@ -39,6 +39,15 @@ use pocc_proto::{ClientRequest, ServerOutput};
 use pocc_storage::ShardedStore;
 use pocc_types::{ClientId, Config, DependencyVector, Key, ServerId, Timestamp, VersionVector};
 use std::collections::HashMap;
+use std::time::Duration;
+
+/// Remote updates a key must receive within one churn window before its reads fall back
+/// to GSS-stable-bounded visibility.
+pub const CHURN_THRESHOLD: u32 = 3;
+
+/// Length of the window over which per-key remote churn is counted; scores halve at every
+/// window boundary, so the classification decays once a key cools down.
+pub const CHURN_WINDOW: Duration = Duration::from_millis(20);
 
 /// The adaptive visibility policy: POCC reads for calm keys, GSS-stable-bounded reads
 /// for keys under remote churn. Writes, transactions and garbage collection follow POCC;
@@ -54,21 +63,21 @@ pub struct AdaptivePolicy {
 
 impl AdaptivePolicy {
     /// Whether reads of `key` should fall back to stable-bounded visibility.
-    fn is_churny(&self, config: &Config, key: Key) -> bool {
+    fn is_churny(&self, key: Key) -> bool {
         self.churn
             .get(&key)
-            .is_some_and(|score| *score >= config.adaptive_churn_threshold)
+            .is_some_and(|score| *score >= CHURN_THRESHOLD)
     }
 
     /// Halves every score once per *elapsed* window (ticks can be sparser than the churn
     /// window), dropping keys that cooled down to zero.
-    fn decay(&mut self, now: Timestamp, window: std::time::Duration) {
+    fn decay(&mut self, now: Timestamp) {
         let elapsed = now.saturating_since(self.window_started);
-        if elapsed < window {
+        if elapsed < CHURN_WINDOW {
             return;
         }
         self.window_started = now;
-        let windows = elapsed.as_nanos() / window.as_nanos();
+        let windows = elapsed.as_nanos() / CHURN_WINDOW.as_nanos();
         if windows >= 32 {
             // A u32 is zero after 32 halvings (and a >=32-bit shift would overflow):
             // a gap that long just clears the map.
@@ -93,7 +102,7 @@ impl<C: Clock> VisibilityPolicy<C> for AdaptivePolicy {
         let mut outputs = Vec::new();
         match request {
             ClientRequest::Get { key, rdv } => {
-                let mode = if self.is_churny(&core.config, key) {
+                let mode = if self.is_churny(key) {
                     ReadMode::StableBounded
                 } else {
                     ReadMode::Latest
@@ -165,17 +174,15 @@ impl<C: Clock> VisibilityPolicy<C> for AdaptivePolicy {
             core.last_stabilization = now;
             core.stabilization_round(outputs);
         }
-        // POCC's GC-vector exchange, also triggered early under storage pressure.
-        if now.saturating_since(core.last_gc) >= core.config.gc_interval
-            || core.gc_pressure_due(now)
-        {
+        // POCC's GC-vector exchange.
+        if now.saturating_since(core.last_gc) >= core.config.gc_interval {
             core.last_gc = now;
             core.gc_exchange_round(outputs);
         }
         // POCC's partition timeouts.
         core.enforce_partition_timeouts(now, outputs);
         // Cool churn scores down once per window.
-        self.decay(now, core.config.adaptive_churn_window);
+        self.decay(now);
     }
 }
 
@@ -213,12 +220,11 @@ impl<C: Clock> AdaptiveServer<C> {
     /// Number of keys currently classified as churny (reads fall back to the stable
     /// snapshot).
     pub fn churny_keys(&self) -> usize {
-        let config = &self.engine.core().config;
         self.engine
             .policy()
             .churn
             .values()
-            .filter(|score| **score >= config.adaptive_churn_threshold)
+            .filter(|score| **score >= CHURN_THRESHOLD)
             .count()
     }
 }
@@ -232,22 +238,16 @@ mod tests {
     use pocc_proto::{expect_reply, ClientReply, ProtocolServer, ServerIntrospect, ServerMessage};
     use pocc_storage::partition_for_key;
     use pocc_types::{ReplicaId, Value, Version};
-    use std::time::Duration;
 
     const MS: u64 = 1_000;
 
-    fn config() -> Config {
-        Config::builder()
+    fn server(clock: &ManualClock) -> AdaptiveServer<ManualClock> {
+        let config = Config::builder()
             .num_replicas(3)
             .num_partitions(1)
-            .adaptive_churn_threshold(2)
-            .adaptive_churn_window(Duration::from_millis(50))
             .build()
-            .unwrap()
-    }
-
-    fn server(clock: &ManualClock) -> AdaptiveServer<ManualClock> {
-        AdaptiveServer::new(ServerId::new(0u16, 0u32), config(), clock.clone())
+            .unwrap();
+        AdaptiveServer::new(ServerId::new(0u16, 0u32), config, clock.clone())
     }
 
     fn key_in(partition: usize, num_partitions: usize) -> Key {
@@ -283,13 +283,22 @@ mod tests {
         );
     }
 
+    /// Exactly [`CHURN_THRESHOLD`] (3) remote updates of `key`: `r1`, `r2` and `r3` at
+    /// 7, 8 and 9 ms, none of them GSS-stable yet.
+    fn churn(s: &mut AdaptiveServer<ManualClock>, key: Key) {
+        replicate(s, key, "r1", 7 * MS);
+        replicate(s, key, "r2", 8 * MS);
+        replicate(s, key, "r3", 9 * MS);
+    }
+
     #[test]
     fn calm_keys_are_served_optimistically() {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        // One remote update: below the threshold of 2, so the key stays optimistic and
+        // Two remote updates: below the threshold of 3, so the key stays optimistic and
         // the fresh (unstable-looking) remote version is returned, POCC-style.
+        replicate(&mut s, key, "older", 8 * MS);
         replicate(&mut s, key, "fresh", 9 * MS);
         let outputs = s.handle_client_request(
             ClientId(1),
@@ -313,13 +322,12 @@ mod tests {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        // Two remote updates cross the churn threshold; neither is GSS-stable yet.
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        // Three remote updates reach the churn threshold; none is GSS-stable yet.
+        churn(&mut s, key);
         assert_eq!(s.churny_keys(), 1);
 
-        // A dependency-free client reads: the stable-bounded path hides both unstable
-        // remote versions and reports "not found".
+        // A dependency-free client reads: the stable-bounded path hides every unstable
+        // remote version and reports "not found".
         let outputs = s.handle_client_request(
             ClientId(1),
             ClientRequest::Get {
@@ -343,10 +351,9 @@ mod tests {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        churn(&mut s, key);
 
-        // A client that has already observed the second remote version (rdv covers it)
+        // A client that has already observed the newest remote version (rdv covers it)
         // must keep seeing it — monotonic reads survive the fall-back.
         let outputs = s.handle_client_request(
             ClientId(1),
@@ -358,7 +365,7 @@ mod tests {
         expect_reply!(
             extract_reply(&outputs, ClientId(1)),
             Some(ClientReply::Get(resp)) => {
-                assert_eq!(resp.value.unwrap().as_slice(), b"r2");
+                assert_eq!(resp.value.unwrap().as_slice(), b"r3");
             }
         );
         assert_eq!(s.metrics().stable_fallback_gets, 1);
@@ -369,8 +376,7 @@ mod tests {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        churn(&mut s, key);
 
         // The client depends on a remote item this server has not received: even the
         // stable-bounded read waits (its snapshot includes the RDV, so serving early
@@ -392,7 +398,7 @@ mod tests {
             ServerMessage::Replicate {
                 version: Version::new(
                     key,
-                    Value::from("r3"),
+                    Value::from("r4"),
                     ReplicaId(1),
                     Timestamp(20 * MS),
                     dv(&[0, 0, 0]),
@@ -402,7 +408,7 @@ mod tests {
         expect_reply!(
             extract_reply(&outputs, ClientId(1)),
             Some(ClientReply::Get(resp)) => {
-                assert_eq!(resp.value.unwrap().as_slice(), b"r3");
+                assert_eq!(resp.value.unwrap().as_slice(), b"r4");
             }
         );
         assert_eq!(s.metrics().stable_fallback_gets, 1);
@@ -413,8 +419,7 @@ mod tests {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        churn(&mut s, key);
         // A local write on the churny key: the local VV entry is part of the stable
         // bound, so the client reads its own write back.
         clock.set(Timestamp(11 * MS));
@@ -446,16 +451,15 @@ mod tests {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        churn(&mut s, key);
         assert_eq!(s.churny_keys(), 1);
 
-        // Two quiet windows later the score has halved twice (2 -> 1 -> 0): optimistic
-        // again.
-        clock.set(Timestamp(70 * MS));
+        // Two quiet 20 ms windows later the score has halved twice (3 -> 1 -> 0):
+        // optimistic again.
+        clock.set(Timestamp(30 * MS));
         s.tick();
         assert_eq!(s.churny_keys(), 0, "score halves after one quiet window");
-        clock.set(Timestamp(130 * MS));
+        clock.set(Timestamp(50 * MS));
         s.tick();
         let outputs = s.handle_client_request(
             ClientId(1),
@@ -467,7 +471,7 @@ mod tests {
         expect_reply!(
             extract_reply(&outputs, ClientId(1)),
             Some(ClientReply::Get(resp)) => {
-                assert_eq!(resp.value.unwrap().as_slice(), b"r2", "optimistic again");
+                assert_eq!(resp.value.unwrap().as_slice(), b"r3", "optimistic again");
             }
         );
         assert_eq!(s.metrics().stable_fallback_gets, 0);
@@ -475,35 +479,37 @@ mod tests {
 
     #[test]
     fn a_score_exactly_at_the_threshold_counts_as_churny() {
-        // The classification is `score >= adaptive_churn_threshold`: with the test
-        // threshold of 2, the first remote update must stay optimistic and the second —
-        // landing exactly on the boundary — must flip the key to stable-bounded reads.
+        // The classification is `score >= CHURN_THRESHOLD`: with the threshold of 3, the
+        // second remote update must stay optimistic and the third — landing exactly on
+        // the boundary — must flip the key to stable-bounded reads.
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
+        replicate(&mut s, key, "r1", 7 * MS);
+        replicate(&mut s, key, "r2", 8 * MS);
         assert_eq!(s.churny_keys(), 0, "one below the threshold is calm");
-        replicate(&mut s, key, "r2", 9 * MS);
+        replicate(&mut s, key, "r3", 9 * MS);
         assert_eq!(s.churny_keys(), 1, "exactly at the threshold is churny");
     }
 
     #[test]
     fn decay_fires_exactly_at_the_window_edge_and_not_before() {
-        // The decay guard is `elapsed < window`, with the first window measured from
-        // time zero: a tick one microsecond short of the 50 ms churn window must leave
-        // the score untouched, a tick exactly at the edge must halve it.
+        // The decay guard is `elapsed < CHURN_WINDOW`, with the first window measured
+        // from time zero: a tick one microsecond short of the 20 ms churn window must
+        // leave the score untouched, a tick exactly at the edge must halve it (3 -> 1).
         let clock = ManualClock::at_zero();
         let mut s = server(&clock);
         let key = key_in(0, 1);
         replicate(&mut s, key, "r1", 1);
         replicate(&mut s, key, "r2", 2);
+        replicate(&mut s, key, "r3", 3);
         assert_eq!(s.churny_keys(), 1);
 
-        clock.set(Timestamp(50 * MS - 1));
+        clock.set(Timestamp(20 * MS - 1));
         s.tick();
         assert_eq!(s.churny_keys(), 1, "one tick short of the window: no decay");
 
-        clock.set(Timestamp(50 * MS));
+        clock.set(Timestamp(20 * MS));
         s.tick();
         assert_eq!(
             s.churny_keys(),
@@ -515,31 +521,31 @@ mod tests {
     #[test]
     fn a_cooled_key_restarts_scoring_from_zero() {
         // Decay drops a key once its score reaches zero; fresh churn afterwards must
-        // climb from zero (one update: calm), not resume from a stale retained score
-        // (which would make 1 + 1 cross the threshold again immediately).
+        // climb from zero (two updates: calm), not resume from a stale retained score
+        // (which would make 1 + 2 cross the threshold again immediately).
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        churn(&mut s, key);
         assert_eq!(s.churny_keys(), 1);
 
-        // Two quiet windows: 2 >> 2 == 0, the key is dropped from the score map.
-        clock.set(Timestamp(110 * MS));
+        // Two quiet windows in one tick: 3 >> 2 == 0, the key is dropped from the map.
+        clock.set(Timestamp(50 * MS));
         s.tick();
         assert_eq!(s.churny_keys(), 0);
 
-        replicate(&mut s, key, "r3", 105 * MS);
+        replicate(&mut s, key, "r4", 45 * MS);
+        replicate(&mut s, key, "r5", 46 * MS);
         assert_eq!(
             s.churny_keys(),
             0,
             "scoring restarted from zero, not from 1"
         );
-        replicate(&mut s, key, "r4", 106 * MS);
+        replicate(&mut s, key, "r6", 47 * MS);
         assert_eq!(
             s.churny_keys(),
             1,
-            "two fresh updates cross the threshold again"
+            "three fresh updates cross the threshold again"
         );
     }
 
@@ -551,12 +557,11 @@ mod tests {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        churn(&mut s, key);
         assert_eq!(s.churny_keys(), 1);
 
-        // 50ms window * 40 elapsed windows = 2s gap.
-        clock.set(Timestamp(2_010 * MS));
+        // 20 ms window * 40 elapsed windows = 800 ms gap.
+        clock.set(Timestamp(810 * MS));
         s.tick();
         assert_eq!(s.churny_keys(), 0, "a long gap clears every score");
         let outputs = s.handle_client_request(
@@ -578,20 +583,20 @@ mod tests {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = server(&clock);
         let key = key_in(0, 1);
-        replicate(&mut s, key, "r1", 8 * MS);
-        replicate(&mut s, key, "r2", 9 * MS);
+        churn(&mut s, key);
 
         // Heartbeats from both remote replicas + a tick advance this server's VV; a
-        // single-partition DC computes the GSS from its own vector.
+        // single-partition DC computes the GSS from its own vector. The tick stays inside
+        // the first churn window, so the key is still churny.
         for r in [1u16, 2] {
             s.handle_server_message(
                 ServerId::new(r, 0u32),
                 ServerMessage::Heartbeat {
-                    clock: Timestamp(30 * MS),
+                    clock: Timestamp(15 * MS),
                 },
             );
         }
-        clock.set(Timestamp(31 * MS));
+        clock.set(Timestamp(16 * MS));
         s.tick();
 
         let outputs = s.handle_client_request(
@@ -604,7 +609,7 @@ mod tests {
         expect_reply!(
             extract_reply(&outputs, ClientId(1)),
             Some(ClientReply::Get(resp)) => {
-                assert_eq!(resp.value.unwrap().as_slice(), b"r2", "now stable, so visible");
+                assert_eq!(resp.value.unwrap().as_slice(), b"r3", "now stable, so visible");
             }
         );
         assert_eq!(s.metrics().stable_fallback_gets, 1);

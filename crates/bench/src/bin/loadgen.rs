@@ -91,13 +91,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--protocol" => {
                 let name = it.next().ok_or("--protocol needs a name")?;
-                args.options.protocol = loadgen::parse_protocol(&name).ok_or_else(|| {
-                    eprintln!("registered protocols:");
-                    for p in loadgen::protocol_names() {
-                        eprintln!("  {p}");
-                    }
-                    format!("unknown protocol {name:?}")
-                })?;
+                args.options.protocol = name.parse()?;
             }
             "--scale" => {
                 let name = it.next().ok_or("--scale needs a value")?;
@@ -160,7 +154,7 @@ fn main() -> ExitCode {
         "=== {} — {} transport, {} protocol, {}x{} deployment, {} lane(s) per server",
         o.scenario.name,
         o.transport.name(),
-        loadgen::protocol_label(o.protocol),
+        o.protocol,
         o.replicas,
         o.partitions,
         o.lanes,

@@ -19,8 +19,7 @@ use std::fmt::Write as _;
 /// adding, renaming or removing a field — bumps the version; consumers comparing across
 /// versions must regenerate the older report. v2 added
 /// `staleness.stable_fallback_gets` (the Adaptive protocol's fall-back counter); v3
-/// added `store.live_bytes` (approximate bytes of retained version data, the signal
-/// pressure-adaptive GC keys off); v4 added the `contention` block (lane fast-path
+/// added `store.live_bytes` (approximate bytes of retained version data); v4 added the `contention` block (lane fast-path
 /// hit/miss counts, spine-mutex acquisitions and pipeline-drain spins of the threaded
 /// runtime — all zero for simulated scenarios).
 pub const SCHEMA_VERSION: u64 = 4;

@@ -134,28 +134,28 @@ impl Scale {
     }
 }
 
-/// The deployment used by the scenarios at the given scale and partition count:
-/// 3 data centers with AWS-like latencies, the paper's protocol timers, and a per-request
-/// CPU service time chosen so that the scaled-down deployment saturates within the client
-/// counts the sweeps use (the full scale uses a faster per-op cost, matching the larger
-/// fleet).
-pub fn deployment(scale: Scale, partitions: usize) -> pocc_types::Config {
+/// The deployment used by the scenarios at the given partition count: 3 data centers
+/// with AWS-like latencies and the paper's protocol timers.
+pub fn deployment(partitions: usize) -> pocc_types::Config {
     pocc_types::Config::builder()
         .num_replicas(3)
         .num_partitions(partitions)
-        .op_service_time(match scale {
-            Scale::Smoke | Scale::Quick => Duration::from_micros(100),
-            Scale::Full => Duration::from_micros(40),
-        })
         .build()
         .expect("benchmark deployment is valid")
 }
 
-/// One point of a sweep: a fully-specified simulation configuration.
+/// One point of a sweep: a fully-specified simulation configuration. The per-request CPU
+/// service time is chosen so that the scaled-down deployment saturates within the client
+/// counts the sweeps use (the full scale uses a faster per-op cost, matching the larger
+/// fleet).
 pub fn point(scale: Scale, protocol: ProtocolKind) -> SimConfigBuilder {
     SimConfig::builder()
         .protocol(protocol)
-        .deployment(deployment(scale, scale.max_partitions()))
+        .deployment(deployment(scale.max_partitions()))
+        .op_service_time(match scale {
+            Scale::Smoke | Scale::Quick => Duration::from_micros(100),
+            Scale::Full => Duration::from_micros(40),
+        })
         .keys_per_partition(scale.keys_per_partition())
         .zipf_theta(0.99)
         .think_time(scale.think_time())

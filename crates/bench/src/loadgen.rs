@@ -91,32 +91,6 @@ pub fn find_scenario(name: &str) -> Option<&'static LoadScenario> {
         .find(|s| s.name == name || s.name.strip_prefix("loadgen_") == Some(name))
 }
 
-/// Parses a runtime protocol name for `--protocol`.
-pub fn parse_protocol(name: &str) -> Option<ProtocolKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "pocc" => Some(ProtocolKind::Pocc),
-        "cure" => Some(ProtocolKind::Cure),
-        "hapocc" | "ha-pocc" | "ha_pocc" => Some(ProtocolKind::HaPocc),
-        "adaptive" => Some(ProtocolKind::Adaptive),
-        _ => None,
-    }
-}
-
-/// The registered protocol names, for error messages.
-pub fn protocol_names() -> &'static [&'static str] {
-    &["pocc", "cure", "hapocc", "adaptive"]
-}
-
-/// The `--protocol` name of `protocol`, as it appears in labels and log lines.
-pub fn protocol_label(protocol: ProtocolKind) -> &'static str {
-    match protocol {
-        ProtocolKind::Pocc => "pocc",
-        ProtocolKind::Cure => "cure",
-        ProtocolKind::HaPocc => "hapocc",
-        ProtocolKind::Adaptive => "adaptive",
-    }
-}
-
 // ---------------------------------------------------------------------------------------
 // Options
 // ---------------------------------------------------------------------------------------
@@ -441,6 +415,7 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
     let deployment = Config::builder()
         .num_replicas(options.replicas)
         .num_partitions(options.partitions)
+        .worker_lanes(options.lanes)
         .latency(LatencyMatrix::uniform(
             options.replicas,
             Duration::from_micros(100),
@@ -453,7 +428,6 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
         .config(deployment.clone())
         .protocol(options.protocol)
         .transport(options.transport)
-        .worker_lanes(options.lanes)
         .start();
 
     let snapshot_reads = options.protocol.snapshot_reads();
@@ -644,7 +618,7 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
 
     let label = format!(
         "{}-{}-{}x{}",
-        protocol_label(options.protocol),
+        options.protocol,
         options.transport.name(),
         options.replicas,
         options.partitions,
@@ -740,7 +714,5 @@ mod tests {
         assert!(find_scenario("steady").is_some());
         assert!(find_scenario("loadgen_burst").is_some());
         assert!(find_scenario("nope").is_none());
-        assert_eq!(parse_protocol("HaPocc"), Some(ProtocolKind::HaPocc));
-        assert_eq!(parse_protocol("nope"), None);
     }
 }

@@ -19,9 +19,9 @@
 use crate::json::{Json, SCHEMA_VERSION};
 use crate::{deployment, get_put, point, tx_put, Scale};
 use pocc_sim::{
-    ChaosGen, ChaosSchedule, ChaosStep, FaultEvent, ProtocolKind, SimConfig, SimReport, Simulation,
+    ChaosGen, ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, SimReport, Simulation,
 };
-use pocc_types::ReplicaId;
+use pocc_types::{Config, ReplicaId};
 use pocc_workload::WorkloadMix;
 use std::time::Duration;
 
@@ -570,7 +570,7 @@ fn fig1a(scale: Scale) -> Vec<ScenarioPoint> {
                 label: label(protocol, "partitions", p),
                 x: p as f64,
                 config: point(scale, protocol)
-                    .deployment(deployment(scale, p))
+                    .deployment(deployment(p))
                     .clients_per_partition(clients)
                     .mix(get_put(p))
                     .build(),
@@ -742,7 +742,10 @@ fn ablation_stabilization(scale: Scale) -> Vec<ScenarioPoint> {
             label: label(ProtocolKind::Cure, "stab_ms", stab_ms),
             x: stab_ms as f64,
             config: point(scale, ProtocolKind::Cure)
-                .stabilization_interval(Duration::from_millis(stab_ms))
+                .deployment(Config {
+                    stabilization_interval: Duration::from_millis(stab_ms),
+                    ..deployment(p)
+                })
                 .clients_per_partition(clients)
                 .mix(get_put(p))
                 .build(),
@@ -763,7 +766,10 @@ fn ablation_heartbeat(scale: Scale) -> Vec<ScenarioPoint> {
             label: label(ProtocolKind::Pocc, "hb_us", hb_us),
             x: hb_us as f64 / 1_000.0,
             config: point(scale, ProtocolKind::Pocc)
-                .heartbeat_interval(Duration::from_micros(hb_us))
+                .deployment(Config {
+                    heartbeat_interval: Duration::from_micros(hb_us),
+                    ..deployment(p)
+                })
                 .clients_per_partition(clients)
                 .mix(get_put(p))
                 .build(),
@@ -812,10 +818,13 @@ fn ablation_sharding(scale: Scale) -> Vec<ScenarioPoint> {
                 label: format!("POCC/shards={shards}/batching={batching}"),
                 x: shards as f64,
                 config: point(scale, ProtocolKind::Pocc)
+                    .deployment(Config {
+                        storage_shards: shards,
+                        replication_batching: batching,
+                        ..deployment(scale.max_partitions())
+                    })
                     .clients_per_partition(clients)
                     .mix(get_put(2))
-                    .storage_shards(shards)
-                    .replication_batching(batching)
                     .build(),
             });
         }
@@ -987,12 +996,12 @@ fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
                 .drain(scale.drain() + Duration::from_millis(300));
             if dur_ms > 0 {
                 builder = builder
-                    .fault(FaultEvent::Partition {
+                    .chaos_step(ChaosStep::Partition {
                         at: partition_at,
                         a: ReplicaId(0),
                         b: ReplicaId(1),
                     })
-                    .fault(FaultEvent::Heal {
+                    .chaos_step(ChaosStep::Heal {
                         at: partition_at + Duration::from_millis(dur_ms),
                         a: ReplicaId(0),
                         b: ReplicaId(1),
@@ -1114,10 +1123,13 @@ fn baseline(scale: Scale) -> Vec<ScenarioPoint> {
             // partition store, no replication batching (as before the sharding PR),
             // and the balanced default mix.
             config: point(scale, protocol)
+                .deployment(Config {
+                    storage_shards: 1,
+                    replication_batching: false,
+                    ..deployment(scale.max_partitions())
+                })
                 .clients_per_partition(clients)
                 .mix(WorkloadMix::balanced())
-                .storage_shards(1)
-                .replication_batching(false)
                 .build(),
         })
         .collect()
@@ -1232,12 +1244,11 @@ mod tests {
         for scale in [Scale::Smoke, Scale::Quick] {
             for point in partition_heal(scale) {
                 let total = point.config.total_time();
-                for fault in &point.config.faults {
-                    let at = match fault {
-                        FaultEvent::Partition { at, .. } | FaultEvent::Heal { at, .. } => *at,
-                    };
-                    assert!(at < total, "fault at {at:?} beyond run end {total:?}");
-                }
+                assert!(
+                    point.config.chaos.ends_by(total),
+                    "{}: partition not healed by run end {total:?}",
+                    point.label
+                );
             }
         }
     }

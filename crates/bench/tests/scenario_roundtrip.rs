@@ -69,7 +69,7 @@ fn partition_heal_scenario_reports_fault_effects() {
     assert!(report.points.len() >= 2);
     let control = &report.points[0];
     let faulted = report.points.last().unwrap();
-    assert_eq!(control.config.faults.len(), 0);
-    assert!(!faulted.config.faults.is_empty());
+    assert!(control.config.chaos.is_empty());
+    assert!(!faulted.config.chaos.is_empty());
     assert!(faulted.report.operations_completed > 0);
 }

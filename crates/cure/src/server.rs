@@ -105,11 +105,8 @@ impl<C: Clock> VisibilityPolicy<C> for CurePolicy {
         }
 
         // Garbage collection from the GSS: every version below the snapshot any future
-        // transaction could use is collectable except the newest such version. Also
-        // triggered early when a store shard exceeds the configured pressure bounds.
-        if now.saturating_since(core.last_gc) >= core.config.gc_interval
-            || core.gc_pressure_due(now)
-        {
+        // transaction could use is collectable except the newest such version.
+        if now.saturating_since(core.last_gc) >= core.config.gc_interval {
             core.last_gc = now;
             core.gc_from_gss();
         }

@@ -825,24 +825,6 @@ impl<C: Clock> EngineCore<C> {
         }
     }
 
-    /// Whether pressure-adaptive GC should fire *now*, before the next `gc_interval`
-    /// boundary: the feature is on, some store shard exceeds the configured chain-length
-    /// or live-bytes bound, and at least `gc_pressure_backoff` has passed since the last
-    /// GC round (so a shard pinned above the bounds by not-yet-stable versions does not
-    /// trigger a collection on every server tick).
-    ///
-    /// Callers use this as an *additional* trigger for their existing GC path —
-    /// `interval elapsed || gc_pressure_due(now)` — so a pressure-triggered round also
-    /// resets `last_gc` and the interval timer.
-    pub fn gc_pressure_due(&self, now: Timestamp) -> bool {
-        self.config.gc_pressure
-            && now.saturating_since(self.last_gc) >= self.config.gc_pressure_backoff
-            && self.store.pressure_exceeded(
-                self.config.gc_pressure_max_chain_len,
-                self.config.gc_pressure_max_live_bytes,
-            )
-    }
-
     /// Collects garbage directly from the GSS: every version below the snapshot any
     /// future transaction could use is collectable except the newest such version
     /// (Cure\*'s GC, which needs no extra message exchange).

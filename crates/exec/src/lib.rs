@@ -91,6 +91,25 @@ impl std::fmt::Display for ProtocolKind {
     }
 }
 
+/// Parses a protocol name, case-insensitively: the [`Display`](std::fmt::Display) name or
+/// one of the command-line aliases `pocc`, `cure`, `hapocc` / `ha-pocc` / `ha_pocc` / `ha`
+/// and `adaptive`.
+impl std::str::FromStr for ProtocolKind {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        match name.to_ascii_lowercase().as_str() {
+            "pocc" => Ok(ProtocolKind::Pocc),
+            "cure*" | "cure" => Ok(ProtocolKind::Cure),
+            "ha-pocc" | "hapocc" | "ha_pocc" | "ha" => Ok(ProtocolKind::HaPocc),
+            "adaptive" => Ok(ProtocolKind::Adaptive),
+            _ => Err(format!(
+                "unknown protocol {name:?} (expected pocc, cure, hapocc or adaptive)"
+            )),
+        }
+    }
+}
+
 impl ProtocolKind {
     /// Every protocol, in presentation order.
     pub const ALL: [ProtocolKind; 4] = [
@@ -202,6 +221,29 @@ mod tests {
     fn protocol_kind_display() {
         let names: Vec<String> = ProtocolKind::ALL.iter().map(|p| p.to_string()).collect();
         assert_eq!(names, ["POCC", "Cure*", "HA-POCC", "Adaptive"]);
+    }
+
+    #[test]
+    fn protocol_kind_parses_its_display_name_and_every_alias() {
+        for protocol in ProtocolKind::ALL {
+            assert_eq!(protocol.to_string().parse(), Ok(protocol));
+        }
+        let aliases = [
+            ("pocc", ProtocolKind::Pocc),
+            ("cure", ProtocolKind::Cure),
+            ("CURE*", ProtocolKind::Cure),
+            ("hapocc", ProtocolKind::HaPocc),
+            ("ha-pocc", ProtocolKind::HaPocc),
+            ("ha_pocc", ProtocolKind::HaPocc),
+            ("ha", ProtocolKind::HaPocc),
+            ("HaPocc", ProtocolKind::HaPocc),
+            ("adaptive", ProtocolKind::Adaptive),
+        ];
+        for (name, protocol) in aliases {
+            assert_eq!(name.parse(), Ok(protocol), "{name}");
+        }
+        assert!("nope".parse::<ProtocolKind>().is_err());
+        assert!("all".parse::<ProtocolKind>().is_err());
     }
 
     /// `server` (concrete policy, serial) and `policy` (boxed, behind a one-lane

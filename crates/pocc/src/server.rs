@@ -84,11 +84,8 @@ impl<C: Clock> VisibilityPolicy<C> for PoccPolicy {
         now: Timestamp,
         outputs: &mut Vec<ServerOutput>,
     ) {
-        // Garbage collection exchange (§IV-B), also triggered early when a store shard
-        // exceeds the configured pressure bounds (`Config::gc_pressure`).
-        if now.saturating_since(core.last_gc) >= core.config.gc_interval
-            || core.gc_pressure_due(now)
-        {
+        // Garbage collection exchange (§IV-B).
+        if now.saturating_since(core.last_gc) >= core.config.gc_interval {
             core.last_gc = now;
             core.gc_exchange_round(outputs);
         }
@@ -895,76 +892,6 @@ mod tests {
         // Only the newest version survives (it is the first one covered by the GC vector).
         assert_eq!(s.store().stats().versions, 1);
         assert!(s.metrics().gc_versions_removed >= 4);
-    }
-
-    #[test]
-    fn storage_pressure_triggers_gc_before_the_interval() {
-        let build = |pressure: bool| {
-            Config::builder()
-                .num_replicas(1)
-                .num_partitions(1)
-                .gc_interval(Duration::from_secs(10))
-                .gc_pressure(pressure)
-                .gc_pressure_max_chain_len(4)
-                .gc_pressure_backoff(Duration::from_millis(1))
-                .build()
-                .unwrap()
-        };
-        let fill = |s: &mut PoccServer<ManualClock>, clock: &ManualClock, key: Key| {
-            for i in 1..=6u64 {
-                clock.set(Timestamp((10 + i) * MS));
-                s.handle_client_request(
-                    ClientId(1),
-                    ClientRequest::Put {
-                        key,
-                        value: Value::from(i),
-                        dv: dv(&[(10 + i - 1) * MS]),
-                    },
-                );
-            }
-        };
-        let key = key_in(0, 1);
-
-        // Interval-only GC: the chain keeps growing until the (distant) interval boundary.
-        let clock = ManualClock::new(Timestamp(10 * MS));
-        let mut baseline = server(0, 0, &build(false), &clock);
-        fill(&mut baseline, &clock, key);
-        clock.set(Timestamp(20 * MS));
-        baseline.tick();
-        assert_eq!(baseline.store().stats().versions, 6);
-
-        // Pressure-adaptive GC: the 6-version chain exceeds the bound of 4, so the same
-        // early tick runs a full exchange-and-collect round (the single-partition
-        // deployment completes it locally) and trims the chain to the newest version.
-        let clock = ManualClock::new(Timestamp(10 * MS));
-        let mut adaptive = server(0, 0, &build(true), &clock);
-        fill(&mut adaptive, &clock, key);
-        clock.set(Timestamp(20 * MS));
-        adaptive.tick();
-        assert_eq!(adaptive.store().stats().versions, 1);
-        assert_eq!(adaptive.metrics().gc_versions_removed, 5);
-
-        // The backoff throttles the next pressure-triggered round: re-exceed the bound,
-        // and a tick half a backoff later leaves the chain alone...
-        for i in 1..=6u64 {
-            clock.set(Timestamp(20 * MS + i));
-            adaptive.handle_client_request(
-                ClientId(1),
-                ClientRequest::Put {
-                    key,
-                    value: Value::from(i),
-                    dv: dv(&[20 * MS + i - 1]),
-                },
-            );
-        }
-        clock.set(Timestamp(20 * MS + 500));
-        adaptive.tick();
-        assert_eq!(adaptive.store().stats().versions, 7);
-
-        // ...while a tick past the backoff collects again.
-        clock.set(Timestamp(22 * MS));
-        adaptive.tick();
-        assert_eq!(adaptive.store().stats().versions, 1);
     }
 
     #[test]

@@ -282,7 +282,7 @@ pub trait ProtocolServer: Send {
 
     /// Returns and resets the number of *extra work units* performed since the last call:
     /// version-chain elements traversed beyond the head and vector merges performed by
-    /// stabilization rounds. The simulator charges `Config::chain_traversal_cost` of CPU
+    /// stabilization rounds. The simulator charges a fixed chain-traversal cost of CPU
     /// time per unit, which is how the resource-efficiency difference between POCC and
     /// Cure\* (§V-B "Summary of the results") shows up in the reproduced figures.
     fn take_extra_work(&mut self) -> u64 {

@@ -44,10 +44,10 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Setting `worker_lanes` to more than 1 (via [`ClusterBuilder::worker_lanes`] or the
-//! configuration) switches every server from a single-threaded state machine to the
-//! shard-parallel execution runtime of `pocc-exec`, where client operations are key-hash
-//! routed to worker-lane threads and writes are pipelined.
+//! Setting `Config::worker_lanes` to more than 1 switches every server from a
+//! single-threaded state machine to the shard-parallel execution runtime of `pocc-exec`,
+//! where client operations are key-hash routed to worker-lane threads and writes are
+//! pipelined.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -61,15 +61,11 @@ fn parse_args() -> Args {
             }
             "--protocol" => {
                 args.protocols = match value("--protocol").as_str() {
-                    "pocc" => vec![ProtocolKind::Pocc],
-                    "cure" => vec![ProtocolKind::Cure],
-                    "ha" => vec![ProtocolKind::HaPocc],
-                    "adaptive" => vec![ProtocolKind::Adaptive],
                     "all" => ProtocolKind::ALL.to_vec(),
-                    other => {
-                        eprintln!("unknown protocol {other:?}");
+                    name => vec![name.parse().unwrap_or_else(|err| {
+                        eprintln!("{err}");
                         usage()
-                    }
+                    })],
                 };
             }
             "--no-chaos" => args.chaos = false,

@@ -2,38 +2,20 @@
 
 use crate::chaos::{ChaosSchedule, ChaosStep};
 use pocc_exec::ProtocolKind;
-use pocc_types::{Config, ReplicaId};
+use pocc_types::Config;
 use pocc_workload::WorkloadMix;
 use std::time::Duration;
-
-/// A scheduled network fault.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultEvent {
-    /// Partition the links between two data centers at the given simulation time.
-    Partition {
-        /// When the partition starts.
-        at: Duration,
-        /// One side of the partition.
-        a: ReplicaId,
-        /// The other side.
-        b: ReplicaId,
-    },
-    /// Heal a previously injected partition.
-    Heal {
-        /// When the partition heals.
-        at: Duration,
-        /// One side of the partition.
-        a: ReplicaId,
-        /// The other side.
-        b: ReplicaId,
-    },
-}
 
 /// Full configuration of one simulation run.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// The deployment (data centers, partitions, timers, latencies, service times).
+    /// The deployment (data centers, partitions, timers, latencies).
     pub deployment: Config,
+    /// Maximum absolute physical-clock offset of any server from true time, modelling NTP
+    /// synchronisation error.
+    pub max_clock_skew: Duration,
+    /// CPU time a server spends handling a GET or PUT request (or a transaction slice).
+    pub op_service_time: Duration,
     /// Which protocol the servers run.
     pub protocol: ProtocolKind,
     /// Closed-loop clients attached to every (data center, partition) pair.
@@ -62,10 +44,8 @@ pub struct SimConfig {
     /// Whether to run the exact causal-consistency checker (expensive; intended for the
     /// small configurations used by tests).
     pub check_consistency: bool,
-    /// Scheduled partitions and heals.
-    pub faults: Vec<FaultEvent>,
-    /// Scripted chaos: lag spikes, drop/duplication windows, restarts and further
-    /// partitions, all at fixed points in simulated time.
+    /// Scripted faults: partitions and heals, lag spikes, drop/duplication windows and
+    /// restarts, all at fixed points in simulated time.
     pub chaos: ChaosSchedule,
 }
 
@@ -92,11 +72,8 @@ pub struct SimConfigBuilder {
     deployment: Option<Config>,
     partitions: usize,
     replicas: usize,
-    storage_shards: Option<usize>,
-    replication_batching: Option<bool>,
-    stabilization_interval: Option<Duration>,
-    heartbeat_interval: Option<Duration>,
-    max_clock_skew: Option<Duration>,
+    max_clock_skew: Duration,
+    op_service_time: Duration,
     protocol: ProtocolKind,
     clients_per_partition: usize,
     mix: WorkloadMix,
@@ -110,7 +87,6 @@ pub struct SimConfigBuilder {
     network_jitter: f64,
     seed: u64,
     check_consistency: bool,
-    faults: Vec<FaultEvent>,
     chaos: ChaosSchedule,
 }
 
@@ -120,11 +96,8 @@ impl Default for SimConfigBuilder {
             deployment: None,
             partitions: 8,
             replicas: 3,
-            storage_shards: None,
-            replication_batching: None,
-            stabilization_interval: None,
-            heartbeat_interval: None,
-            max_clock_skew: None,
+            max_clock_skew: Duration::from_micros(500),
+            op_service_time: Duration::from_micros(40),
             protocol: ProtocolKind::Pocc,
             clients_per_partition: 4,
             mix: WorkloadMix::balanced(),
@@ -138,7 +111,6 @@ impl Default for SimConfigBuilder {
             network_jitter: 0.05,
             seed: 1,
             check_consistency: false,
-            faults: Vec::new(),
             chaos: ChaosSchedule::new(),
         }
     }
@@ -163,38 +135,15 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Number of key-hashed shards per partition store (overrides the deployment's
-    /// `storage_shards`, including an explicitly supplied deployment).
-    pub fn storage_shards(mut self, n: usize) -> Self {
-        self.storage_shards = Some(n);
-        self
-    }
-
-    /// Enables or disables per-destination replication/GC batching (overrides the
-    /// deployment's `replication_batching`).
-    pub fn replication_batching(mut self, yes: bool) -> Self {
-        self.replication_batching = Some(yes);
-        self
-    }
-
-    /// Overrides the deployment's stabilization interval (Cure\*'s GSS exchange timer),
-    /// including an explicitly supplied deployment.
-    pub fn stabilization_interval(mut self, d: Duration) -> Self {
-        self.stabilization_interval = Some(d);
-        self
-    }
-
-    /// Overrides the deployment's heartbeat interval `∆`, including an explicitly
-    /// supplied deployment.
-    pub fn heartbeat_interval(mut self, d: Duration) -> Self {
-        self.heartbeat_interval = Some(d);
-        self
-    }
-
-    /// Overrides the deployment's maximum absolute clock skew, including an explicitly
-    /// supplied deployment.
+    /// Maximum absolute clock offset of any server from true time.
     pub fn max_clock_skew(mut self, d: Duration) -> Self {
-        self.max_clock_skew = Some(d);
+        self.max_clock_skew = d;
+        self
+    }
+
+    /// CPU service time of a GET, PUT or transaction slice.
+    pub fn op_service_time(mut self, d: Duration) -> Self {
+        self.op_service_time = d;
         self
     }
 
@@ -277,12 +226,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Adds a scheduled fault.
-    pub fn fault(mut self, fault: FaultEvent) -> Self {
-        self.faults.push(fault);
-        self
-    }
-
     /// Installs a full chaos schedule (replaces any previously added steps).
     pub fn chaos(mut self, schedule: ChaosSchedule) -> Self {
         self.chaos = schedule;
@@ -297,31 +240,17 @@ impl SimConfigBuilder {
 
     /// Builds the configuration.
     pub fn build(self) -> SimConfig {
-        let mut deployment = self.deployment.unwrap_or_else(|| {
+        let deployment = self.deployment.unwrap_or_else(|| {
             Config::builder()
                 .num_replicas(self.replicas)
                 .num_partitions(self.partitions)
                 .build()
                 .expect("simulation deployment config is valid")
         });
-        if let Some(shards) = self.storage_shards {
-            assert!(shards > 0, "storage_shards must be at least 1");
-            deployment.storage_shards = shards;
-        }
-        if let Some(batching) = self.replication_batching {
-            deployment.replication_batching = batching;
-        }
-        if let Some(stab) = self.stabilization_interval {
-            deployment.stabilization_interval = stab;
-        }
-        if let Some(hb) = self.heartbeat_interval {
-            deployment.heartbeat_interval = hb;
-        }
-        if let Some(skew) = self.max_clock_skew {
-            deployment.max_clock_skew = skew;
-        }
         SimConfig {
             deployment,
+            max_clock_skew: self.max_clock_skew,
+            op_service_time: self.op_service_time,
             protocol: self.protocol,
             clients_per_partition: self.clients_per_partition,
             mix: self.mix,
@@ -335,7 +264,6 @@ impl SimConfigBuilder {
             network_jitter: self.network_jitter,
             seed: self.seed,
             check_consistency: self.check_consistency,
-            faults: self.faults,
             chaos: self.chaos,
         }
     }
@@ -344,6 +272,7 @@ impl SimConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pocc_types::ReplicaId;
 
     #[test]
     fn builder_defaults_are_reasonable() {
@@ -368,17 +297,15 @@ mod tests {
             .keys_per_partition(50)
             .seed(9)
             .check_consistency(true)
-            .fault(FaultEvent::Partition {
-                at: Duration::from_millis(10),
-                a: ReplicaId(0),
-                b: ReplicaId(1),
-            })
+            .max_clock_skew(Duration::from_millis(2))
+            .op_service_time(Duration::from_micros(100))
             .build();
         assert_eq!(cfg.deployment.num_partitions, 2);
         assert_eq!(cfg.protocol, ProtocolKind::Cure);
         assert_eq!(cfg.total_clients(), 4);
         assert!(cfg.check_consistency);
-        assert_eq!(cfg.faults.len(), 1);
+        assert_eq!(cfg.max_clock_skew, Duration::from_millis(2));
+        assert_eq!(cfg.op_service_time, Duration::from_micros(100));
     }
 
     #[test]
@@ -393,52 +320,6 @@ mod tests {
             .deployment(deployment)
             .build();
         assert_eq!(cfg.deployment.num_partitions, 5);
-    }
-
-    #[test]
-    fn shard_and_batching_overrides_reach_the_deployment() {
-        let cfg = SimConfig::builder()
-            .storage_shards(4)
-            .replication_batching(true)
-            .build();
-        assert_eq!(cfg.deployment.storage_shards, 4);
-        assert!(cfg.deployment.replication_batching);
-
-        // Overrides also apply on top of an explicit deployment.
-        let deployment = Config::builder().num_replicas(2).build().unwrap();
-        let cfg = SimConfig::builder()
-            .deployment(deployment)
-            .storage_shards(2)
-            .replication_batching(true)
-            .build();
-        assert_eq!(cfg.deployment.storage_shards, 2);
-        assert!(cfg.deployment.replication_batching);
-    }
-
-    #[test]
-    fn timer_overrides_reach_the_deployment() {
-        let cfg = SimConfig::builder()
-            .stabilization_interval(Duration::from_millis(50))
-            .heartbeat_interval(Duration::from_micros(750))
-            .max_clock_skew(Duration::from_millis(2))
-            .build();
-        assert_eq!(
-            cfg.deployment.stabilization_interval,
-            Duration::from_millis(50)
-        );
-        assert_eq!(
-            cfg.deployment.heartbeat_interval,
-            Duration::from_micros(750)
-        );
-        assert_eq!(cfg.deployment.max_clock_skew, Duration::from_millis(2));
-
-        // Overrides also apply on top of an explicit deployment.
-        let deployment = Config::builder().num_replicas(2).build().unwrap();
-        let cfg = SimConfig::builder()
-            .deployment(deployment)
-            .max_clock_skew(Duration::from_millis(1))
-            .build();
-        assert_eq!(cfg.deployment.max_clock_skew, Duration::from_millis(1));
     }
 
     #[test]

@@ -45,7 +45,7 @@ mod report;
 mod simulation;
 
 pub use chaos::{ChaosAction, ChaosGen, ChaosSchedule, ChaosStep};
-pub use config::{FaultEvent, SimConfig, SimConfigBuilder};
+pub use config::{SimConfig, SimConfigBuilder};
 pub use consistency::ConsistencyChecker;
 pub use event::Event;
 pub use metrics::LatencyStats;

@@ -1,7 +1,7 @@
 //! The simulation engine: builds a deployment and runs the event loop.
 
 use crate::chaos::{ChaosAction, ChaosStep};
-use crate::config::{FaultEvent, SimConfig};
+use crate::config::SimConfig;
 use crate::consistency::ConsistencyChecker;
 use crate::event::{Event, EventQueue};
 use crate::metrics::LatencyStats;
@@ -19,6 +19,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::time::Duration;
+
+/// CPU time a server spends handling one replicated update, heartbeat, other server
+/// message, or tick.
+const REPLICATION_SERVICE_TIME: Duration = Duration::from_micros(10);
+
+/// Extra CPU time per version-chain element traversed when searching for a visible
+/// version (Cure\* pays this; POCC GETs do not traverse the chain).
+const CHAIN_TRAVERSAL_COST: Duration = Duration::from_micros(2);
 
 /// Which kind of client operation is in flight, for latency classification.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -92,11 +100,11 @@ impl Simulation {
     pub fn new(cfg: SimConfig) -> Self {
         let deployment = cfg.deployment.clone();
         let mut factory = ClockFactory::new(
-            if deployment.max_clock_skew.is_zero() {
+            if cfg.max_clock_skew.is_zero() {
                 SkewModel::None
             } else {
                 SkewModel::UniformOffset {
-                    max: deployment.max_clock_skew,
+                    max: cfg.max_clock_skew,
                 }
             },
             cfg.seed ^ 0xC10C,
@@ -207,19 +215,6 @@ impl Simulation {
                 Event::ServerTick { server: id },
             );
         }
-        let faults = self.cfg.faults.clone();
-        for fault in faults {
-            match fault {
-                FaultEvent::Partition { at, a, b } => {
-                    self.queue
-                        .push(Timestamp::from(at), Event::InjectPartition { a, b });
-                }
-                FaultEvent::Heal { at, a, b } => {
-                    self.queue
-                        .push(Timestamp::from(at), Event::HealPartition { a, b });
-                }
-            }
-        }
         let chaos = self.cfg.chaos.clone();
         for step in chaos.steps {
             self.schedule_chaos_step(step);
@@ -227,7 +222,7 @@ impl Simulation {
     }
 
     /// Lowers one declarative chaos step into queue events: partitions and heals map to
-    /// the existing fault events, windows become a begin/end action pair, restarts a
+    /// the network's partition events, windows become a begin/end action pair, restarts a
     /// single action.
     fn schedule_chaos_step(&mut self, step: ChaosStep) {
         match step {
@@ -508,21 +503,18 @@ impl Simulation {
     // -----------------------------------------------------------------------------------
 
     fn service_time(&self, work: &Work) -> Duration {
-        let d = &self.cfg.deployment;
         match work {
-            Work::Client { .. } => d.op_service_time,
-            Work::Message { message, .. } => match message {
-                ServerMessage::SliceRequest { .. } => d.op_service_time,
-                ServerMessage::SliceResponse { .. } => d.replication_service_time,
-                _ => d.replication_service_time,
-            },
-            Work::Tick => d.replication_service_time,
+            Work::Client { .. }
+            | Work::Message {
+                message: ServerMessage::SliceRequest { .. },
+                ..
+            } => self.cfg.op_service_time,
+            Work::Message { .. } | Work::Tick => REPLICATION_SERVICE_TIME,
         }
     }
 
     fn process_at_server(&mut self, server: ServerId, arrival: Timestamp, work: Work) {
         let service = self.service_time(&work);
-        let chain_cost = self.cfg.deployment.chain_traversal_cost;
         let busy_until = self
             .servers
             .get(&server)
@@ -549,7 +541,7 @@ impl Simulation {
             (outputs, entry.server.take_extra_work())
         };
 
-        let completion = nominal_completion + chain_cost * extra_work as u32;
+        let completion = nominal_completion + CHAIN_TRAVERSAL_COST * extra_work as u32;
         self.servers
             .get_mut(&server)
             .expect("server exists")

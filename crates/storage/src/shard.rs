@@ -107,9 +107,6 @@ pub struct StoreShard {
     gc_removed: usize,
     /// Approximate bytes of live version data, maintained incrementally on insert/GC.
     live_bytes: usize,
-    /// Length of the longest chain: bumped on insert, recomputed exactly during GC
-    /// (which walks every chain anyway). Never underestimates between GC passes.
-    longest_chain: usize,
     /// The entry-wise maximum of every GC vector applied to this shard — the shard's
     /// garbage-collection watermark. Versions below it (except chain heads) are gone.
     watermark: Option<DependencyVector>,
@@ -150,7 +147,6 @@ impl StoreShard {
         self.live_bytes += version.wire_size();
         let idx = slab.alloc(version);
         chain.idxs.insert(pos, idx);
-        self.longest_chain = self.longest_chain.max(chain.idxs.len());
     }
 
     /// Iterates the versions of one chain newest-first.
@@ -224,7 +220,6 @@ impl StoreShard {
         let StoreShard { slab, chains, .. } = self;
         let mut removed = 0;
         let mut freed_bytes = 0;
-        let mut longest = 0;
         for chain in chains.values_mut() {
             let keep = chain.idxs.iter().position(|&i| {
                 let v = slab.get(i);
@@ -239,11 +234,9 @@ impl StoreShard {
                     chain.idxs.truncate(idx + 1);
                 }
             }
-            longest = longest.max(chain.idxs.len());
         }
         self.gc_removed += removed;
         self.live_bytes -= freed_bytes;
-        self.longest_chain = longest;
         match &mut self.watermark {
             Some(w) => w.join(gv),
             none => *none = Some(gv.clone()),
@@ -255,19 +248,6 @@ impl StoreShard {
     /// vector applied so far, or `None` if GC has never run on this shard.
     pub fn watermark(&self) -> Option<&DependencyVector> {
         self.watermark.as_ref()
-    }
-
-    /// Approximate bytes of live version data in this shard (wire-size sum), maintained
-    /// incrementally. This is the signal pressure-adaptive GC keys off.
-    pub fn live_bytes(&self) -> usize {
-        self.live_bytes
-    }
-
-    /// Length of the longest chain in this shard. Exact after every GC pass; between
-    /// passes it is an upper-bound watermark bumped on insert (chains only grow between
-    /// GCs, so it is in fact exact whenever it matters for pressure checks).
-    pub fn longest_chain(&self) -> usize {
-        self.longest_chain
     }
 
     /// Statistics of this shard.
@@ -379,11 +359,11 @@ mod tests {
     fn duplicate_inserts_do_not_grow_the_slab_or_live_bytes() {
         let mut shard = StoreShard::new();
         shard.insert(version(1, 10, &[0, 0]));
-        let bytes_after_first = shard.live_bytes();
+        let bytes_after_first = shard.stats().live_bytes;
         assert!(bytes_after_first > 0);
         shard.insert(version(1, 10, &[0, 0]));
         assert_eq!(shard.stats().versions, 1);
-        assert_eq!(shard.live_bytes(), bytes_after_first);
+        assert_eq!(shard.stats().live_bytes, bytes_after_first);
     }
 
     #[test]
@@ -393,12 +373,12 @@ mod tests {
             shard.insert(version(1, i * 10, &[(i - 1) * 10, 0]));
         }
         let slots_before = shard.slab.slots.len();
-        let bytes_before = shard.live_bytes();
+        let bytes_before = shard.stats().live_bytes;
         let removed = shard.collect_garbage(&dv(&[100, 100]));
         assert_eq!(removed, 7);
         assert_eq!(shard.slab.free.len(), 7);
-        assert!(shard.live_bytes() < bytes_before);
-        assert_eq!(shard.longest_chain(), 1);
+        assert!(shard.stats().live_bytes < bytes_before);
+        assert_eq!(shard.stats().max_chain_len, 1);
 
         // Re-inserting reuses the freed slots: the slot array does not grow.
         for i in 9..=15u64 {
@@ -407,18 +387,6 @@ mod tests {
         assert_eq!(shard.slab.slots.len(), slots_before);
         assert_eq!(shard.slab.free.len(), 0);
         assert_eq!(shard.stats().versions, 8);
-    }
-
-    #[test]
-    fn longest_chain_is_bumped_on_insert_and_exact_after_gc() {
-        let mut shard = StoreShard::new();
-        for i in 1..=5u64 {
-            shard.insert(version(1, i * 10, &[(i - 1) * 10, 0]));
-        }
-        shard.insert(version(2, 10, &[0, 0]));
-        assert_eq!(shard.longest_chain(), 5);
-        shard.collect_garbage(&dv(&[100, 100]));
-        assert_eq!(shard.longest_chain(), 1);
     }
 
     #[test]

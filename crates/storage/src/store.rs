@@ -204,18 +204,6 @@ impl ShardedStore {
         }
     }
 
-    /// Whether any shard's retained history exceeds the given pressure bounds: a chain
-    /// longer than `max_chain_len` versions, or more than `max_live_bytes` of live
-    /// version data in one shard. Either signal means GC is overdue for that shard, so
-    /// the check short-circuits on the first offender. Pressure-adaptive GC
-    /// (`Config::gc_pressure`) polls this between interval-driven GC ticks.
-    pub fn pressure_exceeded(&self, max_chain_len: usize, max_live_bytes: usize) -> bool {
-        self.shards.iter().any(|shard| {
-            let shard = shard.read();
-            shard.longest_chain() > max_chain_len || shard.live_bytes() > max_live_bytes
-        })
-    }
-
     /// Runs garbage collection with vector `gv` over every shard (§IV-B), advancing each
     /// shard's watermark. Returns the number of versions removed in this pass.
     pub fn collect_garbage(&self, gv: &DependencyVector) -> usize {

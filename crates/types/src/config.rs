@@ -1,9 +1,12 @@
 //! Deployment configuration.
 //!
-//! [`Config`] gathers every knob of a deployment of the reproduced system: topology
-//! (number of data centers and partitions), protocol timers (heartbeat interval `∆`,
-//! Cure's stabilization interval, garbage-collection interval), network latencies, clock
-//! skew, and the workload-independent server parameters used by the simulator.
+//! [`Config`] holds what a server or the threaded runtime reads: topology (number of data
+//! centers and partitions), protocol timers (heartbeat interval `∆`, Cure's stabilization
+//! interval, garbage-collection interval, partition-detection timeout), network latencies,
+//! the PUT dependency wait, and the storage-sharding, worker-lane and replication-batching
+//! settings. Every field is varied by some scenario, workload or test; simulator-only costs
+//! and clock skew live in `pocc_sim::SimConfig`, and a tuning value nothing sweeps stays a
+//! constant next to its reader.
 //!
 //! The defaults mirror the experimental test-bed of §V-A of the paper: 3 data centers,
 //! 32 partitions per data center, 1 ms heartbeat interval, 5 ms stabilization interval,
@@ -124,18 +127,8 @@ pub struct Config {
     /// How long a POCC server lets a request block before suspecting a network partition
     /// and closing the client session (§III-B, phase 1 of the recovery procedure).
     pub partition_detection_timeout: Duration,
-    /// Maximum absolute physical-clock offset of any server from true time, modelling NTP
-    /// synchronisation error.
-    pub max_clock_skew: Duration,
     /// One-way network latencies.
     pub latency: LatencyMatrix,
-    /// CPU time a server spends handling a GET or PUT request (simulator only).
-    pub op_service_time: Duration,
-    /// Extra CPU time per version-chain element traversed when searching for a visible
-    /// version (Cure\* pays this; POCC GETs do not traverse the chain).
-    pub chain_traversal_cost: Duration,
-    /// CPU time a server spends handling one replicated update or heartbeat.
-    pub replication_service_time: Duration,
     /// Whether the PUT handler waits for the client's full dependency vector before
     /// applying the write (Algorithm 2 line 6). Optional for last-writer-wins but enabled
     /// in the paper's evaluation to model generic convergent conflict handling.
@@ -153,27 +146,6 @@ pub struct Config {
     /// write. Off by default: batching trades up to one heartbeat interval of extra
     /// replication delay for far fewer messages on the inter-DC links.
     pub replication_batching: bool,
-    /// Adaptive protocol only: number of remote updates a key must receive within one
-    /// churn window before its reads fall back to GSS-stable-bounded visibility.
-    pub adaptive_churn_threshold: u32,
-    /// Adaptive protocol only: length of the sliding window over which per-key remote
-    /// churn is counted (scores halve at every window boundary, so classification decays
-    /// once a key cools down).
-    pub adaptive_churn_window: Duration,
-    /// Whether servers run garbage collection *early* — before the next `gc_interval`
-    /// boundary — when a store shard's retained history exceeds the pressure bounds
-    /// below. Off by default: interval-only GC reproduces the paper's §IV-B behaviour;
-    /// pressure-adaptive GC bounds chain length and memory under write skew.
-    pub gc_pressure: bool,
-    /// Pressure bound on the longest version chain of any one store shard; exceeding it
-    /// (with [`Config::gc_pressure`] on) triggers an early GC pass.
-    pub gc_pressure_max_chain_len: usize,
-    /// Pressure bound on the live version bytes retained by any one store shard;
-    /// exceeding it (with [`Config::gc_pressure`] on) triggers an early GC pass.
-    pub gc_pressure_max_live_bytes: usize,
-    /// Minimum spacing between pressure-triggered GC passes, so a shard pinned above the
-    /// bounds by not-yet-stable versions does not collect on every server tick.
-    pub gc_pressure_backoff: Duration,
 }
 
 impl Config {
@@ -266,23 +238,6 @@ impl Config {
                 reason: "stabilization_interval must be positive".into(),
             });
         }
-        if self.adaptive_churn_window.is_zero() {
-            return Err(Error::InvalidConfig {
-                reason: "adaptive_churn_window must be positive".into(),
-            });
-        }
-        if self.gc_pressure {
-            if self.gc_pressure_max_chain_len == 0 {
-                return Err(Error::InvalidConfig {
-                    reason: "gc_pressure_max_chain_len must be at least 1".into(),
-                });
-            }
-            if self.gc_pressure_max_live_bytes == 0 {
-                return Err(Error::InvalidConfig {
-                    reason: "gc_pressure_max_live_bytes must be positive".into(),
-                });
-            }
-        }
         self.latency.validate(self.num_replicas)
     }
 }
@@ -303,21 +258,11 @@ pub struct ConfigBuilder {
     ha_stabilization_interval: Duration,
     gc_interval: Duration,
     partition_detection_timeout: Duration,
-    max_clock_skew: Duration,
     latency: Option<LatencyMatrix>,
-    op_service_time: Duration,
-    chain_traversal_cost: Duration,
-    replication_service_time: Duration,
     put_waits_for_dependencies: bool,
     storage_shards: usize,
     worker_lanes: usize,
     replication_batching: bool,
-    adaptive_churn_threshold: u32,
-    adaptive_churn_window: Duration,
-    gc_pressure: bool,
-    gc_pressure_max_chain_len: usize,
-    gc_pressure_max_live_bytes: usize,
-    gc_pressure_backoff: Duration,
 }
 
 impl Default for ConfigBuilder {
@@ -330,21 +275,11 @@ impl Default for ConfigBuilder {
             ha_stabilization_interval: Duration::from_millis(500),
             gc_interval: Duration::from_millis(100),
             partition_detection_timeout: Duration::from_secs(2),
-            max_clock_skew: Duration::from_micros(500),
             latency: None,
-            op_service_time: Duration::from_micros(40),
-            chain_traversal_cost: Duration::from_micros(2),
-            replication_service_time: Duration::from_micros(10),
             put_waits_for_dependencies: true,
             storage_shards: 8,
             worker_lanes: 1,
             replication_batching: false,
-            adaptive_churn_threshold: 3,
-            adaptive_churn_window: Duration::from_millis(20),
-            gc_pressure: false,
-            gc_pressure_max_chain_len: 64,
-            gc_pressure_max_live_bytes: 4 << 20,
-            gc_pressure_backoff: Duration::from_millis(10),
         }
     }
 }
@@ -392,33 +327,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the maximum absolute clock offset from true time.
-    pub fn max_clock_skew(mut self, d: Duration) -> Self {
-        self.max_clock_skew = d;
-        self
-    }
-
     /// Sets the network latency matrix.
     pub fn latency(mut self, latency: LatencyMatrix) -> Self {
         self.latency = Some(latency);
-        self
-    }
-
-    /// Sets the CPU service time for a GET/PUT request.
-    pub fn op_service_time(mut self, d: Duration) -> Self {
-        self.op_service_time = d;
-        self
-    }
-
-    /// Sets the per-version chain-traversal CPU cost.
-    pub fn chain_traversal_cost(mut self, d: Duration) -> Self {
-        self.chain_traversal_cost = d;
-        self
-    }
-
-    /// Sets the CPU service time for a replicated update or heartbeat.
-    pub fn replication_service_time(mut self, d: Duration) -> Self {
-        self.replication_service_time = d;
         self
     }
 
@@ -446,45 +357,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the remote-churn threshold above which the Adaptive protocol serves a key's
-    /// reads from the stable snapshot instead of optimistically.
-    pub fn adaptive_churn_threshold(mut self, n: u32) -> Self {
-        self.adaptive_churn_threshold = n;
-        self
-    }
-
-    /// Sets the sliding window over which the Adaptive protocol counts per-key remote
-    /// churn.
-    pub fn adaptive_churn_window(mut self, d: Duration) -> Self {
-        self.adaptive_churn_window = d;
-        self
-    }
-
-    /// Enables or disables pressure-adaptive garbage collection (early GC passes when a
-    /// store shard exceeds the chain-length or live-bytes bounds).
-    pub fn gc_pressure(mut self, yes: bool) -> Self {
-        self.gc_pressure = yes;
-        self
-    }
-
-    /// Sets the per-shard chain-length bound above which pressure-adaptive GC fires.
-    pub fn gc_pressure_max_chain_len(mut self, n: usize) -> Self {
-        self.gc_pressure_max_chain_len = n;
-        self
-    }
-
-    /// Sets the per-shard live-bytes bound above which pressure-adaptive GC fires.
-    pub fn gc_pressure_max_live_bytes(mut self, n: usize) -> Self {
-        self.gc_pressure_max_live_bytes = n;
-        self
-    }
-
-    /// Sets the minimum spacing between pressure-triggered GC passes.
-    pub fn gc_pressure_backoff(mut self, d: Duration) -> Self {
-        self.gc_pressure_backoff = d;
-        self
-    }
-
     /// Builds and validates the configuration.
     pub fn build(self) -> Result<Config> {
         let latency = self.latency.unwrap_or_else(|| {
@@ -506,21 +378,11 @@ impl ConfigBuilder {
             ha_stabilization_interval: self.ha_stabilization_interval,
             gc_interval: self.gc_interval,
             partition_detection_timeout: self.partition_detection_timeout,
-            max_clock_skew: self.max_clock_skew,
             latency,
-            op_service_time: self.op_service_time,
-            chain_traversal_cost: self.chain_traversal_cost,
-            replication_service_time: self.replication_service_time,
             put_waits_for_dependencies: self.put_waits_for_dependencies,
             storage_shards: self.storage_shards,
             worker_lanes: self.worker_lanes,
             replication_batching: self.replication_batching,
-            adaptive_churn_threshold: self.adaptive_churn_threshold,
-            adaptive_churn_window: self.adaptive_churn_window,
-            gc_pressure: self.gc_pressure,
-            gc_pressure_max_chain_len: self.gc_pressure_max_chain_len,
-            gc_pressure_max_live_bytes: self.gc_pressure_max_live_bytes,
-            gc_pressure_backoff: self.gc_pressure_backoff,
         };
         config.validate()?;
         Ok(config)
@@ -572,38 +434,6 @@ mod tests {
         let d = Config::default();
         assert_eq!(d.storage_shards, 8);
         assert!(!d.replication_batching, "batching is opt-in");
-    }
-
-    #[test]
-    fn gc_pressure_knobs_round_trip_and_validate() {
-        let d = Config::default();
-        assert!(!d.gc_pressure, "pressure-adaptive GC is opt-in");
-        let c = Config::builder()
-            .gc_pressure(true)
-            .gc_pressure_max_chain_len(16)
-            .gc_pressure_max_live_bytes(1 << 20)
-            .gc_pressure_backoff(Duration::from_millis(2))
-            .build()
-            .unwrap();
-        assert!(c.gc_pressure);
-        assert_eq!(c.gc_pressure_max_chain_len, 16);
-        assert_eq!(c.gc_pressure_max_live_bytes, 1 << 20);
-        assert_eq!(c.gc_pressure_backoff, Duration::from_millis(2));
-        // The bounds are only validated when the feature is on.
-        assert!(Config::builder()
-            .gc_pressure_max_chain_len(0)
-            .build()
-            .is_ok());
-        assert!(Config::builder()
-            .gc_pressure(true)
-            .gc_pressure_max_chain_len(0)
-            .build()
-            .is_err());
-        assert!(Config::builder()
-            .gc_pressure(true)
-            .gc_pressure_max_live_bytes(0)
-            .build()
-            .is_err());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! cargo run --release --example partition_failover
 //! ```
 
-use pocc::sim::{FaultEvent, ProtocolKind, SimConfig, Simulation};
+use pocc::sim::{ChaosStep, ProtocolKind, SimConfig, Simulation};
 use pocc::types::ReplicaId;
 use pocc::workload::WorkloadMix;
 use std::time::Duration;
@@ -33,12 +33,12 @@ fn run(protocol: ProtocolKind) -> pocc::sim::SimReport {
         .drain(Duration::from_secs(1))
         .seed(7)
         // DC0 <-> DC1 is partitioned for one second in the middle of the run.
-        .fault(FaultEvent::Partition {
+        .chaos_step(ChaosStep::Partition {
             at: Duration::from_millis(1_000),
             a: ReplicaId(0),
             b: ReplicaId(1),
         })
-        .fault(FaultEvent::Heal {
+        .chaos_step(ChaosStep::Heal {
             at: Duration::from_millis(2_000),
             a: ReplicaId(0),
             b: ReplicaId(1),

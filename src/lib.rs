@@ -35,9 +35,10 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Add `.worker_lanes(4)` before `.start()` to run every server on the shard-parallel
-//! execution runtime: client operations are key-hash routed to four worker-lane threads
-//! per server and writes are pipelined (see the [`exec`] crate docs for the model).
+//! Pass a configuration with `worker_lanes: 4` to `.config(..)` to run every server on the
+//! shard-parallel execution runtime: client operations are key-hash routed to four
+//! worker-lane threads per server and writes are pipelined (see the [`exec`] crate docs
+//! for the model).
 //!
 //! Or reproduce a point of the paper's evaluation with the simulator:
 //!

@@ -25,19 +25,24 @@ use std::time::Duration;
 /// What a server ends up with once traffic drains: its store digest plus version vector.
 type ServerState = (Digest, VersionVector);
 
-/// Runs a small cluster to quiescence: 24 PUTs spread over the servers, then enough ticks
-/// to flush every batch and deliver every message. Returns each server's
-/// `(digest, version vector)`. The cluster holds concrete `PoccServer`s because the
-/// version vector is not part of the trait surface.
-fn run_cluster(batching: bool) -> HashMap<ServerId, ServerState> {
-    let cfg = Config::builder()
+/// The deployment both the serial cluster and the simulator runs use: 3 DCs × 2
+/// partitions, 4 storage shards, replication batching on or off.
+fn deployment(batching: bool) -> Config {
+    Config::builder()
         .num_replicas(3)
         .num_partitions(2)
         .storage_shards(4)
         .replication_batching(batching)
         .build()
-        .unwrap();
-    let mut cluster = SerialCluster::with_servers(cfg, |id, cfg, clock| {
+        .unwrap()
+}
+
+/// Runs a small cluster to quiescence: 24 PUTs spread over the servers, then enough ticks
+/// to flush every batch and deliver every message. Returns each server's
+/// `(digest, version vector)`. The cluster holds concrete `PoccServer`s because the
+/// version vector is not part of the trait surface.
+fn run_cluster(batching: bool) -> HashMap<ServerId, ServerState> {
+    let mut cluster = SerialCluster::with_servers(deployment(batching), |id, cfg, clock| {
         Box::new(PoccServer::new(id, cfg, clock))
     });
 
@@ -98,12 +103,9 @@ fn checked_sim(protocol: ProtocolKind, batching: bool) -> pocc::sim::SimReport {
     Simulation::new(
         SimConfig::builder()
             .protocol(protocol)
-            .replicas(3)
-            .partitions(2)
+            .deployment(deployment(batching))
             .clients_per_partition(2)
             .keys_per_partition(200)
-            .storage_shards(4)
-            .replication_batching(batching)
             .mix(WorkloadMix::GetPut { gets_per_put: 3 })
             .think_time(Duration::from_millis(5))
             .warmup(Duration::from_millis(100))

@@ -164,16 +164,12 @@ fn pocc_never_returns_old_data_on_gets_while_cure_does_under_load() {
 fn clock_skew_does_not_break_consistency() {
     // Strongly skewed clocks (5 ms >> the 500 µs default) slow POCC down but must never
     // produce a consistency violation — the paper's correctness argument is skew-free.
-    let deployment = pocc::types::Config::builder()
-        .num_replicas(3)
-        .num_partitions(4)
-        .max_clock_skew(Duration::from_millis(5))
-        .build()
-        .unwrap();
     for protocol in [ProtocolKind::Pocc, ProtocolKind::Cure] {
         let report = Simulation::new(
             SimConfig::builder()
-                .deployment(deployment.clone())
+                .replicas(3)
+                .partitions(4)
+                .max_clock_skew(Duration::from_millis(5))
                 .protocol(protocol)
                 .clients_per_partition(3)
                 .keys_per_partition(200)

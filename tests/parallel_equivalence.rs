@@ -52,9 +52,11 @@ fn run_parallel(
     replicas: usize,
 ) -> Outcome {
     let builder = Cluster::builder()
-        .config(config(replicas))
-        .protocol(protocol)
-        .worker_lanes(lanes);
+        .config(Config {
+            worker_lanes: lanes,
+            ..config(replicas)
+        })
+        .protocol(protocol);
     run_cluster(builder, scripts)
 }
 

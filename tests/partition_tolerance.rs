@@ -1,6 +1,6 @@
 //! Behaviour under injected network partitions (the availability trade-off of §III-B).
 
-use pocc::sim::{FaultEvent, ProtocolKind, SimConfig, Simulation};
+use pocc::sim::{ChaosStep, ProtocolKind, SimConfig, Simulation};
 use pocc::types::ReplicaId;
 use pocc::workload::WorkloadMix;
 use std::time::Duration;
@@ -26,13 +26,13 @@ fn partitioned_run(protocol: ProtocolKind, heal: bool) -> pocc::sim::SimReport {
         .drain(Duration::from_secs(1))
         .check_consistency(true)
         .seed(77)
-        .fault(FaultEvent::Partition {
+        .chaos_step(ChaosStep::Partition {
             at: Duration::from_millis(800),
             a: ReplicaId(0),
             b: ReplicaId(1),
         });
     if heal {
-        builder = builder.fault(FaultEvent::Heal {
+        builder = builder.chaos_step(ChaosStep::Heal {
             at: Duration::from_millis(2_000),
             a: ReplicaId(0),
             b: ReplicaId(1),

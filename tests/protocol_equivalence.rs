@@ -21,18 +21,23 @@ use pocc::workload::WorkloadMix;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-/// Runs a small cluster of `protocol` servers to quiescence: a fixed write script spread
-/// over the servers, then enough ticks to flush every batch and deliver every message.
-/// Returns each server's store digest.
-fn run_cluster(protocol: ProtocolKind, batching: bool) -> BTreeMap<ServerId, Digest> {
-    let cfg = Config::builder()
+/// The deployment both the serial cluster and the simulator runs use: 3 DCs × 2
+/// partitions, 4 storage shards, replication batching on or off.
+fn deployment(batching: bool) -> Config {
+    Config::builder()
         .num_replicas(3)
         .num_partitions(2)
         .storage_shards(4)
         .replication_batching(batching)
         .build()
-        .unwrap();
-    let mut cluster = SerialCluster::new(protocol, cfg);
+        .unwrap()
+}
+
+/// Runs a small cluster of `protocol` servers to quiescence: a fixed write script spread
+/// over the servers, then enough ticks to flush every batch and deliver every message.
+/// Returns each server's store digest.
+fn run_cluster(protocol: ProtocolKind, batching: bool) -> BTreeMap<ServerId, Digest> {
+    let mut cluster = SerialCluster::new(protocol, deployment(batching));
 
     // 24 writes, directed at the server owning each key, round-robin over the replicas.
     for written in 0..24u64 {
@@ -94,12 +99,9 @@ fn checked_sim(protocol: ProtocolKind, batching: bool) -> pocc::sim::SimReport {
     Simulation::new(
         SimConfig::builder()
             .protocol(protocol)
-            .replicas(3)
-            .partitions(2)
+            .deployment(deployment(batching))
             .clients_per_partition(2)
             .keys_per_partition(50)
-            .storage_shards(4)
-            .replication_batching(batching)
             .mix(WorkloadMix::GetPut { gets_per_put: 2 })
             .think_time(Duration::from_millis(5))
             .warmup(Duration::from_millis(100))
