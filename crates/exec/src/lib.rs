@@ -13,7 +13,12 @@
 //! * **Lanes.** Client operations are key-hash-routed to `Config::worker_lanes` worker
 //!   threads (`lane = shard(key) % lanes`), each with a bounded mailbox (actor shape;
 //!   a full mailbox applies backpressure to the submitting thread). Lanes own disjoint
-//!   sets of storage shards, so their version-chain inserts never contend.
+//!   sets of storage shards, so their version-chain inserts never contend. A lane
+//!   publishes its batch's writes and flushes its [`Sink`] before it blocks again.
+//! * **One lane runs in place.** At `worker_lanes = 1` there is no lane thread: every
+//!   operation and message runs the engine on the calling thread under the spine, with
+//!   nothing to pipeline, drain or publish. This lane-count test is the only place
+//!   that chooses between the two execution shapes.
 //! * **Spine.** Everything protocol-visible that is *not* per-key — the version vector,
 //!   GSS bookkeeping, parked operations, transaction coordination, metrics — lives in
 //!   the unmodified [`pocc_engine::ProtocolEngine`] behind a single mutex, the *spine*.
@@ -54,7 +59,7 @@
 mod server;
 mod snapshot;
 
-pub use server::{OutputSink, ParallelServer, ServerClosed};
+pub use server::{OutputSink, ParallelServer, ServerClosed, Sink};
 pub use snapshot::PublishedVector;
 
 use pocc_clock::Clock;
@@ -127,7 +132,9 @@ impl ProtocolKind {
     }
 
     /// Builds the serial (single-threaded, sans-IO) server for `id`, with the protocol's
-    /// concrete policy type — the one place the four server types are named.
+    /// concrete policy type — the one place the four server types are named. The
+    /// simulator and the hand-pumped reference cluster run these; the threaded runtime
+    /// runs a [`ParallelServer`] instead.
     pub fn server<C: Clock + 'static>(
         self,
         id: ServerId,
@@ -281,7 +288,7 @@ mod tests {
             for i in 0..24u64 {
                 clock.advance(Duration::from_micros(100));
                 parallel.submit_client(ClientId(i), put(i)).unwrap();
-                // One write at a time, so the lane reads the same clock the serial run did.
+                // One write at a time, so each reads the same clock the serial run did.
                 while !matches!(rx.recv().unwrap(), ServerOutput::Reply { .. }) {}
             }
             clock.advance(Duration::from_millis(2));

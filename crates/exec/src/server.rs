@@ -21,11 +21,29 @@ use std::thread::JoinHandle;
 
 /// Where a [`ParallelServer`] delivers its replies and server-to-server messages.
 ///
-/// The sink is called from lane threads and from whichever thread drives
-/// [`ParallelServer::handle_server_message`]/[`ParallelServer::tick`], sometimes while
-/// internal locks are held — it must not block (enqueueing on an unbounded channel, as
-/// the cluster runtime does, is the intended shape).
-pub type OutputSink = Arc<dyn Fn(ServerOutput) + Send + Sync>;
+/// [`Sink::emit`] is called from lane threads and from whichever thread drives the
+/// server's methods, sometimes while internal locks are held — it must not block
+/// (staging on a transport, as the cluster runtime does, is the intended shape).
+/// [`Sink::flush`] is the other half of that staging: a lane calls it once per batch,
+/// before it blocks on its mailbox again, because nobody else would flush for it. The
+/// thread driving the server owes its own flush before it blocks. Any
+/// `Fn(ServerOutput)` closure is a sink that stages nothing.
+pub trait Sink: Send + Sync {
+    /// Delivers (or stages) one output.
+    fn emit(&self, output: ServerOutput);
+
+    /// Writes out whatever [`Sink::emit`] staged.
+    fn flush(&self) {}
+}
+
+impl<F: Fn(ServerOutput) + Send + Sync> Sink for F {
+    fn emit(&self, output: ServerOutput) {
+        self(output)
+    }
+}
+
+/// The shared handle a [`ParallelServer`] delivers its outputs through.
+pub type OutputSink = Arc<dyn Sink>;
 
 /// One engine driving all four protocols through a boxed policy.
 type Engine<C> = ProtocolEngine<C, Box<dyn VisibilityPolicy<C>>>;
@@ -41,15 +59,15 @@ const DRAIN_SPIN_LIMIT: u64 = 64;
 /// How long a drain iteration parks once the spin budget is exhausted.
 const DRAIN_PARK: std::time::Duration = std::time::Duration::from_micros(50);
 
-/// The server has shut down its worker lanes and can no longer accept operations.
-/// Returned by [`ParallelServer::submit_client`] when a submission races shutdown
-/// (a *full* mailbox is not an error — it blocks the submitter as backpressure).
+/// The server has shut down and can no longer accept operations. Returned by
+/// [`ParallelServer::submit_client`] after [`ParallelServer::shutdown`] (a *full*
+/// mailbox is not an error — it blocks the submitter as backpressure).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerClosed;
 
 impl std::fmt::Display for ServerClosed {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "the server's worker lanes have shut down")
+        write!(f, "the server has shut down")
     }
 }
 
@@ -288,9 +306,18 @@ impl<C: Clock> Shared<C> {
         r
     }
 
+    /// Runs `f` against the engine of a lane-less server. Nothing is ever reserved or
+    /// queued there and nothing reads the publication, so there is no drain and no
+    /// refresh: the spine lock is all that stands between the caller and the engine.
+    fn in_place(&self, f: impl FnOnce(&mut Engine<C>) -> Vec<ServerOutput>) {
+        let mut spine = self.lock_spine();
+        let outputs = f(&mut spine.engine);
+        self.ship(outputs);
+    }
+
     fn ship(&self, outputs: Vec<ServerOutput>) {
         for out in outputs {
-            (self.sink)(out);
+            self.sink.emit(out);
         }
     }
 
@@ -345,7 +372,8 @@ impl<C: Clock> Shared<C> {
     fn serve_lane_get(&self, client: ClientId, key: Key) {
         let response = self.response_for(self.store.latest(key));
         self.lane.gets.fetch_add(1, Ordering::Relaxed);
-        (self.sink)(ServerOutput::reply(client, ClientReply::Get(response)));
+        self.sink
+            .emit(ServerOutput::reply(client, ClientReply::Get(response)));
     }
 
     /// Reads every key of an entirely-local RO-TX under the published snapshot `tv`
@@ -436,6 +464,8 @@ fn lane_loop<C: Clock + 'static>(shared: Arc<Shared<C>>, rx: Receiver<LaneMsg>) 
         if !batch.is_empty() {
             process_batch(&shared, batch);
         }
+        // Replies and replication alike: the lane is about to block on its mailbox.
+        shared.sink.flush();
         if shutdown {
             return;
         }
@@ -497,7 +527,7 @@ fn try_serve_from_snapshot<C: Clock + 'static>(
         .fast_path_hits
         .fetch_add(replies.len() as u64, Ordering::Relaxed);
     for (client, reply) in replies {
-        (shared.sink)(ServerOutput::reply(client, reply));
+        shared.sink.emit(ServerOutput::reply(client, reply));
     }
     true
 }
@@ -553,6 +583,7 @@ fn process_batch<C: Clock + 'static>(shared: &Shared<C>, batch: Vec<(ClientId, C
             .fetch_add(hits, Ordering::Relaxed);
     }
     let mut deferred = Vec::new();
+    let mut reserved = false;
     for op in classified {
         match op {
             Classified::FastPut {
@@ -569,7 +600,8 @@ fn process_batch<C: Clock + 'static>(shared: &Shared<C>, batch: Vec<(ClientId, C
                     .expect("PUT routed to the wrong partition");
                 *res.slot.version.lock() = Some(version);
                 res.slot.done.store(true, Ordering::Release);
-                (shared.sink)(ServerOutput::reply(
+                reserved = true;
+                shared.sink.emit(ServerOutput::reply(
                     client,
                     ClientReply::Put {
                         update_time: res.ts,
@@ -587,12 +619,19 @@ fn process_batch<C: Clock + 'static>(shared: &Shared<C>, batch: Vec<(ClientId, C
             .fast_path_misses
             .fetch_add(deferred.len() as u64, Ordering::Relaxed);
         // All of this lane's own reservations are completed above, so the drain inside
-        // with_engine cannot wait on ourselves.
+        // with_engine cannot wait on ourselves — and it publishes them.
         shared.with_engine(|engine, outputs| {
             for (client, request) in deferred {
                 outputs.extend(engine.handle_client_request(client, request));
             }
         });
+    } else if reserved {
+        // Publish this batch's PUTs (version-vector advance, replication fan-out) before
+        // the lane blocks again, instead of leaving them to whatever reaches the spine
+        // next — possibly a tick. A reservation of another lane still in flight stops the
+        // sweep short; that lane sweeps in turn once it completes, so the last one to
+        // finish publishes all.
+        shared.sweep(&mut shared.lock_spine());
     }
 }
 
@@ -601,22 +640,29 @@ struct Lane {
     handle: Option<JoinHandle<()>>,
 }
 
-/// A protocol server executed by worker-lane threads over a spine-locked
-/// [`ProtocolEngine`]; see the crate docs for the concurrency story.
+/// A protocol server over a spine-locked [`ProtocolEngine`]; see the crate docs for the
+/// concurrency story.
 ///
 /// Replies and server-to-server messages flow through the [`OutputSink`] passed to
-/// [`ParallelServer::start`]; [`ParallelServer::submit_client`] routes client operations
-/// to lanes, and [`ParallelServer::handle_server_message`] routes replicated remote
-/// versions to lanes as well — only genuinely-deferred messages (heartbeats, slices,
-/// stabilization, GC) and ticks run on the calling thread. [`ServerIntrospect`] is
-/// implemented with full-drain semantics, so probes observe a consistent engine.
+/// [`ParallelServer::start`]. With more than one lane, [`ParallelServer::submit_client`]
+/// routes client operations to worker-lane threads, and
+/// [`ParallelServer::handle_server_message`] routes replicated remote versions to them as
+/// well — only genuinely-deferred messages (heartbeats, slices, stabilization, GC) and
+/// ticks run on the calling thread. With one lane there are no lane threads: every call
+/// runs the engine in place, on the calling thread. [`ServerIntrospect`] is implemented
+/// with full-drain semantics, so probes observe a consistent engine.
 pub struct ParallelServer<C> {
     shared: Arc<Shared<C>>,
+    /// Empty at one lane, where the engine runs in place.
     lanes: Vec<Lane>,
+    /// Set by [`ParallelServer::shutdown`], which a lane-less server has no hung-up
+    /// mailbox to report.
+    closed: bool,
 }
 
 impl<C: Clock + 'static> ParallelServer<C> {
-    /// Starts a server for `id` running `protocol` with `config.worker_lanes` lanes.
+    /// Starts a server for `id` running `protocol`: `config.worker_lanes` lane threads,
+    /// or none at one lane.
     pub fn start(
         id: ServerId,
         config: Config,
@@ -624,7 +670,11 @@ impl<C: Clock + 'static> ParallelServer<C> {
         clock: C,
         sink: OutputSink,
     ) -> Self {
-        let num_lanes = config.worker_lanes.max(1);
+        let num_lanes = if config.worker_lanes > 1 {
+            config.worker_lanes
+        } else {
+            0
+        };
         let now = clock.now();
         let policy = protocol.policy::<C>(&config, now);
         let engine = ProtocolEngine::new(id, config.clone(), clock, policy);
@@ -660,7 +710,11 @@ impl<C: Clock + 'static> ParallelServer<C> {
                 }
             })
             .collect();
-        ParallelServer { shared, lanes }
+        ParallelServer {
+            shared,
+            lanes,
+            closed: false,
+        }
     }
 
     /// The identity of this server.
@@ -668,14 +722,22 @@ impl<C: Clock + 'static> ParallelServer<C> {
         self.shared.id
     }
 
-    /// Routes a client operation to its key's lane. Blocks when the lane's mailbox is
-    /// full (backpressure); returns [`ServerClosed`] when the submission races
-    /// shutdown and the lane is gone.
+    /// Serves a client operation in place, or routes it to its key's lane. Blocks when
+    /// the lane's mailbox is full (backpressure); returns [`ServerClosed`] after
+    /// [`ParallelServer::shutdown`].
     pub fn submit_client(
         &self,
         client: ClientId,
         request: ClientRequest,
     ) -> Result<(), ServerClosed> {
+        if self.closed {
+            return Err(ServerClosed);
+        }
+        if self.lanes.is_empty() {
+            self.shared
+                .in_place(|engine| engine.handle_client_request(client, request));
+            return Ok(());
+        }
         let key = match &request {
             ClientRequest::Get { key, .. } | ClientRequest::Put { key, .. } => *key,
             // RO-TX is served (or deferred) wherever it lands; route by first key so
@@ -691,11 +753,17 @@ impl<C: Clock + 'static> ParallelServer<C> {
         &self.lanes[shard_for_key(key, self.shared.num_shards) % self.lanes.len()].tx
     }
 
-    /// Handles a message from another server. Replicated versions are queued on the
-    /// per-origin pipeline and routed to their key's lane, which installs them into the
-    /// store off-spine; everything else is handled on the spine (pipeline drained
-    /// first, so per-origin arrival order is preserved).
+    /// Handles a message from another server: in place at one lane. With lanes,
+    /// replicated versions are queued on the per-origin pipeline and routed to their
+    /// key's lane, which installs them into the store off-spine; everything else is
+    /// handled on the spine (pipeline drained first, so per-origin arrival order is
+    /// preserved).
     pub fn handle_server_message(&self, from: ServerId, message: ServerMessage) {
+        if self.lanes.is_empty() {
+            return self
+                .shared
+                .in_place(|engine| engine.handle_server_message(from, message));
+        }
         match message {
             ServerMessage::Replicate { version } => self.submit_remote(from, version),
             ServerMessage::Batch { messages } => {
@@ -736,9 +804,13 @@ impl<C: Clock + 'static> ParallelServer<C> {
             outputs.extend(engine.tick());
         });
     }
+}
 
-    /// Stops every lane and joins the threads. Called automatically on drop.
+impl<C> ParallelServer<C> {
+    /// Stops every lane and joins the threads; later submissions report
+    /// [`ServerClosed`]. Called automatically on drop.
     pub fn shutdown(&mut self) {
+        self.closed = true;
         for lane in &self.lanes {
             // A dead lane has already hung up; ignore the send error.
             let _ = lane.tx.send(LaneMsg::Shutdown);
@@ -753,14 +825,7 @@ impl<C: Clock + 'static> ParallelServer<C> {
 
 impl<C> Drop for ParallelServer<C> {
     fn drop(&mut self) {
-        for lane in &self.lanes {
-            let _ = lane.tx.send(LaneMsg::Shutdown);
-        }
-        for lane in &mut self.lanes {
-            if let Some(handle) = lane.handle.take() {
-                let _ = handle.join();
-            }
-        }
+        self.shutdown();
     }
 }
 
@@ -935,8 +1000,11 @@ mod tests {
 
     #[test]
     fn every_protocol_serves_the_client_api() {
-        for protocol in ProtocolKind::ALL {
-            let (server, rx) = start(protocol, 2);
+        for (lanes, protocol) in [1, 2]
+            .into_iter()
+            .flat_map(|lanes| ProtocolKind::ALL.map(|protocol| (lanes, protocol)))
+        {
+            let (server, rx) = start(protocol, lanes);
             let client = ClientId(9);
             let dv = DependencyVector::zero(1);
             server
@@ -977,13 +1045,15 @@ mod tests {
                 other => panic!("{protocol:?}: expected an RO-TX reply, got {other:?}"),
             }
             let m = server.metrics();
-            assert_eq!(m.puts_served, 1, "{protocol:?}");
-            assert_eq!(m.gets_served, 1, "{protocol:?}");
-            assert_eq!(m.rotx_served, 1, "{protocol:?}");
+            assert_eq!(m.puts_served, 1, "{protocol:?} lanes={lanes}");
+            assert_eq!(m.gets_served, 1, "{protocol:?} lanes={lanes}");
+            assert_eq!(m.rotx_served, 1, "{protocol:?} lanes={lanes}");
+            // Lanes classify every operation; without lanes there is no fast path.
+            let classified = if lanes > 1 { 3 } else { 0 };
             assert_eq!(
                 m.lane_fast_path_hits + m.lane_fast_path_misses,
-                3,
-                "{protocol:?}: every operation is either a hit or a miss ({m:?})"
+                classified,
+                "{protocol:?} lanes={lanes}: {m:?}"
             );
         }
     }
@@ -1015,27 +1085,30 @@ mod tests {
 
     #[test]
     fn submit_after_shutdown_reports_server_closed_instead_of_panicking() {
-        let (mut server, _rx) = start(ProtocolKind::Pocc, 2);
-        server.shutdown();
-        let result = server.submit_client(
-            ClientId(1),
-            ClientRequest::Get {
-                key: Key(1),
-                rdv: DependencyVector::zero(1),
-            },
-        );
-        assert_eq!(result, Err(ServerClosed));
+        for lanes in [1, 2] {
+            let (mut server, _rx) = start(ProtocolKind::Pocc, lanes);
+            server.shutdown();
+            let result = server.submit_client(
+                ClientId(1),
+                ClientRequest::Get {
+                    key: Key(1),
+                    rdv: DependencyVector::zero(1),
+                },
+            );
+            assert_eq!(result, Err(ServerClosed), "lanes={lanes}");
+        }
     }
 
     #[test]
     fn remote_versions_are_applied_off_spine_and_become_visible() {
         // Alone, and interleaved one-to-two with client PUTs (what a replica of a
-        // three-replica deployment sees when every replica writes at the same rate).
-        for client_puts in [false, true] {
+        // three-replica deployment sees when every replica writes at the same rate); in
+        // place and through lanes.
+        for (lanes, client_puts) in [(1, false), (1, true), (4, false), (4, true)] {
             let config = Config::builder()
                 .num_replicas(3)
                 .num_partitions(1)
-                .worker_lanes(4)
+                .worker_lanes(lanes)
                 .build()
                 .expect("valid config");
             let (server, rx) = start_with_config(ProtocolKind::Pocc, config);
@@ -1091,37 +1164,39 @@ mod tests {
 
     #[test]
     fn batched_replication_interleaved_with_heartbeats_keeps_order() {
-        let config = Config::builder()
-            .num_replicas(2)
-            .num_partitions(1)
-            .worker_lanes(2)
-            .build()
-            .expect("valid config");
-        let (server, _rx) = start_with_config(ProtocolKind::Pocc, config);
-        let origin = ServerId::new(ReplicaId(1), PartitionId(0));
-        let versions: Vec<ServerMessage> = (0..50u64)
-            .map(|i| ServerMessage::Replicate {
-                version: Version::new(
-                    Key(i),
-                    Value::from(i),
-                    origin.replica,
-                    Timestamp::from_micros(i + 1),
-                    DependencyVector::zero(2),
-                ),
-            })
-            .collect();
-        server.handle_server_message(origin, ServerMessage::Batch { messages: versions });
-        // The heartbeat's advance must not overtake the queued versions: handling it
-        // drains the remote pipeline first.
-        server.handle_server_message(
-            origin,
-            ServerMessage::Heartbeat {
-                clock: Timestamp::from_micros(1_000),
-            },
-        );
-        let metrics = server.metrics();
-        assert_eq!(metrics.replicate_received, 50);
-        assert_eq!(metrics.heartbeats_received, 1);
-        assert_eq!(server.store_stats().versions, 50);
+        for lanes in [1, 2] {
+            let config = Config::builder()
+                .num_replicas(2)
+                .num_partitions(1)
+                .worker_lanes(lanes)
+                .build()
+                .expect("valid config");
+            let (server, _rx) = start_with_config(ProtocolKind::Pocc, config);
+            let origin = ServerId::new(ReplicaId(1), PartitionId(0));
+            let versions: Vec<ServerMessage> = (0..50u64)
+                .map(|i| ServerMessage::Replicate {
+                    version: Version::new(
+                        Key(i),
+                        Value::from(i),
+                        origin.replica,
+                        Timestamp::from_micros(i + 1),
+                        DependencyVector::zero(2),
+                    ),
+                })
+                .collect();
+            server.handle_server_message(origin, ServerMessage::Batch { messages: versions });
+            // The heartbeat's advance must not overtake the queued versions: handling it
+            // drains the remote pipeline first.
+            server.handle_server_message(
+                origin,
+                ServerMessage::Heartbeat {
+                    clock: Timestamp::from_micros(1_000),
+                },
+            );
+            let metrics = server.metrics();
+            assert_eq!(metrics.replicate_received, 50, "lanes={lanes}");
+            assert_eq!(metrics.heartbeats_received, 1, "lanes={lanes}");
+            assert_eq!(server.store_stats().versions, 50, "lanes={lanes}");
+        }
     }
 }

@@ -88,10 +88,6 @@ impl Transport for ChannelTransport {
         }
     }
 
-    fn flush_replies(&self, _from: ServerId) {
-        // Channel replies are delivered by `reply` itself; there is nothing to flush.
-    }
-
     fn flush(&self, _from: ServerId) {
         // Channel sends are never staged; there is nothing to flush.
     }

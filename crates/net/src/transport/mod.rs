@@ -97,12 +97,11 @@ pub type EventSink = Arc<dyn Fn(ServerId, TransportEvent) + Send + Sync>;
 /// reply must not overtake earlier replies to the same client.
 ///
 /// The rule for callers is *stage while there is more work, flush before you block*:
-/// whoever called `send_server` or `reply` owes a [`Transport::flush`] (or, for replies
-/// alone, a [`Transport::flush_replies`]) before it waits for its next input. Nothing is
-/// flushed on a timer, so a stager that blocks without flushing parks its output until
-/// somebody else flushes the same server. The runtime's serial server loop flushes after
-/// every drained inbox batch and after every tick; a worker lane's output sink flushes
-/// the replies it stages one by one, and leaves replication to the dispatcher's flushes.
+/// whoever called `send_server` or `reply` owes a [`Transport::flush`] before it waits
+/// for its next input. Nothing is flushed on a timer, so a stager that blocks without
+/// flushing parks its output until somebody else flushes the same server. The runtime's
+/// server loop flushes after every drained inbox batch and after every tick; a worker
+/// lane flushes once after every batch it serves, replies and replication together.
 pub trait Transport: Send + Sync {
     /// Sends (or stages) a server-to-server message from `from` to `to`.
     fn send_server(&self, from: ServerId, to: ServerId, message: ServerMessage);
@@ -110,9 +109,6 @@ pub trait Transport: Send + Sync {
     /// Delivers (or stages) a reply from server `from` to a client session, dropping it
     /// silently if the session is gone (the client may have timed out and disconnected).
     fn reply(&self, from: ServerId, client: ClientId, reply: ClientReply);
-
-    /// Writes out the replies staged by `from`, and nothing else.
-    fn flush_replies(&self, from: ServerId);
 
     /// Writes out everything staged by `from` since the last flush: replies, then
     /// server-to-server messages.

@@ -215,10 +215,6 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn flush_replies(&self, from: ServerId) {
-        self.nodes[&from].flush_clients();
-    }
-
     fn flush(&self, from: ServerId) {
         let node = &self.nodes[&from];
         node.flush_clients();
@@ -726,11 +722,12 @@ mod tests {
             t.reply(A, ClientId(2), ack(seq));
         }
         assert_silent(port.as_mut());
-        // Flushing another server, or this server's replies twice, changes nothing.
+        // Flushing another server changes nothing, and flushing this one twice sends
+        // everything once.
         t.flush(B);
         assert_silent(port.as_mut());
-        t.flush_replies(A);
-        t.flush_replies(A);
+        t.flush(A);
+        t.flush(A);
         for seq in 1..=3 {
             assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), seq);
         }

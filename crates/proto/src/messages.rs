@@ -3,12 +3,9 @@
 use pocc_types::{
     ClientId, DependencyVector, Key, ReplicaId, Timestamp, Value, Version, VersionVector,
 };
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a read-only transaction, unique per coordinating server.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct TxId(pub u64);
 
 impl TxId {
@@ -29,7 +26,7 @@ impl std::fmt::Display for TxId {
 /// These correspond to the three operations of the paper's API (§II-C) carrying the
 /// client-side dependency metadata of Algorithm 1: a GET and a RO-TX carry the read
 /// dependency vector `RDV_c`, a PUT carries the full dependency vector `DV_c`.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ClientRequest {
     /// `GET(key)` with the client's read vector.
     Get {
@@ -76,7 +73,7 @@ impl ClientRequest {
 
 /// The payload of a GET reply: `⟨value, update time, dependency vector, source replica⟩`
 /// (Algorithm 1 line 3). `None` value means the key has never been written.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct GetResponse {
     /// The value read, or `None` if no version of the key exists.
     pub value: Option<Value>,
@@ -89,7 +86,7 @@ pub struct GetResponse {
 }
 
 /// One item returned by a read-only transaction.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct TxItem {
     /// The key that was read.
     pub key: Key,
@@ -99,7 +96,7 @@ pub struct TxItem {
 }
 
 /// A reply sent by a server to a client.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ClientReply {
     /// Reply to a [`ClientRequest::Get`].
     Get(GetResponse),
@@ -146,7 +143,7 @@ impl ClientReply {
 }
 
 /// A message exchanged between servers.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ServerMessage {
     /// Asynchronous replication of a local update to a sibling replica of the same
     /// partition in another data center (Algorithm 2 lines 12–13). Sent in update-timestamp

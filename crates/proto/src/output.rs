@@ -2,7 +2,6 @@
 
 use crate::{ClientReply, ClientRequest, ServerMessage};
 use pocc_types::{ClientId, ServerId, Timestamp};
-use serde::{Deserialize, Serialize};
 
 /// An input event a server can receive, tagged with its origin.
 ///
@@ -69,7 +68,7 @@ impl ServerOutput {
 }
 
 /// A message in flight between two servers, as tracked by the network substrates.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Envelope {
     /// The sending server.
     pub from: ServerId,

@@ -3,8 +3,8 @@
 use crate::client::ClusterClient;
 use crate::router::{Inbound, Router};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
-use pocc_clock::{Clock, MonotonicClock, SystemClock};
-use pocc_exec::{OutputSink, ParallelServer, ProtocolKind};
+use pocc_clock::{MonotonicClock, SystemClock};
+use pocc_exec::{ParallelServer, ProtocolKind, Sink};
 use pocc_net::transport::{ClientPort, TransportKind};
 use pocc_proto::{MetricsSnapshot, ServerIntrospect, ServerOutput};
 use pocc_storage::StoreStats;
@@ -16,7 +16,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A consistent snapshot of one server's introspection surface, taken on the server's own
-/// thread (serial servers) or with the write pipeline fully drained (parallel servers).
+/// thread with its write pipeline fully drained.
 #[derive(Clone, Debug)]
 pub struct ServerProbe {
     /// The server's metric counters.
@@ -32,10 +32,10 @@ pub struct ServerProbe {
 /// letting the TCP backend coalesce a burst into one `write` per client and per peer.
 const DRAIN_BUDGET: usize = 128;
 
-/// Builder for [`Cluster`]. Defaults to [`Config::small_test`] running POCC with serial
-/// servers on the in-process channel transport; set [`Config::worker_lanes`] above 1 to
-/// run the threaded shard-parallel servers, and [`ClusterBuilder::transport`] to pick the
-/// transport backend.
+/// Builder for [`Cluster`]. Defaults to [`Config::small_test`] running POCC on the
+/// in-process channel transport, each server on its own thread; set
+/// [`Config::worker_lanes`] above 1 to give every server that many worker lanes, and
+/// [`ClusterBuilder::transport`] to pick the transport backend.
 ///
 /// ```
 /// use pocc_runtime::{Cluster, ProtocolKind, TransportKind};
@@ -132,8 +132,9 @@ impl ClusterBuilder {
     }
 }
 
-/// A running in-process cluster: one thread per server (plus that server's worker lanes
-/// when `worker_lanes > 1`) connected by the chosen transport backend.
+/// A running in-process cluster: one thread per server, each in front of a
+/// [`ParallelServer`] (plus that server's worker lanes when `worker_lanes > 1`),
+/// connected by the chosen transport backend.
 ///
 /// Create it with [`Cluster::builder`], obtain client handles with [`Cluster::client`],
 /// and stop it with [`Cluster::shutdown`] (also invoked on drop).
@@ -196,8 +197,8 @@ impl Cluster {
     }
 
     /// Takes a consistent introspection snapshot of one server: metrics, convergence
-    /// digest and store statistics. Works for both serial and shard-parallel servers (the
-    /// latter drain their write pipeline first, so the snapshot is never mid-operation).
+    /// digest and store statistics. The server drains its write pipeline first, so the
+    /// snapshot is never mid-operation.
     pub fn probe(&self, server: ServerId) -> ServerProbe {
         let (tx, rx) = unbounded();
         self.router.probe(server, tx);
@@ -237,11 +238,32 @@ impl Drop for Cluster {
     }
 }
 
-/// The per-server thread body: build the protocol state machine, then loop between the
-/// inbox and the periodic tick until shutdown. Replies and server-to-server messages
-/// alike are only staged while the inbox has more; the flush after every drained batch
-/// (and every tick) comes before the thread blocks again, so the TCP backend's write
-/// coalescing never defers a message past the handling of the inputs that produced it.
+/// Where a server's outputs go: staged on the transport, and written out by whoever runs
+/// out of input — the server thread after every drained batch and tick, a worker lane
+/// after every batch of its own.
+struct RouterSink {
+    id: ServerId,
+    router: Router,
+}
+
+impl Sink for RouterSink {
+    fn emit(&self, output: ServerOutput) {
+        match output {
+            ServerOutput::Reply { client, reply } => self.router.reply(self.id, client, reply),
+            ServerOutput::Send { to, message } => self.router.send_server(self.id, to, message),
+        }
+    }
+
+    fn flush(&self) {
+        self.router.flush(self.id);
+    }
+}
+
+/// The per-server thread body: start the server, then loop between the inbox and the
+/// periodic tick until shutdown. Outputs are only staged while the inbox has more; the
+/// flush after every drained batch (and every tick) comes before the thread blocks
+/// again, so the TCP backend's write coalescing never defers a message past the handling
+/// of the inputs that produced it. Worker lanes, when there are any, flush their own.
 fn server_thread(
     id: ServerId,
     config: Config,
@@ -251,91 +273,9 @@ fn server_thread(
     running: Arc<AtomicBool>,
 ) {
     let clock = MonotonicClock::new(SystemClock::with_epoch(router.epoch()));
-    if config.worker_lanes > 1 {
-        parallel_server_thread(id, config, protocol, router, inbox, running, clock);
-        return;
-    }
-    let mut server = protocol.server(id, config.clone(), clock);
-
-    let tick_every = config.heartbeat_interval;
-    let mut next_tick = Instant::now() + tick_every;
-
-    while running.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        if now >= next_tick {
-            let outputs = server.tick();
-            dispatch(&router, id, outputs);
-            router.flush(id);
-            next_tick = now + tick_every;
-            continue;
-        }
-        match inbox.recv_timeout(next_tick - now) {
-            Ok(first) => {
-                // Greedily drain whatever else is already queued (bounded), then flush
-                // once: a burst of pipelined requests becomes one write per client
-                // connection and one per peer.
-                let mut event = Some(first);
-                let mut drained = 0;
-                let mut shutdown = false;
-                while let Some(ev) = event.take() {
-                    match ev {
-                        Inbound::FromClient { client, request } => {
-                            let outputs = server.handle_client_request(client, request);
-                            dispatch(&router, id, outputs);
-                        }
-                        Inbound::FromServer { from, message } => {
-                            let outputs = server.handle_server_message(from, message);
-                            dispatch(&router, id, outputs);
-                        }
-                        Inbound::Probe { reply } => {
-                            let _ = reply.send(probe_of(server.as_ref()));
-                        }
-                        Inbound::Shutdown => {
-                            shutdown = true;
-                            break;
-                        }
-                    }
-                    drained += 1;
-                    if drained >= DRAIN_BUDGET {
-                        break;
-                    }
-                    event = inbox.try_recv().ok();
-                }
-                router.flush(id);
-                if shutdown {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    router.flush(id);
-}
-
-/// The server-thread body for `worker_lanes > 1`: the thread becomes the dispatcher in
-/// front of a [`ParallelServer`], forwarding client operations to its lanes and handling
-/// server messages, ticks and probes synchronously. Replies leave through the output sink
-/// on whichever lane produced them: the sink stages the reply and flushes replies at once,
-/// because a lane blocks on its mailbox next and no other thread would flush for it
-/// before the next tick. Replication staged by lanes is written out by this thread's
-/// tick/batch flushes.
-fn parallel_server_thread<C: Clock + 'static>(
-    id: ServerId,
-    config: Config,
-    protocol: ProtocolKind,
-    router: Router,
-    inbox: Receiver<Inbound>,
-    running: Arc<AtomicBool>,
-    clock: C,
-) {
-    let sink_router = router.clone();
-    let sink: OutputSink = Arc::new(move |output| match output {
-        ServerOutput::Reply { client, reply } => {
-            sink_router.reply(id, client, reply);
-            sink_router.flush_replies(id);
-        }
-        ServerOutput::Send { to, message } => sink_router.send_server(id, to, message),
+    let sink = Arc::new(RouterSink {
+        id,
+        router: router.clone(),
     });
     let server = ParallelServer::start(id, config.clone(), protocol, clock, sink);
 
@@ -351,21 +291,39 @@ fn parallel_server_thread<C: Clock + 'static>(
             continue;
         }
         match inbox.recv_timeout(next_tick - now) {
-            Ok(Inbound::FromClient { client, request }) => {
-                if server.submit_client(client, request).is_err() {
-                    // The lanes are gone: the server is shutting down, so stop
-                    // dispatching instead of panicking on a shutdown race.
+            Ok(first) => {
+                // Greedily drain whatever else is already queued (bounded), then flush
+                // once: a burst of pipelined requests becomes one write per client
+                // connection and one per peer.
+                let mut event = Some(first);
+                let mut drained = 0;
+                let mut stop = false;
+                while let Some(ev) = event.take() {
+                    match ev {
+                        Inbound::FromClient { client, request } => {
+                            // Only a lane that died refuses an operation: stop serving
+                            // instead of panicking.
+                            stop = server.submit_client(client, request).is_err();
+                        }
+                        Inbound::FromServer { from, message } => {
+                            server.handle_server_message(from, message);
+                        }
+                        Inbound::Probe { reply } => {
+                            let _ = reply.send(probe_of(&server));
+                        }
+                        Inbound::Shutdown => stop = true,
+                    }
+                    drained += 1;
+                    if stop || drained >= DRAIN_BUDGET {
+                        break;
+                    }
+                    event = inbox.try_recv().ok();
+                }
+                router.flush(id);
+                if stop {
                     break;
                 }
             }
-            Ok(Inbound::FromServer { from, message }) => {
-                server.handle_server_message(from, message);
-                router.flush(id);
-            }
-            Ok(Inbound::Probe { reply }) => {
-                let _ = reply.send(probe_of(&server));
-            }
-            Ok(Inbound::Shutdown) => break,
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
@@ -373,20 +331,11 @@ fn parallel_server_thread<C: Clock + 'static>(
     router.flush(id);
 }
 
-fn probe_of<S: ServerIntrospect + ?Sized>(server: &S) -> ServerProbe {
+fn probe_of<S: ServerIntrospect>(server: &S) -> ServerProbe {
     ServerProbe {
         metrics: server.metrics(),
         digest: server.digest(),
         store_stats: server.store_stats(),
-    }
-}
-
-fn dispatch(router: &Router, from: ServerId, outputs: Vec<ServerOutput>) {
-    for output in outputs {
-        match output {
-            ServerOutput::Reply { client, reply } => router.reply(from, client, reply),
-            ServerOutput::Send { to, message } => router.send_server(from, to, message),
-        }
     }
 }
 
@@ -478,28 +427,41 @@ mod tests {
     }
 
     #[test]
-    fn lane_replies_over_tcp_do_not_wait_for_the_next_tick() {
-        // Replies leave through the lanes' output sink. No tick fires during the test,
-        // so a reply that was only staged there would never arrive and the client's
-        // timeout would fail the round trip.
-        let config = Config::builder()
-            .num_replicas(2)
-            .num_partitions(1)
-            .heartbeat_interval(Duration::from_secs(3600))
-            .worker_lanes(2)
-            .build()
-            .unwrap();
-        let cluster = Cluster::builder()
-            .config(config)
-            .protocol(ProtocolKind::Pocc)
-            .transport(TransportKind::Tcp)
-            .start();
-        let mut client = cluster.client(ReplicaId(0));
-        for k in 0..50u64 {
-            client.put(Key(k), Value::from(k)).unwrap();
-            assert_eq!(client.get(Key(k)).unwrap().unwrap(), Value::from(k));
+    fn lane_writes_replicate_without_a_tick() {
+        // A lane flushes its replies, and publishes its PUTs and flushes their
+        // replication, before it blocks again. No tick fires during the test, so a reply
+        // left staged would time the client out, and a write left for the next sweep or
+        // flush would never reach the other data center.
+        for transport in TransportKind::all() {
+            let config = Config::builder()
+                .num_replicas(2)
+                .num_partitions(1)
+                .heartbeat_interval(Duration::from_secs(3600))
+                .worker_lanes(2)
+                .build()
+                .unwrap();
+            let cluster = Cluster::builder()
+                .config(config)
+                .protocol(ProtocolKind::Pocc)
+                .transport(*transport)
+                .start();
+            let mut writer = cluster.client(ReplicaId(0));
+            for k in 0..50u64 {
+                writer.put(Key(k), Value::from(k)).unwrap();
+                assert_eq!(writer.get(Key(k)).unwrap().unwrap(), Value::from(k));
+            }
+            let mut reader = cluster.client(ReplicaId(1));
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while reader.get(Key(49)).unwrap() != Some(Value::from(49u64)) {
+                assert!(
+                    Instant::now() < deadline,
+                    "{}: the last PUT never reached the other data center",
+                    transport.name()
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            cluster.shutdown();
         }
-        cluster.shutdown();
     }
 
     #[test]
@@ -591,7 +553,7 @@ mod tests {
     }
 
     #[test]
-    fn probes_reach_serial_servers() {
+    fn probes_reach_one_lane_servers() {
         let cluster = Cluster::builder()
             .config(small_config())
             .protocol(ProtocolKind::Pocc)

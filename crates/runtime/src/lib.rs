@@ -44,10 +44,10 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Setting `Config::worker_lanes` to more than 1 switches every server from a
-//! single-threaded state machine to the shard-parallel execution runtime of `pocc-exec`,
-//! where client operations are key-hash routed to worker-lane threads and writes are
-//! pipelined.
+//! Every server thread runs one loop in front of a `pocc-exec` `ParallelServer`. At the
+//! default `Config::worker_lanes = 1` that server runs the engine in place on the server
+//! thread; above 1, client operations are key-hash routed to worker-lane threads and
+//! writes are pipelined.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -115,8 +115,8 @@ impl Router {
     }
 
     /// Delivers a reply from server `from` to a client, dropping it silently if the
-    /// session is gone. The transport may stage it until the next [`Router::flush`] or
-    /// [`Router::flush_replies`] from the same server.
+    /// session is gone. The transport may stage it until the next [`Router::flush`] from
+    /// the same server.
     pub(crate) fn reply(&self, from: ServerId, client: ClientId, reply: ClientReply) {
         self.transport.reply(from, client, reply);
     }
@@ -125,11 +125,6 @@ impl Router {
     /// the message until the next [`Router::flush`] from the same server.
     pub(crate) fn send_server(&self, from: ServerId, to: ServerId, message: ServerMessage) {
         self.transport.send_server(from, to, message);
-    }
-
-    /// Flushes the replies `from` staged, leaving its server-to-server messages staged.
-    pub(crate) fn flush_replies(&self, from: ServerId) {
-        self.transport.flush_replies(from);
     }
 
     /// Flushes everything `from` staged since the last flush.

@@ -1,4 +1,5 @@
-//! Start/stop cycles of a TCP cluster: quick, and every helper thread is joined.
+//! Start/stop cycles of a TCP cluster, with and without worker lanes: every helper thread
+//! is joined.
 //!
 //! Alone in its file (and so in its process) because it counts the process's threads.
 
@@ -17,39 +18,40 @@ fn threads_alive() -> usize {
 }
 
 #[test]
-fn tcp_clusters_start_and_stop_quickly_and_leave_no_thread_behind() {
-    let config = Config::builder()
-        .num_replicas(2)
-        .num_partitions(2)
-        .build()
-        .unwrap();
+fn tcp_clusters_start_and_stop_and_leave_no_thread_behind() {
     #[cfg(target_os = "linux")]
     let threads_before = threads_alive();
-    let started = Instant::now();
-    for cycle in 0..50u64 {
-        let cluster = Cluster::builder()
-            .config(config.clone())
-            .protocol(ProtocolKind::Pocc)
-            .transport(TransportKind::Tcp)
-            .start();
-        // One acknowledged PUT, so that an acceptor, a connection reader and a port
-        // reader have all run before the shutdown.
-        let (id, mut port) = cluster.open_port();
-        let key = Key(cycle);
-        let home = ServerId::new((cycle % 2) as u16, partition_for_key(key, 2));
-        let session = Client::new(id, home, 2);
-        port.submit(home, session.put(key, Value::from(cycle)))
+    // One lane runs the engine on the server thread; two add lane threads to join.
+    for lanes in [1, 2] {
+        let config = Config::builder()
+            .num_replicas(2)
+            .num_partitions(2)
+            .worker_lanes(lanes)
+            .build()
             .unwrap();
-        let reply = port.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(reply, ClientReply::Put { .. }), "got {reply:?}");
-        drop(port);
-        cluster.shutdown();
+        for cycle in 0..50u64 {
+            let cluster = Cluster::builder()
+                .config(config.clone())
+                .protocol(ProtocolKind::Pocc)
+                .transport(TransportKind::Tcp)
+                .start();
+            // One acknowledged PUT, so that an acceptor, a connection reader and a port
+            // reader (and, with lanes, a lane) have all run before the shutdown.
+            let (id, mut port) = cluster.open_port();
+            let key = Key(cycle);
+            let home = ServerId::new((cycle % 2) as u16, partition_for_key(key, 2));
+            let session = Client::new(id, home, 2);
+            port.submit(home, session.put(key, Value::from(cycle)))
+                .unwrap();
+            let reply = port.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(
+                matches!(reply, ClientReply::Put { .. }),
+                "lanes={lanes}: got {reply:?}"
+            );
+            drop(port);
+            cluster.shutdown();
+        }
     }
-    let elapsed = started.elapsed();
-    assert!(
-        elapsed < Duration::from_secs(5),
-        "50 start/stop cycles took {elapsed:?}"
-    );
     // A joined thread can stay listed in /proc for a moment after it exits, so wait
     // (boundedly) for the count to come back down.
     #[cfg(target_os = "linux")]

@@ -13,7 +13,6 @@
 //! WAN latencies in the order of those between Oregon, Virginia and Ireland.
 
 use crate::{Error, ReplicaId, Result};
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Round-trip-free one-way latency matrix between data centers, plus the intra-DC latency.
@@ -21,7 +20,7 @@ use std::time::Duration;
 /// Entry `[i][j]` is the one-way delay of a message sent from data center `i` to data
 /// center `j`. The matrix does not have to be symmetric, although realistic deployments
 /// usually are.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct LatencyMatrix {
     /// One-way delay between servers in the same data center.
     pub intra_dc: Duration,
@@ -107,7 +106,7 @@ impl LatencyMatrix {
 }
 
 /// Static configuration of a deployment.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Config {
     /// Number of data centers `M`. The paper's evaluation uses 3.
     pub num_replicas: usize,
@@ -137,7 +136,7 @@ pub struct Config {
     /// into (intra-partition sharding; `1` reproduces the original unsharded store).
     pub storage_shards: usize,
     /// Number of worker lanes each server of the *threaded* runtime spreads its client
-    /// load across (`1` reproduces the original serial server loop; the simulator
+    /// load across (`1` runs the engine on the server thread itself; the simulator
     /// ignores this field). Lanes own disjoint sets of storage shards, so values that
     /// divide `storage_shards` avoid cross-lane shard contention.
     pub worker_lanes: usize,

@@ -4,14 +4,13 @@
 //! replicated at `M` data centers. A *server* is one replica of one partition and is
 //! therefore addressed by the pair `(replica, partition)` — the paper writes it `p^m_n`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a data center (a *replica* in the paper's terminology).
 ///
 /// The paper's evaluation uses `M = 3` data centers (Oregon, Virginia, Ireland); the
 /// protocol supports any number. Replica ids are dense indices `0..M`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ReplicaId(pub u16);
 
 impl ReplicaId {
@@ -45,7 +44,7 @@ impl fmt::Display for ReplicaId {
 ///
 /// Every key is deterministically assigned to a single partition by a hash function
 /// (see `pocc_storage::partition_for_key`). Partition ids are dense indices `0..N`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PartitionId(pub u32);
 
 impl PartitionId {
@@ -76,7 +75,7 @@ impl fmt::Display for PartitionId {
 
 /// Identifier of a server: one replica of one partition (`p^m_n` in the paper,
 /// where `m` is the data center and `n` the partition).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ServerId {
     /// The data center hosting this server.
     pub replica: ReplicaId,
@@ -120,7 +119,7 @@ impl fmt::Display for ServerId {
 ///
 /// Clients connect to a node in their closest data center and issue operations in a
 /// closed loop (§II-C). A client id is unique across the whole deployment.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ClientId(pub u64);
 
 impl ClientId {

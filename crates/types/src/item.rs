@@ -7,7 +7,6 @@
 
 use crate::{DependencyVector, ReplicaId, Timestamp};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -16,9 +15,7 @@ use std::fmt;
 /// The evaluation of the paper uses small 8-byte keys; the reproduction represents a key
 /// as a `u64` for compactness and cheap hashing, with a helper to render it as the 8-byte
 /// string it stands for.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Key(pub u64);
 
 impl Key {
@@ -63,7 +60,7 @@ impl fmt::Display for Key {
 ///
 /// Values are reference-counted ([`Bytes`]) so that multi-version storage, replication
 /// messages and client replies can share the same allocation.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Value(pub Bytes);
 
 impl Value {
@@ -130,7 +127,7 @@ impl fmt::Debug for Value {
 }
 
 /// A version of an item: the tuple `⟨k, v, sr, ut, dv⟩` of §IV-A.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Version {
     /// The key this version belongs to.
     pub key: Key,

@@ -10,15 +10,12 @@
 //! the original system and is fine enough that ties between distinct servers are broken
 //! by the source-replica id as prescribed by the last-writer-wins rule of §IV-B.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
 /// A physical-clock timestamp, in microseconds since the epoch of the deployment.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {

@@ -17,7 +17,6 @@
 //! lattice operations (entry-wise max/min, partial-order comparison) through [`ClockVector`].
 
 use crate::{ReplicaId, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Index;
 
@@ -54,7 +53,7 @@ pub enum VectorOrdering {
 /// allocations. Longer vectors spill to a heap `Vec` and behave like the naive
 /// representation. Equality and hashing see only the logical entries, so an inline
 /// vector and a (hypothetical) spilled one of equal contents compare equal.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct ClockVector {
     /// Logical number of entries (the spare inline slots beyond `len` are dead space).
     len: u32,
@@ -387,7 +386,7 @@ impl fmt::Display for ClockVector {
 macro_rules! vector_newtype {
     ($(#[$meta:meta])* $name:ident) => {
         $(#[$meta])*
-        #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+        #[derive(Clone, PartialEq, Eq, Hash)]
         pub struct $name(pub ClockVector);
 
         impl $name {

@@ -35,10 +35,10 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Pass a configuration with `worker_lanes: 4` to `.config(..)` to run every server on the
-//! shard-parallel execution runtime: client operations are key-hash routed to four
-//! worker-lane threads per server and writes are pipelined (see the [`exec`] crate docs
-//! for the model).
+//! Every server runs the engine of the [`exec`] crate on its own thread. Pass a
+//! configuration with `worker_lanes: 4` to `.config(..)` to give each one four worker-lane
+//! threads: client operations are then key-hash routed to the lanes and writes are
+//! pipelined (see the [`exec`] crate docs for the model).
 //!
 //! Or reproduce a point of the paper's evaluation with the simulator:
 //!

@@ -9,9 +9,11 @@
 //! * a real [`Cluster`] on the **channel transport** (threads and in-process queues with
 //!   emulated WAN delays), and
 //! * a real [`Cluster`] on the **TCP transport** (real localhost sockets, length-prefixed
-//!   codec frames, per-connection write coalescing).
+//!   codec frames, per-connection write coalescing), and
+//! * the same TCP cluster with `worker_lanes = 2`, where lanes stage replies and
+//!   replication on the sockets and flush them once per batch.
 //!
-//! All three must agree on everything the protocols promise: per-key final values, store
+//! All four must agree on everything the protocols promise: per-key final values, store
 //! convergence across replicas, order-insensitive metric totals and a clean exact causal
 //! checker. Interleavings, timestamps and latencies are allowed to differ — that is the
 //! point. The channel/TCP agreement in particular pins the socket path's framing, write
@@ -41,9 +43,12 @@ fn config() -> Config {
 #[test]
 fn serial_channel_and_tcp_agree_for_every_protocol() {
     let scripts = common::scripts(0xd130_2b97_9af5_2857, 0x9e37_79b9_7f4a_7c15, 12, 40);
-    let on = |protocol, transport| {
+    let on = |protocol, transport, worker_lanes| {
         Cluster::builder()
-            .config(config())
+            .config(Config {
+                worker_lanes,
+                ..config()
+            })
             .protocol(protocol)
             .transport(transport)
     };
@@ -51,7 +56,7 @@ fn serial_channel_and_tcp_agree_for_every_protocol() {
         let serial = run_serial(protocol, &scripts, config());
         check_outcome(&format!("serial {protocol:?}"), &serial, &scripts, REPLICAS);
 
-        let channel = run_cluster(on(protocol, TransportKind::Channel), &scripts);
+        let channel = run_cluster(on(protocol, TransportKind::Channel, 1), &scripts);
         check_outcome(
             &format!("channel {protocol:?}"),
             &channel,
@@ -59,10 +64,12 @@ fn serial_channel_and_tcp_agree_for_every_protocol() {
             REPLICAS,
         );
 
-        let tcp = run_cluster(on(protocol, TransportKind::Tcp), &scripts);
-        check_outcome(&format!("tcp {protocol:?}"), &tcp, &scripts, REPLICAS);
-
         assert_agree(&format!("{protocol:?} serial/channel"), &serial, &channel);
-        assert_agree(&format!("{protocol:?} channel/tcp"), &channel, &tcp);
+        for lanes in [1, 2] {
+            let label = format!("{protocol:?} tcp lanes={lanes}");
+            let tcp = run_cluster(on(protocol, TransportKind::Tcp, lanes), &scripts);
+            check_outcome(&label, &tcp, &scripts, REPLICAS);
+            assert_agree(&label, &channel, &tcp);
+        }
     }
 }
