@@ -17,7 +17,6 @@
 //! baseline lives at `MICROBENCH_baseline.json` in the repository root.
 
 use pocc_bench::json::Json;
-use pocc_exec::PublishedVector;
 use pocc_proto::{codec, ClientRequest};
 use pocc_storage::ShardedStore;
 use pocc_types::{
@@ -25,8 +24,7 @@ use pocc_types::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pocc_bench::json::MICROBENCH_SCHEMA_VERSION;
@@ -229,45 +227,6 @@ fn bench_snapshot_read() -> BenchResult {
     })
 }
 
-/// The lane fast-path coverage check under concurrent publication: readers evaluate
-/// `covers_dependencies_except_local` against the atomic epoch snapshot while a writer
-/// thread continuously advances its entries — the contention shape the remote-apply
-/// pipeline puts on the published vector. Both sides are allocation-free, which is the
-/// property the CI gate pins (a lock-based snapshot would clone on every publication).
-fn bench_snapshot_read_under_writes() -> BenchResult {
-    let published = Arc::new(PublishedVector::new(&VersionVector::from_entries(
-        (0..REPLICAS).map(|_| Timestamp(1)).collect(),
-    )));
-    let stop = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let published = Arc::clone(&published);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut ts = 2u64;
-            while !stop.load(Ordering::Relaxed) {
-                for r in 0..REPLICAS as u16 {
-                    published.advance(ReplicaId(r), Timestamp(ts));
-                }
-                ts += 1;
-            }
-        })
-    };
-    let deps = dv([1, 1, 1]);
-    let result = measure("snapshot_read_under_writes", READ_OPS, || {
-        let mut covered = 0u64;
-        for _ in 0..READ_OPS {
-            if published.covers_dependencies_except_local(&deps, ReplicaId(0)) {
-                covered += 1;
-            }
-        }
-        // The publication only ever advances past the fixed deps, so every check passes.
-        assert_eq!(covered, READ_OPS);
-    });
-    stop.store(true, Ordering::Relaxed);
-    writer.join().expect("writer thread");
-    result
-}
-
 /// The GET-snapshot vector algebra of `EngineCore::serve_get_snapshot`:
 /// `GSS ∨ RDV` then advance the local entry — one temporary vector per read.
 fn bench_vector_join() -> BenchResult {
@@ -451,7 +410,6 @@ fn main() -> ExitCode {
         bench_insert_after_gc(),
         bench_get_latest(),
         bench_snapshot_read(),
-        bench_snapshot_read_under_writes(),
         bench_vector_join(),
         bench_version_clone(),
         bench_codec_encode(),

@@ -180,7 +180,7 @@ impl<C: Clock> EngineCore<C> {
     /// Sends a message through the replication batcher: delivered immediately when
     /// batching is off (or the message is latency-sensitive), deferred to the next tick's
     /// flush otherwise. Per-message metrics are accounted either way.
-    pub fn send_via_batcher(
+    fn send_via_batcher(
         &mut self,
         to: ServerId,
         message: ServerMessage,

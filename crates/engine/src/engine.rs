@@ -147,14 +147,9 @@ impl<C: Clock, P: VisibilityPolicy<C>> ProtocolEngine<C, P> {
     /// Absorbs the bookkeeping half of one replicated remote version: replication
     /// accounting, the origin's version-vector advance, the policy's `on_replicate`
     /// hook and a re-evaluation of parked operations (Algorithm 2 lines 16–18 minus
-    /// the store insert).
-    ///
-    /// The version itself must already be installed in the store — the serial
-    /// `Replicate` arm inserts it immediately before calling this, and the threaded
-    /// runtime's lanes install it off-spine before the sweep publishes the advance —
-    /// because advancing the vector claims coverage of everything from that origin at
-    /// or below `update_time`.
-    pub fn absorb_remote_version(
+    /// the store insert). The version must already be in the store, because advancing
+    /// the vector claims coverage of everything from that origin up to `update_time`.
+    fn absorb_remote_version(
         &mut self,
         from: ServerId,
         key: Key,

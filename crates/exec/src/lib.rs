@@ -1,51 +1,28 @@
-//! Threaded shard-parallel execution of the protocol engine.
+//! Threaded execution of the protocol engine.
 //!
 //! The deterministic simulator (`pocc-sim`) runs every server as a single-threaded state
 //! machine, which makes behaviour reproducible but turns every throughput number into a
-//! microbench claim. This crate makes the cores actually work: a [`ParallelServer`] runs
-//! one protocol engine behind a set of *worker lanes* — real OS threads with bounded
-//! mailboxes — so PUT and GET processing of disjoint key ranges proceeds concurrently
-//! while the engine's protocol logic (replication, heartbeats, stabilization, parked
-//! operations, transactions) stays exactly the code the simulator exercises.
+//! microbench claim. This crate runs the same engine on real threads: a
+//! [`ParallelServer`] keeps one protocol engine behind a mutex and feeds it from a set of
+//! *worker lanes* — OS threads with bounded mailboxes — while the engine's protocol logic
+//! (replication, heartbeats, stabilization, parked operations, transactions) stays
+//! exactly the code the simulator exercises.
 //!
 //! # Execution model
 //!
 //! * **Lanes.** Client operations are key-hash-routed to `Config::worker_lanes` worker
-//!   threads (`lane = shard(key) % lanes`), each with a bounded mailbox (actor shape;
-//!   a full mailbox applies backpressure to the submitting thread). Lanes own disjoint
-//!   sets of storage shards, so their version-chain inserts never contend. A lane
-//!   publishes its batch's writes and flushes its [`Sink`] before it blocks again.
+//!   threads (`lane = shard(key) % lanes`, so operations on one key keep their order),
+//!   each with a bounded mailbox (actor shape; a full mailbox applies backpressure to the
+//!   submitting thread). A lane takes up to 64 queued operations, runs them through the
+//!   engine under one spine acquisition, and flushes its [`Sink`] before it blocks again.
+//! * **Spine.** The unmodified [`pocc_engine::ProtocolEngine`] lives behind a single
+//!   mutex, the *spine*. Lane batches, server-to-server messages, ticks and probes all
+//!   run the engine under it, and every output is emitted before the lock is released,
+//!   so messages leave on each FIFO link in engine order: a heartbeat never promises a
+//!   timestamp while a smaller-timestamped write to the same sibling is still unsent.
 //! * **One lane runs in place.** At `worker_lanes = 1` there is no lane thread: every
-//!   operation and message runs the engine on the calling thread under the spine, with
-//!   nothing to pipeline, drain or publish. This lane-count test is the only place
-//!   that chooses between the two execution shapes.
-//! * **Spine.** Everything protocol-visible that is *not* per-key — the version vector,
-//!   GSS bookkeeping, parked operations, transaction coordination, metrics — lives in
-//!   the unmodified [`pocc_engine::ProtocolEngine`] behind a single mutex, the *spine*.
-//!   Server-to-server messages and ticks are handled there.
-//! * **Write pipelining.** A lane serving an eligible PUT only takes the spine lock long
-//!   enough to *reserve* a timestamp (the same clock/dependency floor rule as the serial
-//!   `serve_put`); the chain insert then happens outside the lock. Reservations are
-//!   published back into the engine — version-vector advance plus replication fan-out —
-//!   strictly in timestamp order, and any engine call first drains the pipeline, so the
-//!   engine never observes a version vector ahead of the store (a heartbeat promising a
-//!   timestamp while a smaller-timestamped write is still in flight would break the
-//!   sibling replicas' coverage reasoning).
-//! * **Remote-apply pipelining.** Replicated versions from sibling replicas — (R−1)×
-//!   the local write volume in an R-replica deployment — are queued on a per-origin
-//!   FIFO and routed to their key's lane, which installs them into the sharded store
-//!   without the spine lock. The spine absorbs the installed prefix of each origin
-//!   queue on its next sweep (version-vector advance, replication accounting, policy
-//!   `on_replicate` hook), in per-origin timestamp order, so its coverage promises
-//!   never run ahead of the store. A drain that finds unstarted remote slots installs
-//!   them itself (claim-based helping) rather than waiting on a lane that may itself be
-//!   blocked on the spine.
-//! * **Epoch snapshots for readers.** The spine publishes the engine's version vector
-//!   as one atomic timestamp per replica ([`PublishedVector`]) after every sweep. A
-//!   batch consisting purely of GETs whose dependencies are covered by the publication
-//!   — and, under POCC, entirely-local read-only transactions whose snapshot it covers
-//!   — is served straight from the sharded store without taking any lock at all:
-//!   readers never touch the write path, not even a read-lock.
+//!   operation and message runs the engine on the calling thread under the spine. This
+//!   lane-count test is the only place that chooses between the two execution shapes.
 //!
 //! What stays deterministic under threads: per-key final state (convergence digests),
 //! causal consistency (the checker passes), and order-insensitive metric totals.
@@ -57,10 +34,8 @@
 #![warn(missing_docs)]
 
 mod server;
-mod snapshot;
 
 pub use server::{OutputSink, ParallelServer, ServerClosed, Sink};
-pub use snapshot::PublishedVector;
 
 use pocc_clock::Clock;
 use pocc_engine::VisibilityPolicy;
@@ -161,58 +136,6 @@ impl ProtocolKind {
             ProtocolKind::Adaptive => Box::new(pocc_adaptive::AdaptivePolicy::default()),
         }
     }
-
-    /// Which operations the lanes may serve without going through the full policy
-    /// dispatch on the spine.
-    pub fn fast_path(self) -> FastPathProfile {
-        match self {
-            // POCC reads are freshest-version chain-head reads: a lane can serve them
-            // from the shared store once the client's remote dependencies are covered.
-            ProtocolKind::Pocc => FastPathProfile {
-                puts: true,
-                puts_check_deps: true,
-                gets: true,
-            },
-            // Cure* PUTs are unconditional, but its GETs do GSS staleness accounting on
-            // the engine, so reads go through the spine.
-            ProtocolKind::Cure => FastPathProfile {
-                puts: true,
-                puts_check_deps: false,
-                gets: false,
-            },
-            // HA-POCC records *every* client request in its session bookkeeping (the
-            // optimistic-client set consulted on fallback aborts), so no operation may
-            // bypass the policy.
-            ProtocolKind::HaPocc => FastPathProfile {
-                puts: false,
-                puts_check_deps: true,
-                gets: false,
-            },
-            // Adaptive PUTs are POCC PUTs (local writes do not touch the churn
-            // classifier), but GETs consult per-key policy state.
-            ProtocolKind::Adaptive => FastPathProfile {
-                puts: true,
-                puts_check_deps: true,
-                gets: false,
-            },
-        }
-    }
-}
-
-/// Which operation kinds a protocol allows the worker lanes to serve directly, bypassing
-/// the policy dispatch on the spine. Derived from each policy's semantics — see
-/// [`ProtocolKind::fast_path`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FastPathProfile {
-    /// Whether lanes may pipeline eligible PUTs (reserve a timestamp, insert off-lock).
-    pub puts: bool,
-    /// Whether PUT eligibility requires the client's remote dependencies to be covered
-    /// (POCC's configurable wait); `false` means PUTs are unconditionally eligible.
-    pub puts_check_deps: bool,
-    /// Whether lanes may serve dependency-covered GETs — and, when the published
-    /// snapshot covers them, entirely-local read-only transactions — from the store
-    /// directly.
-    pub gets: bool,
 }
 
 #[cfg(test)]

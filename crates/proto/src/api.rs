@@ -82,16 +82,16 @@ pub struct MetricsSnapshot {
     /// Total bytes of server-to-server traffic sent (wire-size estimate).
     pub bytes_sent: u64,
 
-    /// Operations served entirely on a worker lane, without deferring to the spine
-    /// (threaded runtime only; always zero for serial servers and the simulator).
+    /// Always zero: every client operation runs on the engine. Kept because reports and
+    /// the repository benchmark read it.
     pub lane_fast_path_hits: u64,
-    /// Operations a lane had to defer to the full policy dispatch on the spine
-    /// (threaded runtime only).
+    /// Client operations worker lanes ran on the engine (threaded runtime only; zero
+    /// at one lane, where the calling thread runs them).
     pub lane_fast_path_misses: u64,
     /// Times the spine mutex was acquired (threaded runtime only).
     pub spine_acquisitions: u64,
-    /// Iterations the pipeline drain spent waiting for an in-flight lane slot to
-    /// complete (threaded runtime only; each spin is a yield or a short park).
+    /// Always zero: nothing waits for work outside the spine. Kept because reports and
+    /// the repository benchmark read it.
     pub drain_spins: u64,
 }
 

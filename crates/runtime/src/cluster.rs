@@ -15,8 +15,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A consistent snapshot of one server's introspection surface, taken on the server's own
-/// thread with its write pipeline fully drained.
+/// One server's introspection surface, read on the server's own thread. The three fields
+/// are read under three separate spine acquisitions, so they describe one engine state
+/// only on a quiescent server: with worker lanes, a lane may run a batch in between.
 #[derive(Clone, Debug)]
 pub struct ServerProbe {
     /// The server's metric counters.
@@ -196,9 +197,9 @@ impl Cluster {
         (id, self.router.client_port(id))
     }
 
-    /// Takes a consistent introspection snapshot of one server: metrics, convergence
-    /// digest and store statistics. The server drains its write pipeline first, so the
-    /// snapshot is never mid-operation.
+    /// Takes an introspection snapshot of one server: metrics, convergence digest and
+    /// store statistics, consistent with each other only on a quiescent server (see
+    /// [`ServerProbe`]).
     pub fn probe(&self, server: ServerId) -> ServerProbe {
         let (tx, rx) = unbounded();
         self.router.probe(server, tx);
@@ -350,7 +351,8 @@ pub(crate) fn server_for_key(config: &Config, replica: ReplicaId, key: Key) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_types::{LatencyMatrix, Value};
+    use pocc_proto::{ClientReply, ClientRequest};
+    use pocc_types::{DependencyVector, LatencyMatrix, Value};
 
     fn small_config() -> Config {
         Config::builder()
@@ -428,10 +430,9 @@ mod tests {
 
     #[test]
     fn lane_writes_replicate_without_a_tick() {
-        // A lane flushes its replies, and publishes its PUTs and flushes their
-        // replication, before it blocks again. No tick fires during the test, so a reply
-        // left staged would time the client out, and a write left for the next sweep or
-        // flush would never reach the other data center.
+        // A lane flushes its replies and its PUTs' replication before it blocks again.
+        // No tick fires during the test, so a reply left staged would time the client
+        // out, and replication left staged would never reach the other data center.
         for transport in TransportKind::all() {
             let config = Config::builder()
                 .num_replicas(2)
@@ -461,6 +462,61 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(2));
             }
             cluster.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_misrouted_request_is_refused_and_the_server_keeps_serving() {
+        // A GET or PUT for a key of another partition is outside input the engine would
+        // panic on: the server answers it with an abort and goes on serving.
+        let server = ServerId::new(ReplicaId(0), 0u32);
+        let key_of = |owned: bool| {
+            (0..)
+                .map(Key)
+                .find(|&k| (pocc_storage::partition_for_key(k, 2) == server.partition) == owned)
+                .unwrap()
+        };
+        let put = |key| ClientRequest::Put {
+            key,
+            value: Value::from("x"),
+            dv: DependencyVector::zero(2),
+        };
+        for transport in TransportKind::all() {
+            for lanes in [1, 2] {
+                let cluster = Cluster::builder()
+                    .config(Config {
+                        worker_lanes: lanes,
+                        ..small_config()
+                    })
+                    .transport(*transport)
+                    .start();
+                let context = format!("{} lanes={lanes}", transport.name());
+                let (_, mut port) = cluster.open_port();
+                let foreign = key_of(false);
+                let misrouted = [
+                    put(foreign),
+                    ClientRequest::Get {
+                        key: foreign,
+                        rdv: DependencyVector::zero(2),
+                    },
+                ];
+                for request in misrouted {
+                    port.submit(server, request).unwrap();
+                    let reply = port.recv_timeout(Duration::from_secs(2)).unwrap();
+                    assert!(
+                        matches!(reply, ClientReply::SessionAborted { .. }),
+                        "{context}: got {reply:?}"
+                    );
+                }
+                port.submit(server, put(key_of(true))).unwrap();
+                let reply = port.recv_timeout(Duration::from_secs(2)).unwrap();
+                assert!(
+                    matches!(reply, ClientReply::Put { .. }),
+                    "{context}: got {reply:?}"
+                );
+                drop(port);
+                cluster.shutdown();
+            }
         }
     }
 
@@ -541,7 +597,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(found.expect("writes replicate"), Value::from(15u64));
-        // Probes drain the write pipeline: the writer's home DC served all 16 PUTs.
+        // Every PUT was answered, so the writer's home DC has served all 16.
         let served: u64 = cluster
             .probe_all()
             .into_iter()

@@ -46,8 +46,8 @@
 //!
 //! Every server thread runs one loop in front of a `pocc-exec` `ParallelServer`. At the
 //! default `Config::worker_lanes = 1` that server runs the engine in place on the server
-//! thread; above 1, client operations are key-hash routed to worker-lane threads and
-//! writes are pipelined.
+//! thread; above 1, client operations are key-hash routed to worker-lane threads, which
+//! run them through the engine in batches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

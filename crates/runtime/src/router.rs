@@ -30,7 +30,7 @@ pub(crate) enum Inbound {
         /// The message.
         message: ServerMessage,
     },
-    /// Ask the server thread for a consistent introspection snapshot.
+    /// Ask the server thread for an introspection snapshot.
     Probe {
         /// Where to send the snapshot.
         reply: Sender<ServerProbe>,

@@ -65,12 +65,9 @@ pub type PartitionStore = ShardedStore;
 /// The store validates that inserted keys actually belong to its partition (mis-routed
 /// writes are a bug in the routing layer, reported as [`Error::WrongPartition`]).
 ///
-/// Every shard sits behind its own reader-writer lock and every method takes `&self`,
-/// so the threaded runtime's worker lanes can insert into disjoint shards concurrently
-/// while readers serve lock-free-routed GETs from others. `Clone` produces a *handle* to
-/// the same underlying shards (the shard vector is shared), which is what lets an
-/// execution layer hand the store to reader threads while a writer pipeline keeps
-/// appending. Lookups return owned data (cloned versions) rather than references, since
+/// Every shard sits behind its own reader-writer lock and every method takes `&self`;
+/// `Clone` produces a *handle* to the same underlying shards (the shard vector is
+/// shared). Lookups return owned data (cloned versions) rather than references, since
 /// references cannot outlive the internal shard locks; version payloads are cheap,
 /// refcounted byte buffers, so the clones are shallow.
 #[derive(Clone, Debug)]

@@ -18,7 +18,7 @@
 //! | [`net`] | `pocc-net` | Simulated geo network: latency model, FIFO links, partition injection |
 //! | [`workload`] | `pocc-workload` | Zipfian key choice, GET:PUT and transactional mixes |
 //! | [`sim`] | `pocc-sim` | Deterministic discrete-event simulator (regenerates the paper's figures) |
-//! | [`exec`] | `pocc-exec` | Threaded shard-parallel server runtime (worker lanes, write pipelining) |
+//! | [`exec`] | `pocc-exec` | Threaded server runtime (worker lanes over one spine-locked engine) |
 //! | [`runtime`] | `pocc-runtime` | Threaded in-process cluster with synchronous client handles |
 //!
 //! ## Quick start
@@ -37,8 +37,8 @@
 //!
 //! Every server runs the engine of the [`exec`] crate on its own thread. Pass a
 //! configuration with `worker_lanes: 4` to `.config(..)` to give each one four worker-lane
-//! threads: client operations are then key-hash routed to the lanes and writes are
-//! pipelined (see the [`exec`] crate docs for the model).
+//! threads: client operations are then key-hash routed to the lanes, which run them
+//! through the engine in batches (see the [`exec`] crate docs for the model).
 //!
 //! Or reproduce a point of the paper's evaluation with the simulator:
 //!
@@ -94,7 +94,7 @@ pub use pocc_types::{Config, Key, ReplicaId, Timestamp, Value};
 /// client handles, protocol selection, configuration builders,
 /// the simulator entry points and the common value types.
 pub mod prelude {
-    pub use pocc_exec::{FastPathProfile, OutputSink, ParallelServer, ProtocolKind};
+    pub use pocc_exec::{OutputSink, ParallelServer, ProtocolKind};
     pub use pocc_proto::{InstrumentedServer, ProtocolClient, ProtocolServer, ServerIntrospect};
     pub use pocc_runtime::{Cluster, ClusterBuilder, ClusterClient, ServerProbe, TransportKind};
     pub use pocc_sim::{SimConfig, SimConfigBuilder, SimReport, Simulation};

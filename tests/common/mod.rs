@@ -282,7 +282,7 @@ pub fn run_cluster(builder: ClusterBuilder, scripts: &[Vec<Op>]) -> Outcome {
     }
 
     // Wait for replication to drain: every partition's replicas must reach identical
-    // digests (probes drain each server's write pipeline first).
+    // digests.
     let mut converged = false;
     for _ in 0..2_000 {
         let probes = cluster.probe_all();

@@ -6,8 +6,8 @@
 //!
 //! * the hand-pumped serial reference cluster (`pocc::sim::reference::SerialCluster`: one
 //!   state machine per server, messages delivered deterministically), and
-//! * a real [`Cluster`] with `worker_lanes = 4`, where every server dispatches operations
-//!   to lane threads and pipelines its writes.
+//! * a real [`Cluster`] with `worker_lanes = 4`, where every server routes operations to
+//!   lane threads, which run them through the engine in batches.
 //!
 //! Both drivers must agree on everything the protocols promise: per-key final values,
 //! store convergence across replicas, order-insensitive metric totals (operations served,
@@ -15,8 +15,8 @@
 //! Interleavings, timestamps and latencies are allowed to differ — that is the point.
 //!
 //! The suite runs two topologies: the base two-replica deployment, and a three-replica
-//! deployment where every server's remote-apply volume is twice its local write volume —
-//! the shape that exercises the threaded runtime's per-origin replication pipeline.
+//! deployment where every server applies twice as many replicated versions as it writes
+//! locally.
 
 mod common;
 
@@ -98,7 +98,7 @@ fn parallel_runtime_is_clean_at_every_lane_count() {
     }
 }
 
-/// The remote-apply pipeline's differential test: a three-replica topology, where every
+/// The replication-heavy differential test: a three-replica topology, where every
 /// server applies twice as many replicated versions as it writes locally, pinned against
 /// the serial driver for all four protocols at every lane count.
 #[test]
