@@ -12,8 +12,9 @@
 //! * [`TcpTransport`] — real sockets on localhost with length-prefixed frames over the
 //!   `pocc-proto` wire codec, per-connection write coalescing and buffer-reusing reads.
 //!
-//! Inbound traffic is pushed into an [`EventSink`] the runtime provides (it forwards to
-//! the per-server thread inboxes); outbound traffic goes through the trait methods.
+//! Inbound traffic is pushed into an [`EventSink`] the runtime provides (over TCP it runs
+//! the event on its server, on the connection reader's thread; over channels it forwards
+//! to the per-server thread inboxes); outbound traffic goes through the trait methods.
 //! Clients talk to a transport through a [`ClientPort`], which hides whether a request
 //! crosses a channel or a socket.
 
@@ -82,7 +83,10 @@ pub enum TransportEvent {
 }
 
 /// Where a transport delivers inbound traffic: called as `(to, event)` for every event
-/// addressed to node `to`. The runtime points this at the per-server thread inboxes.
+/// addressed to node `to`, on the transport's receiving thread. The sink may run the
+/// event to completion there and stage outputs on the transport: the TCP backend flushes
+/// node `to` after each `read` whose frames it delivered. The runtime's TCP sink runs
+/// the event on its server; its channel sink feeds the per-server thread inboxes.
 pub type EventSink = Arc<dyn Fn(ServerId, TransportEvent) + Send + Sync>;
 
 /// A message-moving backend connecting the nodes of one cluster (and its clients).
@@ -99,7 +103,8 @@ pub type EventSink = Arc<dyn Fn(ServerId, TransportEvent) + Send + Sync>;
 /// The rule for callers is *stage while there is more work, flush before you block*:
 /// whoever called `send_server` or `reply` owes a [`Transport::flush`] before it waits
 /// for its next input. Nothing is flushed on a timer, so a stager that blocks without
-/// flushing parks its output until somebody else flushes the same server. The runtime's
+/// flushing parks its output until somebody else flushes the same server. A TCP
+/// connection reader flushes after every `read` whose frames it delivered; the runtime's
 /// server loop flushes after every drained inbox batch and after every tick; a worker
 /// lane flushes once after every batch it serves, replies and replication together.
 pub trait Transport: Send + Sync {

@@ -9,10 +9,10 @@
 //!   server) stages frames into one per-connection [`FrameWriter`] scratch (encoding in
 //!   place via the codec's `encode_*_into`, zero steady-state allocations) and writes the
 //!   whole backlog with a single `write` syscall when the staging thread would otherwise
-//!   block: the runtime's end-of-batch [`Transport::flush`] on a server, a
-//!   [`ClientPort::recv_timeout`] that has no reply to hand back on a client. There is no
-//!   timer. Replication batches produced by the engine's `MessageBatcher` travel as one
-//!   `Batch` frame, so fan-out batching survives the wire.
+//!   block: the connection reader after each `read` and the runtime's tick and lane
+//!   flushes on a server, a [`ClientPort::recv_timeout`] that has no reply to hand back on
+//!   a client. There is no timer. Replication batches produced by the engine's
+//!   `MessageBatcher` travel as one `Batch` frame, so fan-out batching survives the wire.
 //! * **Read-side buffer reuse** — every reader thread owns one fixed chunk buffer and one
 //!   [`FrameDecoder`] whose backing storage is recycled across reads; complete frames are
 //!   handed to the zero-copy decoder.
@@ -21,8 +21,13 @@
 //!   itself. No artificial latency is injected: this backend measures the real stack.
 //!
 //! Threads: one acceptor per server, one reader per accepted connection, one reader per
-//! client-port connection. All of them poll a shared `running` flag with short read
-//! timeouts, so shutdown converges in tens of milliseconds without any signaling channel.
+//! client-port connection. A connection reader pushes every frame it decodes into the
+//! [`EventSink`], which may run the server's engine right there on the reader's thread;
+//! after each `read` whose frames it delivered, the reader flushes its server (replies,
+//! then peer links), as [`Transport::flush`] does, so whatever the sink staged leaves
+//! before the reader blocks again. All threads poll a shared `running` flag with short
+//! read timeouts, so shutdown converges in tens of milliseconds without any signaling
+//! channel.
 
 use crate::transport::frame::{
     decode_hello_client, decode_hello_server, FrameDecoder, FrameWriter, HELLO_CLIENT,
@@ -33,7 +38,6 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use pocc_proto::{codec, ClientReply, ClientRequest, ServerMessage};
 use pocc_types::{ClientId, Config, Error, Result, ServerId};
-use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -51,14 +55,6 @@ const FLUSH_THRESHOLD: usize = 256 * 1024;
 
 /// How often blocked readers wake up to check the shutdown flag.
 const READ_TIMEOUT: Duration = Duration::from_millis(50);
-
-thread_local! {
-    /// Whether this thread staged a reply since it last flushed client connections. A
-    /// connection reader checks it before blocking in `read`: an event sink that answers
-    /// inline, with no server thread behind it, stages on the reader's own thread, and
-    /// nobody else would flush for it.
-    static STAGED_REPLY: Cell<bool> = const { Cell::new(false) };
-}
 
 /// A connection's write half plus its staging scratch.
 struct ConnWriter {
@@ -101,7 +97,6 @@ impl NodeState {
     /// Writes out every client connection with staged replies, one `write` each. A
     /// connection whose write fails is dropped; the others are unaffected.
     fn flush_clients(&self) {
-        STAGED_REPLY.with(|staged| staged.set(false));
         loop {
             // The list is unlocked again before the write, so lanes flush different
             // clients in parallel.
@@ -112,6 +107,13 @@ impl NodeState {
                 self.clients.write().remove(&client);
             }
         }
+    }
+
+    /// Writes out everything staged: replies first, then peer links. A peer link whose
+    /// write fails is dropped and dialed afresh by the next `send_server`.
+    fn flush(&self) {
+        self.flush_clients();
+        self.peers.lock().retain(|_, conn| conn.flush().is_ok());
     }
 }
 
@@ -204,7 +206,6 @@ impl Transport for TcpTransport {
         if conn.scratch.stage_reply(&reply).is_err() {
             return;
         }
-        STAGED_REPLY.with(|staged| staged.set(true));
         let over_threshold = conn.scratch.len() >= FLUSH_THRESHOLD;
         drop(conn);
         if was_clean {
@@ -216,10 +217,7 @@ impl Transport for TcpTransport {
     }
 
     fn flush(&self, from: ServerId) {
-        let node = &self.nodes[&from];
-        node.flush_clients();
-        let mut peers = node.peers.lock();
-        peers.retain(|_, conn| conn.flush().is_ok());
+        self.nodes[&from].flush();
     }
 
     fn client_port(&self, client: ClientId) -> Box<dyn ClientPort> {
@@ -305,8 +303,11 @@ enum Role {
 }
 
 /// Reads one accepted connection: hello first, then requests (client connections) or
-/// server messages (peer connections), pushed into the sink in arrival order. The chunk
-/// buffer and frame decoder are allocated once and reused for the connection's lifetime.
+/// server messages (peer connections), pushed into the sink in arrival order. After each
+/// `read` whose frames reached the sink, the node is flushed before the reader blocks
+/// again: the sink may have run the server on this thread, and what it staged would
+/// otherwise wait for somebody else's flush. The chunk buffer and frame decoder are
+/// allocated once and reused for the connection's lifetime.
 fn connection_reader(
     node_id: ServerId,
     mut stream: TcpStream,
@@ -317,11 +318,7 @@ fn connection_reader(
     let mut chunk = vec![0u8; READ_CHUNK];
     let mut decoder = FrameDecoder::new();
     let mut role: Option<Role> = None;
-    'conn: while running.load(Ordering::Relaxed) {
-        if STAGED_REPLY.with(Cell::get) {
-            // The sink answered on this thread; flush before blocking, like any stager.
-            node.flush_clients();
-        }
+    while running.load(Ordering::Relaxed) {
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => decoder.extend(&chunk[..n]),
@@ -330,13 +327,14 @@ fn connection_reader(
             }
             Err(_) => break,
         }
-        loop {
+        let mut delivered = false;
+        let well_formed = loop {
             let (kind, payload) = match decoder.next_frame() {
                 Ok(Some(frame)) => frame,
-                Ok(None) => break,
-                Err(_) => break 'conn, // corrupt stream: drop the connection
+                Ok(None) => break true,
+                Err(_) => break false, // corrupt stream
             };
-            let delivered = match &role {
+            let accepted = match &role {
                 None => match kind {
                     HELLO_CLIENT => decode_hello_client(&payload).ok().and_then(|client| {
                         let writer = stream.try_clone().ok()?;
@@ -360,6 +358,7 @@ fn connection_reader(
                                 request,
                             },
                         );
+                        delivered = true;
                     })
                 }
                 Some(Role::Peer(from)) if kind == SERVER_MSG => {
@@ -371,13 +370,20 @@ fn connection_reader(
                                 message,
                             },
                         );
+                        delivered = true;
                     })
                 }
                 Some(_) => None,
             };
-            if delivered.is_none() {
-                break 'conn; // protocol violation: drop the connection
+            if accepted.is_none() {
+                break false; // protocol violation
             }
+        };
+        if delivered {
+            node.flush();
+        }
+        if !well_formed {
+            break; // drop the connection
         }
     }
     if let Some(Role::Client(client)) = role {
@@ -816,19 +822,27 @@ mod tests {
 
     #[test]
     fn a_sink_that_answers_inline_needs_no_flush() {
-        // No server thread: the sink replies on the connection reader's own thread,
-        // which flushes what it staged before it blocks in `read` again.
+        // No server thread: the sink answers on the connection reader's own thread, and
+        // on every request also stages a message to the other server. The reader flushes
+        // both, replies and peer links, before it blocks in `read` again.
         let far_side: Arc<std::sync::OnceLock<Arc<TcpTransport>>> = Arc::default();
+        let (peer_tx, peer_rx) = unbounded();
         let sink: EventSink = {
             let far_side = Arc::clone(&far_side);
-            Arc::new(move |to, event| {
-                if let (TransportEvent::Client { client, .. }, Some(t)) = (event, far_side.get()) {
+            Arc::new(move |to, event| match (event, far_side.get()) {
+                (TransportEvent::Client { client, .. }, Some(t)) => {
                     t.reply(to, client, ack(9));
+                    let clock = Timestamp(client.raw());
+                    t.send_server(to, B, ServerMessage::Heartbeat { clock });
                 }
+                (TransportEvent::Peer { from, message }, _) => {
+                    let _ = peer_tx.send((to, from, message));
+                }
+                _ => {}
             })
         };
         let config = Config::builder()
-            .num_replicas(1)
+            .num_replicas(2)
             .num_partitions(1)
             .build()
             .unwrap();
@@ -841,6 +855,13 @@ mod tests {
             for _ in 0..2 {
                 assert_eq!(seq_of(&port.recv_timeout(PATIENCE).unwrap()), 9);
             }
+        }
+        // Six requests, six heartbeats on the A → B link, all flushed by A's reader.
+        for _ in 0..6 {
+            let heartbeat = ServerMessage::Heartbeat {
+                clock: Timestamp(1),
+            };
+            assert_eq!(peer_rx.recv_timeout(PATIENCE).unwrap(), (B, A, heartbeat));
         }
         drop(port);
         t.shutdown();

@@ -1,7 +1,7 @@
 //! The cluster: server threads over a pluggable transport, and lifecycle management.
 
 use crate::client::ClusterClient;
-use crate::router::{Inbound, Router};
+use crate::router::{Inbound, Router, Server};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use pocc_clock::{MonotonicClock, SystemClock};
 use pocc_exec::{ParallelServer, ProtocolKind, Sink};
@@ -29,14 +29,17 @@ pub struct ServerProbe {
 }
 
 /// How many additional inbox events a server thread drains greedily after a blocking
-/// receive before writing out staged transport traffic. Bounds reply latency while
-/// letting the TCP backend coalesce a burst into one `write` per client and per peer.
+/// receive before it flushes and looks at the clock again. Bounds how long a burst of
+/// inbox events (channel-transport traffic; on TCP only probes and shutdown) can hold
+/// back staged output and the next tick.
 const DRAIN_BUDGET: usize = 128;
 
 /// Builder for [`Cluster`]. Defaults to [`Config::small_test`] running POCC on the
-/// in-process channel transport, each server on its own thread; set
-/// [`Config::worker_lanes`] above 1 to give every server that many worker lanes, and
-/// [`ClusterBuilder::transport`] to pick the transport backend.
+/// in-process channel transport, each server with a thread of its own for ticks, probes
+/// and (on the channel transport) traffic; set [`Config::worker_lanes`] above 1 to give
+/// every server that many worker lanes, and [`ClusterBuilder::transport`] to pick the
+/// transport backend. On TCP, the connection reader that decodes a request or a peer
+/// message runs it on the server itself.
 ///
 /// ```
 /// use pocc_runtime::{Cluster, ProtocolKind, TransportKind};
@@ -88,8 +91,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Starts the cluster: one thread per server of the configuration, all running the
-    /// chosen protocol over the chosen transport.
+    /// Starts the cluster: one [`ParallelServer`] and one thread per server of the
+    /// configuration, all running the chosen protocol over the chosen transport. Every
+    /// server is started and registered with the router before any server thread runs;
+    /// each thread then holds the only strong handle to its server and drops it on exit.
     pub fn start(self) -> Cluster {
         let ClusterBuilder {
             config,
@@ -99,24 +104,36 @@ impl ClusterBuilder {
         config.validate().expect("cluster configuration is valid");
         let (router, mut inboxes) = Router::new(config.clone(), transport);
         let running = Arc::new(AtomicBool::new(true));
-        let mut threads = Vec::new();
 
-        for id in config.servers() {
+        let servers: Vec<(ServerId, Arc<Server>)> = config
+            .servers()
+            .map(|id| {
+                let clock = MonotonicClock::new(SystemClock::with_epoch(router.epoch()));
+                let sink = Arc::new(RouterSink {
+                    id,
+                    router: router.clone(),
+                });
+                let server = ParallelServer::start(id, config.clone(), protocol, clock, sink);
+                (id, Arc::new(server))
+            })
+            .collect();
+        router.register_servers(
+            servers
+                .iter()
+                .map(|(id, server)| (*id, Arc::downgrade(server)))
+                .collect(),
+        );
+
+        let mut threads = Vec::new();
+        for (id, server) in servers {
             let inbox = inboxes.remove(&id).expect("every server has an inbox");
             let thread_router = router.clone();
-            let thread_config = config.clone();
+            let tick_every = config.heartbeat_interval;
             let thread_running = Arc::clone(&running);
             let handle = std::thread::Builder::new()
                 .name(format!("pocc-server-{id}"))
                 .spawn(move || {
-                    server_thread(
-                        id,
-                        thread_config,
-                        protocol,
-                        thread_router,
-                        inbox,
-                        thread_running,
-                    )
+                    server_thread(id, server, tick_every, thread_router, inbox, thread_running)
                 })
                 .expect("spawning a server thread succeeds");
             threads.push(handle);
@@ -135,7 +152,10 @@ impl ClusterBuilder {
 
 /// A running in-process cluster: one thread per server, each in front of a
 /// [`ParallelServer`] (plus that server's worker lanes when `worker_lanes > 1`),
-/// connected by the chosen transport backend.
+/// connected by the chosen transport backend. On the channel transport the server
+/// thread runs every request and peer message; on TCP the connection reader that decodes
+/// one runs it on the server and flushes, and the server thread keeps ticks, probes and
+/// shutdown.
 ///
 /// Create it with [`Cluster::builder`], obtain client handles with [`Cluster::client`],
 /// and stop it with [`Cluster::shutdown`] (also invoked on drop).
@@ -241,7 +261,8 @@ impl Drop for Cluster {
 
 /// Where a server's outputs go: staged on the transport, and written out by whoever runs
 /// out of input — the server thread after every drained batch and tick, a worker lane
-/// after every batch of its own.
+/// after every batch of its own, and on TCP the connection reader that ran the server
+/// after every `read`.
 struct RouterSink {
     id: ServerId,
     router: Router,
@@ -260,27 +281,23 @@ impl Sink for RouterSink {
     }
 }
 
-/// The per-server thread body: start the server, then loop between the inbox and the
-/// periodic tick until shutdown. Outputs are only staged while the inbox has more; the
-/// flush after every drained batch (and every tick) comes before the thread blocks
-/// again, so the TCP backend's write coalescing never defers a message past the handling
-/// of the inputs that produced it. Worker lanes, when there are any, flush their own.
+/// The per-server thread body: loop between the inbox and the periodic tick until
+/// shutdown, then drop the thread's handle to the server. On the TCP transport the inbox
+/// carries only probes and shutdown (connection readers run traffic on the server
+/// themselves), so the thread wakes once per heartbeat; on the channel transport it also
+/// carries every request and peer message. Outputs are only staged while the inbox has
+/// more; the flush after every drained batch (and every tick) comes before the thread
+/// blocks again, so the TCP backend's write coalescing never defers a message past the
+/// handling of the inputs that produced it. Worker lanes, when there are any, flush
+/// their own.
 fn server_thread(
     id: ServerId,
-    config: Config,
-    protocol: ProtocolKind,
+    server: Arc<Server>,
+    tick_every: Duration,
     router: Router,
     inbox: Receiver<Inbound>,
     running: Arc<AtomicBool>,
 ) {
-    let clock = MonotonicClock::new(SystemClock::with_epoch(router.epoch()));
-    let sink = Arc::new(RouterSink {
-        id,
-        router: router.clone(),
-    });
-    let server = ParallelServer::start(id, config.clone(), protocol, clock, sink);
-
-    let tick_every = config.heartbeat_interval;
     let mut next_tick = Instant::now() + tick_every;
 
     while running.load(Ordering::Relaxed) {
@@ -310,7 +327,7 @@ fn server_thread(
                             server.handle_server_message(from, message);
                         }
                         Inbound::Probe { reply } => {
-                            let _ = reply.send(probe_of(&server));
+                            let _ = reply.send(probe_of(server.as_ref()));
                         }
                         Inbound::Shutdown => stop = true,
                     }
@@ -429,39 +446,43 @@ mod tests {
     }
 
     #[test]
-    fn lane_writes_replicate_without_a_tick() {
-        // A lane flushes its replies and its PUTs' replication before it blocks again.
+    fn writes_replicate_without_a_tick() {
+        // Whoever runs a PUT flushes its reply and its replication before it blocks
+        // again: a lane after its batch, the server thread after its inbox batch, and on
+        // TCP at one lane the connection reader after its `read`, peer links included.
         // No tick fires during the test, so a reply left staged would time the client
         // out, and replication left staged would never reach the other data center.
         for transport in TransportKind::all() {
-            let config = Config::builder()
-                .num_replicas(2)
-                .num_partitions(1)
-                .heartbeat_interval(Duration::from_secs(3600))
-                .worker_lanes(2)
-                .build()
-                .unwrap();
-            let cluster = Cluster::builder()
-                .config(config)
-                .protocol(ProtocolKind::Pocc)
-                .transport(*transport)
-                .start();
-            let mut writer = cluster.client(ReplicaId(0));
-            for k in 0..50u64 {
-                writer.put(Key(k), Value::from(k)).unwrap();
-                assert_eq!(writer.get(Key(k)).unwrap().unwrap(), Value::from(k));
+            for lanes in [1, 2] {
+                let config = Config::builder()
+                    .num_replicas(2)
+                    .num_partitions(1)
+                    .heartbeat_interval(Duration::from_secs(3600))
+                    .worker_lanes(lanes)
+                    .build()
+                    .unwrap();
+                let cluster = Cluster::builder()
+                    .config(config)
+                    .protocol(ProtocolKind::Pocc)
+                    .transport(*transport)
+                    .start();
+                let mut writer = cluster.client(ReplicaId(0));
+                for k in 0..50u64 {
+                    writer.put(Key(k), Value::from(k)).unwrap();
+                    assert_eq!(writer.get(Key(k)).unwrap().unwrap(), Value::from(k));
+                }
+                let mut reader = cluster.client(ReplicaId(1));
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while reader.get(Key(49)).unwrap() != Some(Value::from(49u64)) {
+                    assert!(
+                        Instant::now() < deadline,
+                        "{} lanes={lanes}: the last PUT never reached the other data center",
+                        transport.name()
+                    );
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                cluster.shutdown();
             }
-            let mut reader = cluster.client(ReplicaId(1));
-            let deadline = Instant::now() + Duration::from_secs(2);
-            while reader.get(Key(49)).unwrap() != Some(Value::from(49u64)) {
-                assert!(
-                    Instant::now() < deadline,
-                    "{}: the last PUT never reached the other data center",
-                    transport.name()
-                );
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            cluster.shutdown();
         }
     }
 

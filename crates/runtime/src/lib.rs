@@ -44,10 +44,12 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Every server thread runs one loop in front of a `pocc-exec` `ParallelServer`. At the
-//! default `Config::worker_lanes = 1` that server runs the engine in place on the server
-//! thread; above 1, client operations are key-hash routed to worker-lane threads, which
-//! run them through the engine in batches.
+//! Every server is a `pocc-exec` `ParallelServer` with a thread of its own, which ticks
+//! it and answers probes. Traffic reaches the server on whichever thread delivers it: the
+//! server thread, through its inbox, on the channel transport; the connection reader that
+//! decoded it on TCP, which then flushes. At the default `Config::worker_lanes = 1` the
+//! engine runs in place on that thread; above 1, client operations are key-hash routed
+//! to worker-lane threads, which run them through the engine in batches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

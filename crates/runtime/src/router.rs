@@ -3,6 +3,8 @@
 
 use crate::cluster::ServerProbe;
 use crossbeam::channel::{unbounded, Receiver, Sender};
+use pocc_clock::{MonotonicClock, SystemClock};
+use pocc_exec::ParallelServer;
 use pocc_net::transport::{
     ChannelTransport, ClientPort, EventSink, TcpTransport, Transport, TransportEvent, TransportKind,
 };
@@ -10,8 +12,16 @@ use pocc_proto::{ClientReply, ClientRequest, ServerMessage};
 use pocc_types::{ClientId, Config, ServerId};
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
+
+/// A cluster server, as the runtime runs it.
+pub(crate) type Server = ParallelServer<MonotonicClock<SystemClock>>;
+
+/// The servers a TCP connection reader runs events on, registered once every server has
+/// started. Weak, because each server's own sink holds the router, and so the transport
+/// and its event sink: only the server's thread keeps the server alive.
+type Servers = OnceLock<HashMap<ServerId, Weak<Server>>>;
 
 /// An event delivered to a server thread's inbox.
 #[derive(Debug)]
@@ -49,8 +59,8 @@ impl From<TransportEvent> for Inbound {
 }
 
 /// The shared routing fabric of a [`crate::Cluster`]: per-server inboxes for control
-/// events (probes, shutdown) and inbound traffic, plus the [`Transport`] backend that
-/// moves requests, replies and server-to-server messages.
+/// events (probes, shutdown) and, on the channel transport, inbound traffic, plus the
+/// [`Transport`] backend that moves requests, replies and server-to-server messages.
 ///
 /// Cloning a `Router` is cheap (everything is behind `Arc`s); server threads and client
 /// handles all hold one.
@@ -58,14 +68,22 @@ impl From<TransportEvent> for Inbound {
 pub struct Router {
     config: Config,
     server_inboxes: Arc<HashMap<ServerId, Sender<Inbound>>>,
+    servers: Arc<Servers>,
     transport: Arc<dyn Transport>,
     epoch: Instant,
 }
 
 impl Router {
     /// Builds the router plus the receiving halves the cluster needs to wire up threads:
-    /// creates the inboxes, starts the transport backend of `kind` pointing its event
-    /// sink at them, and returns both.
+    /// creates the inboxes, starts the transport backend of `kind` with an event sink,
+    /// and returns both.
+    ///
+    /// The channel backend's sink feeds the inboxes: it delivers intra-DC messages on
+    /// the sender's thread while the sender holds its own spine, and running the
+    /// receiver's engine there would take two spines on one thread, in either order. The
+    /// TCP backend's sink runs the event on its server, on the connection reader's
+    /// thread, once [`Router::register_servers`] has named the servers; an event for a
+    /// server not (or no longer) registered goes to its inbox.
     pub(crate) fn new(
         config: Config,
         kind: TransportKind,
@@ -78,24 +96,55 @@ impl Router {
             receivers.insert(id, rx);
         }
         let inboxes = Arc::new(inboxes);
-        let sink_inboxes = Arc::clone(&inboxes);
-        let sink: EventSink = Arc::new(move |to, event| {
-            if let Some(tx) = sink_inboxes.get(&to) {
-                let _ = tx.send(Inbound::from(event));
+        let servers: Arc<Servers> = Arc::default();
+        let to_inbox = {
+            let inboxes = Arc::clone(&inboxes);
+            move |to: ServerId, event: TransportEvent| {
+                if let Some(tx) = inboxes.get(&to) {
+                    let _ = tx.send(Inbound::from(event));
+                }
             }
-        });
+        };
         let transport: Arc<dyn Transport> = match kind {
-            TransportKind::Channel => ChannelTransport::start(config.clone(), sink),
-            TransportKind::Tcp => TcpTransport::start(&config, sink)
-                .expect("binding localhost TCP listeners succeeds"),
+            TransportKind::Channel => ChannelTransport::start(config.clone(), Arc::new(to_inbox)),
+            TransportKind::Tcp => {
+                let servers = Arc::clone(&servers);
+                let sink: EventSink = Arc::new(move |to, event| {
+                    let server = servers.get().and_then(|s| s.get(&to)?.upgrade());
+                    match (server, event) {
+                        (Some(server), TransportEvent::Client { client, request }) => {
+                            // A server whose lane died refuses the request: drop it.
+                            let _ = server.submit_client(client, request);
+                        }
+                        (Some(server), TransportEvent::Peer { from, message }) => {
+                            server.handle_server_message(from, message);
+                        }
+                        (None, event) => to_inbox(to, event),
+                    }
+                });
+                TcpTransport::start(&config, sink)
+                    .expect("binding localhost TCP listeners succeeds")
+            }
         };
         let router = Router {
             config,
             server_inboxes: inboxes,
+            servers,
             transport,
             epoch: Instant::now(),
         };
         (router, receivers)
+    }
+
+    /// Names the servers the TCP event sink runs events on. Called once, after every
+    /// server has started but before any server thread or client exists: no traffic has
+    /// reached an inbox yet, so no event of a link can wait there while a later one of
+    /// the same link runs in place.
+    pub(crate) fn register_servers(&self, servers: HashMap<ServerId, Weak<Server>>) {
+        assert!(
+            self.servers.set(servers).is_ok(),
+            "servers are registered once"
+        );
     }
 
     /// The deployment configuration.
