@@ -109,8 +109,8 @@ pub struct LoadOptions {
     pub replicas: usize,
     /// Number of partitions per data center.
     pub partitions: usize,
-    /// Worker lanes per server: 1 runs the engine on the server thread, more spreads
-    /// client operations over that many lane threads.
+    /// Worker lanes per server: 1 runs the engine on the thread that delivers each
+    /// request, more spreads client operations over that many lane threads.
     pub lanes: usize,
     /// Number of concurrent connections (threads); spread round-robin over all servers.
     pub conns: usize,

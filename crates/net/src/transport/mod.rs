@@ -12,11 +12,12 @@
 //! * [`TcpTransport`] — real sockets on localhost with length-prefixed frames over the
 //!   `pocc-proto` wire codec, per-connection write coalescing and buffer-reusing reads.
 //!
-//! Inbound traffic is pushed into an [`EventSink`] the runtime provides (over TCP it runs
-//! the event on its server, on the connection reader's thread; over channels it forwards
-//! to the per-server thread inboxes); outbound traffic goes through the trait methods.
-//! Clients talk to a transport through a [`ClientPort`], which hides whether a request
-//! crosses a channel or a socket.
+//! Inbound traffic is pushed into an [`EventSink`] the runtime provides, which runs the
+//! event on its server on the delivering thread: a TCP connection reader, or on channels
+//! the submitting client, a thread flushing the sending or the receiving server, or the
+//! delay thread. That thread then flushes the receiving server. Outbound traffic goes through the trait
+//! methods. Clients talk to a transport through a [`ClientPort`], which hides whether a
+//! request crosses a channel or a socket.
 
 mod channel;
 pub mod frame;
@@ -83,10 +84,11 @@ pub enum TransportEvent {
 }
 
 /// Where a transport delivers inbound traffic: called as `(to, event)` for every event
-/// addressed to node `to`, on the transport's receiving thread. The sink may run the
-/// event to completion there and stage outputs on the transport: the TCP backend flushes
-/// node `to` after each `read` whose frames it delivered. The runtime's TCP sink runs
-/// the event on its server; its channel sink feeds the per-server thread inboxes.
+/// addressed to node `to`, on the transport's delivering thread. The sink may run the
+/// event to completion there and stage outputs on the transport, because both backends
+/// flush node `to` after delivering: the TCP backend after each `read` whose frames it
+/// delivered, the channel backend after each event. The runtime's sink runs the event on
+/// its server, on either backend.
 pub type EventSink = Arc<dyn Fn(ServerId, TransportEvent) + Send + Sync>;
 
 /// A message-moving backend connecting the nodes of one cluster (and its clients).
@@ -94,19 +96,25 @@ pub type EventSink = Arc<dyn Fn(ServerId, TransportEvent) + Send + Sync>;
 /// # The flush contract
 ///
 /// Outbound traffic may buffer: both [`Transport::send_server`] and [`Transport::reply`]
-/// are *permitted, not required,* to stage per destination until a flush (the TCP backend
-/// stages frames into one per-connection scratch and writes them with a single syscall;
-/// the channel backend delivers at once and its flushes do nothing). Buffering MUST
-/// preserve per-link send order — the protocols assume lossless FIFO channels — and a
-/// reply must not overtake earlier replies to the same client.
+/// are *permitted, not required,* to stage per destination until a flush. The TCP
+/// backend stages frames into one per-connection scratch and writes them with a single
+/// syscall; the channel backend stages server-to-server messages on a queue per link,
+/// delivers them on a flush, running the receivers there, and sends replies at once.
+/// Buffering MUST preserve per-link send order — the protocols assume lossless FIFO
+/// channels — and a reply must not overtake earlier replies to the same client.
 ///
 /// The rule for callers is *stage while there is more work, flush before you block*:
 /// whoever called `send_server` or `reply` owes a [`Transport::flush`] before it waits
-/// for its next input. Nothing is flushed on a timer, so a stager that blocks without
-/// flushing parks its output until somebody else flushes the same server. A TCP
-/// connection reader flushes after every `read` whose frames it delivered; the runtime's
-/// server loop flushes after every drained inbox batch and after every tick; a worker
-/// lane flushes once after every batch it serves, replies and replication together.
+/// for its next input. Nothing is flushed on a timer (the channel backend's delay thread
+/// only stands in for the wide-area wire: it flushes a delayed message's receiver when
+/// the message falls due), so a stager that blocks without flushing parks its output
+/// until somebody else flushes the same server. A thread that delivered events to a
+/// server flushes it afterwards (a TCP connection reader after every `read`, a channel
+/// client after every `submit`, a channel flush after every link it delivered); the
+/// runtime's server thread flushes after every tick;
+/// a worker lane flushes once after every batch it serves, replies and replication
+/// together. Nobody flushes while holding a server's spine: on the channel backend a
+/// flush runs other servers' engines.
 pub trait Transport: Send + Sync {
     /// Sends (or stages) a server-to-server message from `from` to `to`.
     fn send_server(&self, from: ServerId, to: ServerId, message: ServerMessage);
@@ -116,7 +124,8 @@ pub trait Transport: Send + Sync {
     fn reply(&self, from: ServerId, client: ClientId, reply: ClientReply);
 
     /// Writes out everything staged by `from` since the last flush: replies, then
-    /// server-to-server messages.
+    /// server-to-server messages. The channel backend holds a cross-DC message until it
+    /// falls due, and delivers it on a flush of its receiver (see [`ChannelTransport`]).
     fn flush(&self, from: ServerId);
 
     /// Opens a client port for `client`. The id must be unique across the cluster.

@@ -640,12 +640,15 @@ mod tests {
         }
     }
 
-    /// Opens a port for `client` and gets its connection to `A` registered there.
+    /// Opens a port for `client` and gets its connection to `A` registered there. The
+    /// reader that delivered the first request flushes `A` right after: that flush is let
+    /// pass first, so it cannot carry replies the caller stages next.
     fn connected_port(t: &TcpTransport, events: &Events, client: ClientId) -> Box<dyn ClientPort> {
         let mut port = t.client_port(client);
         port.submit(A, get(0)).unwrap();
         port.flush().unwrap();
         assert_eq!(next_request(events, client), 0);
+        std::thread::sleep(SETTLE);
         port
     }
 

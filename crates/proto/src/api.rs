@@ -26,7 +26,13 @@ pub struct MetricsSnapshot {
     pub slices_served: u64,
 
     /// Number of operations (GET, PUT or slice) that blocked at least once waiting for a
-    /// missing dependency. POCC-specific; always zero for Cure\*.
+    /// missing dependency. A GET blocks until the client's remote dependencies are
+    /// installed locally: under POCC, Adaptive-POCC and optimistic HA-POCC, and under
+    /// Cure\* too, whose snapshot GET waits for the session history to arrive. A PUT
+    /// blocks on its dependencies under POCC, Adaptive-POCC and optimistic HA-POCC when
+    /// `Config::put_waits_for_dependencies` is set, never under Cure\*. A transactional
+    /// slice blocks until its snapshot is installed, under every protocol. HA-POCC in
+    /// pessimistic mode blocks nothing.
     pub blocked_operations: u64,
     /// Total time spent blocked across all blocked operations.
     pub total_block_time: Duration,

@@ -1,23 +1,32 @@
 //! The cluster: server threads over a pluggable transport, and lifecycle management.
 
 use crate::client::ClusterClient;
-use crate::router::{Inbound, Router, Server};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use pocc_clock::{MonotonicClock, SystemClock};
 use pocc_exec::{ParallelServer, ProtocolKind, Sink};
-use pocc_net::transport::{ClientPort, TransportKind};
+use pocc_net::transport::{
+    ChannelTransport, ClientPort, EventSink, TcpTransport, Transport, TransportEvent, TransportKind,
+};
 use pocc_proto::{MetricsSnapshot, ServerIntrospect, ServerOutput};
 use pocc_storage::StoreStats;
 use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Timestamp};
+use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One server's introspection surface, read on the server's own thread. The three fields
-/// are read under three separate spine acquisitions, so they describe one engine state
-/// only on a quiescent server: with worker lanes, a lane may run a batch in between.
+/// A cluster server, as the runtime runs it.
+type Server = ParallelServer<MonotonicClock<SystemClock>>;
+
+/// The servers the event sink runs events on and probes read, registered once every
+/// server has started. Weak, because each server's own sink holds the transport, and so
+/// the event sink: only the server's thread keeps the server alive.
+type Servers = OnceLock<HashMap<ServerId, Weak<Server>>>;
+
+/// One server's introspection surface, read on the probing thread. The three fields are
+/// read under three separate spine acquisitions, so they describe one engine state only
+/// on a quiescent server: a lane or a delivering thread may run the engine in between.
 #[derive(Clone, Debug)]
 pub struct ServerProbe {
     /// The server's metric counters.
@@ -28,18 +37,11 @@ pub struct ServerProbe {
     pub store_stats: StoreStats,
 }
 
-/// How many additional inbox events a server thread drains greedily after a blocking
-/// receive before it flushes and looks at the clock again. Bounds how long a burst of
-/// inbox events (channel-transport traffic; on TCP only probes and shutdown) can hold
-/// back staged output and the next tick.
-const DRAIN_BUDGET: usize = 128;
-
 /// Builder for [`Cluster`]. Defaults to [`Config::small_test`] running POCC on the
-/// in-process channel transport, each server with a thread of its own for ticks, probes
-/// and (on the channel transport) traffic; set [`Config::worker_lanes`] above 1 to give
-/// every server that many worker lanes, and [`ClusterBuilder::transport`] to pick the
-/// transport backend. On TCP, the connection reader that decodes a request or a peer
-/// message runs it on the server itself.
+/// in-process channel transport, each server with a thread of its own that ticks it;
+/// set [`Config::worker_lanes`] above 1 to give every server that many worker lanes, and
+/// [`ClusterBuilder::transport`] to pick the transport backend. On either transport, the
+/// thread that delivers a request or a peer message runs it on the server itself.
 ///
 /// ```
 /// use pocc_runtime::{Cluster, ProtocolKind, TransportKind};
@@ -93,8 +95,9 @@ impl ClusterBuilder {
 
     /// Starts the cluster: one [`ParallelServer`] and one thread per server of the
     /// configuration, all running the chosen protocol over the chosen transport. Every
-    /// server is started and registered with the router before any server thread runs;
-    /// each thread then holds the only strong handle to its server and drops it on exit.
+    /// server is started and registered before any server thread or client exists, so
+    /// the event sink never sees an event for a server it cannot find; each thread then
+    /// holds the only strong handle to its server and drops it on exit.
     pub fn start(self) -> Cluster {
         let ClusterBuilder {
             config,
@@ -102,45 +105,68 @@ impl ClusterBuilder {
             transport,
         } = self;
         config.validate().expect("cluster configuration is valid");
-        let (router, mut inboxes) = Router::new(config.clone(), transport);
-        let running = Arc::new(AtomicBool::new(true));
+        let servers: Arc<Servers> = Arc::default();
+        let sink: EventSink = {
+            let servers = Arc::clone(&servers);
+            Arc::new(move |to, event| {
+                // A server that is gone drops the event.
+                let Some(server) = servers.get().and_then(|s| s.get(&to)?.upgrade()) else {
+                    return;
+                };
+                match event {
+                    TransportEvent::Client { client, request } => {
+                        // A server whose lane died refuses the request: drop it.
+                        let _ = server.submit_client(client, request);
+                    }
+                    TransportEvent::Peer { from, message } => {
+                        server.handle_server_message(from, message);
+                    }
+                }
+            })
+        };
+        let wire: Arc<dyn Transport> = match transport {
+            TransportKind::Channel => ChannelTransport::start(config.clone(), sink),
+            TransportKind::Tcp => TcpTransport::start(&config, sink)
+                .expect("binding localhost TCP listeners succeeds"),
+        };
 
-        let servers: Vec<(ServerId, Arc<Server>)> = config
+        let epoch = Instant::now();
+        let started: Vec<(ServerId, Arc<Server>)> = config
             .servers()
             .map(|id| {
-                let clock = MonotonicClock::new(SystemClock::with_epoch(router.epoch()));
+                let clock = MonotonicClock::new(SystemClock::with_epoch(epoch));
                 let sink = Arc::new(RouterSink {
                     id,
-                    router: router.clone(),
+                    transport: Arc::clone(&wire),
                 });
                 let server = ParallelServer::start(id, config.clone(), protocol, clock, sink);
                 (id, Arc::new(server))
             })
             .collect();
-        router.register_servers(
-            servers
-                .iter()
-                .map(|(id, server)| (*id, Arc::downgrade(server)))
-                .collect(),
-        );
+        let registry = started
+            .iter()
+            .map(|(id, server)| (*id, Arc::downgrade(server)))
+            .collect();
+        assert!(servers.set(registry).is_ok(), "servers are registered once");
 
-        let mut threads = Vec::new();
-        for (id, server) in servers {
-            let inbox = inboxes.remove(&id).expect("every server has an inbox");
-            let thread_router = router.clone();
-            let tick_every = config.heartbeat_interval;
-            let thread_running = Arc::clone(&running);
-            let handle = std::thread::Builder::new()
-                .name(format!("pocc-server-{id}"))
-                .spawn(move || {
-                    server_thread(id, server, tick_every, thread_router, inbox, thread_running)
-                })
-                .expect("spawning a server thread succeeds");
-            threads.push(handle);
-        }
+        let running = Arc::new(AtomicBool::new(true));
+        let threads = started
+            .into_iter()
+            .map(|(id, server)| {
+                let transport = Arc::clone(&wire);
+                let tick_every = config.heartbeat_interval;
+                let running = Arc::clone(&running);
+                std::thread::Builder::new()
+                    .name(format!("pocc-server-{id}"))
+                    .spawn(move || server_thread(id, server, tick_every, transport, running))
+                    .expect("spawning a server thread succeeds")
+            })
+            .collect();
 
         Cluster {
-            router,
+            config,
+            servers,
+            wire,
             threads,
             running,
             next_client: Arc::new(AtomicU64::new(0)),
@@ -150,17 +176,18 @@ impl ClusterBuilder {
     }
 }
 
-/// A running in-process cluster: one thread per server, each in front of a
+/// A running in-process cluster: one thread per server, which ticks a
 /// [`ParallelServer`] (plus that server's worker lanes when `worker_lanes > 1`),
-/// connected by the chosen transport backend. On the channel transport the server
-/// thread runs every request and peer message; on TCP the connection reader that decodes
-/// one runs it on the server and flushes, and the server thread keeps ticks, probes and
-/// shutdown.
+/// connected by the chosen transport backend. Requests and peer messages run on the
+/// server on whichever thread delivers them, which then flushes: a TCP connection reader,
+/// a channel client's submitting thread, a channel flusher or the channel delay thread.
 ///
 /// Create it with [`Cluster::builder`], obtain client handles with [`Cluster::client`],
 /// and stop it with [`Cluster::shutdown`] (also invoked on drop).
 pub struct Cluster {
-    router: Router,
+    config: Config,
+    servers: Arc<Servers>,
+    wire: Arc<dyn Transport>,
     threads: Vec<JoinHandle<()>>,
     running: Arc<AtomicBool>,
     next_client: Arc<AtomicU64>,
@@ -186,13 +213,13 @@ impl Cluster {
 
     /// The deployment configuration.
     pub fn config(&self) -> &Config {
-        self.router.config()
+        &self.config
     }
 
     /// The socket address of `server` — `Some` on the TCP transport (this is what
     /// external load generators connect to), `None` on the channel transport.
     pub fn server_addr(&self, server: ServerId) -> Option<SocketAddr> {
-        self.router.server_addr(server)
+        self.wire.addr(server)
     }
 
     /// Opens a client session in data center `replica`. The session is collocated with an
@@ -204,7 +231,7 @@ impl Cluster {
         // Snapshot-serving protocols need the full session history in GET request
         // vectors (see `Client::new_snapshot_reads`).
         let snapshot_reads = self.protocol.snapshot_reads();
-        let port = self.router.client_port(id);
+        let port = self.wire.client_port(id);
         ClusterClient::new(id, home, self.config().clone(), port, snapshot_reads)
     }
 
@@ -214,17 +241,19 @@ impl Cluster {
     /// like an out-of-process client would.
     pub fn open_port(&self) -> (ClientId, Box<dyn ClientPort>) {
         let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
-        (id, self.router.client_port(id))
+        (id, self.wire.client_port(id))
     }
 
-    /// Takes an introspection snapshot of one server: metrics, convergence digest and
-    /// store statistics, consistent with each other only on a quiescent server (see
-    /// [`ServerProbe`]).
+    /// Takes an introspection snapshot of one server on the calling thread: metrics,
+    /// convergence digest and store statistics, consistent with each other only on a
+    /// quiescent server (see [`ServerProbe`]).
     pub fn probe(&self, server: ServerId) -> ServerProbe {
-        let (tx, rx) = unbounded();
-        self.router.probe(server, tx);
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("server answers introspection probes")
+        let server = self
+            .servers
+            .get()
+            .and_then(|s| s.get(&server)?.upgrade())
+            .expect("probed servers are running");
+        probe_of(server.as_ref())
     }
 
     /// Probes every server of the cluster, in `config.servers()` order.
@@ -243,13 +272,14 @@ impl Cluster {
     }
 
     fn stop(&mut self) {
-        if self.running.swap(false, Ordering::SeqCst) {
-            self.router.broadcast_shutdown();
+        self.running.store(false, Ordering::SeqCst);
+        for handle in &self.threads {
+            handle.thread().unpark();
         }
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        self.router.shutdown_transport();
+        self.wire.shutdown();
     }
 }
 
@@ -260,93 +290,56 @@ impl Drop for Cluster {
 }
 
 /// Where a server's outputs go: staged on the transport, and written out by whoever runs
-/// out of input — the server thread after every drained batch and tick, a worker lane
-/// after every batch of its own, and on TCP the connection reader that ran the server
-/// after every `read`.
+/// out of input — the server thread after every tick, a worker lane after every batch of
+/// its own, and the thread that delivered an event to the server after delivering it.
 struct RouterSink {
     id: ServerId,
-    router: Router,
+    transport: Arc<dyn Transport>,
 }
 
 impl Sink for RouterSink {
     fn emit(&self, output: ServerOutput) {
         match output {
-            ServerOutput::Reply { client, reply } => self.router.reply(self.id, client, reply),
-            ServerOutput::Send { to, message } => self.router.send_server(self.id, to, message),
+            ServerOutput::Reply { client, reply } => self.transport.reply(self.id, client, reply),
+            ServerOutput::Send { to, message } => self.transport.send_server(self.id, to, message),
         }
     }
 
     fn flush(&self) {
-        self.router.flush(self.id);
+        self.transport.flush(self.id);
     }
 }
 
-/// The per-server thread body: loop between the inbox and the periodic tick until
-/// shutdown, then drop the thread's handle to the server. On the TCP transport the inbox
-/// carries only probes and shutdown (connection readers run traffic on the server
-/// themselves), so the thread wakes once per heartbeat; on the channel transport it also
-/// carries every request and peer message. Outputs are only staged while the inbox has
-/// more; the flush after every drained batch (and every tick) comes before the thread
-/// blocks again, so the TCP backend's write coalescing never defers a message past the
-/// handling of the inputs that produced it. Worker lanes, when there are any, flush
-/// their own.
+/// The per-server thread body: tick and flush once per heartbeat, parked in between,
+/// until [`Cluster::shutdown`] clears `running` and unparks it. Traffic never reaches
+/// this thread; it runs on whichever thread delivers it. The thread then waits until its
+/// handle is the last one before dropping the server: a delivering thread upgrades a
+/// `Weak` from the registry for the length of one event, and were its handle the last,
+/// it would join the server's lanes there, possibly while it holds a channel link's
+/// delivery lock that their final flush needs.
 fn server_thread(
     id: ServerId,
     server: Arc<Server>,
     tick_every: Duration,
-    router: Router,
-    inbox: Receiver<Inbound>,
+    transport: Arc<dyn Transport>,
     running: Arc<AtomicBool>,
 ) {
     let mut next_tick = Instant::now() + tick_every;
-
     while running.load(Ordering::Relaxed) {
         let now = Instant::now();
         if now >= next_tick {
             server.tick();
-            router.flush(id);
+            transport.flush(id);
             next_tick = now + tick_every;
-            continue;
-        }
-        match inbox.recv_timeout(next_tick - now) {
-            Ok(first) => {
-                // Greedily drain whatever else is already queued (bounded), then flush
-                // once: a burst of pipelined requests becomes one write per client
-                // connection and one per peer.
-                let mut event = Some(first);
-                let mut drained = 0;
-                let mut stop = false;
-                while let Some(ev) = event.take() {
-                    match ev {
-                        Inbound::FromClient { client, request } => {
-                            // Only a lane that died refuses an operation: stop serving
-                            // instead of panicking.
-                            stop = server.submit_client(client, request).is_err();
-                        }
-                        Inbound::FromServer { from, message } => {
-                            server.handle_server_message(from, message);
-                        }
-                        Inbound::Probe { reply } => {
-                            let _ = reply.send(probe_of(server.as_ref()));
-                        }
-                        Inbound::Shutdown => stop = true,
-                    }
-                    drained += 1;
-                    if stop || drained >= DRAIN_BUDGET {
-                        break;
-                    }
-                    event = inbox.try_recv().ok();
-                }
-                router.flush(id);
-                if stop {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+        } else {
+            std::thread::park_timeout(next_tick - now);
         }
     }
-    router.flush(id);
+    let mut server = server;
+    while let Err(shared) = Arc::try_unwrap(server) {
+        server = shared;
+        std::thread::yield_now();
+    }
 }
 
 fn probe_of<S: ServerIntrospect>(server: &S) -> ServerProbe {
@@ -390,6 +383,10 @@ mod tests {
             .config(small_config())
             .protocol(ProtocolKind::Pocc)
             .start();
+        assert!(
+            cluster.server_addr(ServerId::new(0u16, 0u32)).is_none(),
+            "the channel transport has no socket addresses"
+        );
         let mut client = cluster.client(ReplicaId(0));
         let ut = client.put(Key(7), Value::from("v")).unwrap();
         assert!(ut > Timestamp::ZERO);
@@ -448,10 +445,11 @@ mod tests {
     #[test]
     fn writes_replicate_without_a_tick() {
         // Whoever runs a PUT flushes its reply and its replication before it blocks
-        // again: a lane after its batch, the server thread after its inbox batch, and on
-        // TCP at one lane the connection reader after its `read`, peer links included.
-        // No tick fires during the test, so a reply left staged would time the client
-        // out, and replication left staged would never reach the other data center.
+        // again: a lane after its batch, and at one lane the thread that delivered the
+        // PUT — the TCP connection reader after its `read`, the channel client after its
+        // `submit`. No tick fires during the test, so a reply left staged would time the
+        // client out, and replication left staged would never reach the other data
+        // center. Nor does the server thread wake by itself: shutdown must unpark it.
         for transport in TransportKind::all() {
             for lanes in [1, 2] {
                 let config = Config::builder()
@@ -481,7 +479,13 @@ mod tests {
                     );
                     std::thread::sleep(Duration::from_millis(2));
                 }
+                let stopping = Instant::now();
                 cluster.shutdown();
+                assert!(
+                    stopping.elapsed() < Duration::from_secs(1),
+                    "{} lanes={lanes}: shutdown waited for a tick",
+                    transport.name()
+                );
             }
         }
     }
@@ -631,18 +635,29 @@ mod tests {
 
     #[test]
     fn probes_reach_one_lane_servers() {
-        let cluster = Cluster::builder()
-            .config(small_config())
-            .protocol(ProtocolKind::Pocc)
-            .start();
-        let mut client = cluster.client(ReplicaId(0));
-        client.put(Key(1), Value::from("p")).unwrap();
-        let target = server_for_key(cluster.config(), ReplicaId(0), Key(1));
-        let probe = cluster.probe(target);
-        assert_eq!(probe.metrics.puts_served, 1);
-        assert_eq!(probe.store_stats.versions, 1);
-        assert_eq!(probe.digest.len(), 1);
-        cluster.shutdown();
+        // A probe reads the server on the calling thread, whatever the transport and the
+        // lane count.
+        for transport in TransportKind::all() {
+            for lanes in [1, 2] {
+                let cluster = Cluster::builder()
+                    .config(Config {
+                        worker_lanes: lanes,
+                        ..small_config()
+                    })
+                    .protocol(ProtocolKind::Pocc)
+                    .transport(*transport)
+                    .start();
+                let mut client = cluster.client(ReplicaId(0));
+                client.put(Key(1), Value::from("p")).unwrap();
+                let target = server_for_key(cluster.config(), ReplicaId(0), Key(1));
+                let probe = cluster.probe(target);
+                let context = format!("{} lanes={lanes}", transport.name());
+                assert_eq!(probe.metrics.puts_served, 1, "{context}");
+                assert_eq!(probe.store_stats.versions, 1, "{context}");
+                assert_eq!(probe.digest.len(), 1, "{context}");
+                cluster.shutdown();
+            }
+        }
     }
 
     #[test]

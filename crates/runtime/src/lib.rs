@@ -44,19 +44,20 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Every server is a `pocc-exec` `ParallelServer` with a thread of its own, which ticks
-//! it and answers probes. Traffic reaches the server on whichever thread delivers it: the
-//! server thread, through its inbox, on the channel transport; the connection reader that
-//! decoded it on TCP, which then flushes. At the default `Config::worker_lanes = 1` the
-//! engine runs in place on that thread; above 1, client operations are key-hash routed
-//! to worker-lane threads, which run them through the engine in batches.
+//! Every server is a `pocc-exec` `ParallelServer` with a thread of its own, which only
+//! ticks it. Traffic runs on the server on whichever thread delivers it, which then
+//! flushes, on both transports: the TCP connection reader that decoded it, or, on
+//! channels, the submitting client, a thread flushing the sending or the receiving
+//! server, or the delay thread. A probe reads the server on the probing thread. At the
+//! default `Config::worker_lanes = 1` the engine runs in place on the delivering thread;
+//! above 1, client operations are key-hash routed to worker-lane threads, which run them
+//! through the engine in batches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;
 mod cluster;
-mod router;
 
 pub use client::ClusterClient;
 pub use cluster::{Cluster, ClusterBuilder, ServerProbe};
@@ -64,4 +65,3 @@ pub use pocc_exec::ProtocolKind;
 /// The name `benchmark/` (frozen by `BENCHMARK.json`) imports [`ProtocolKind`] under.
 pub use pocc_exec::ProtocolKind as RuntimeProtocol;
 pub use pocc_net::transport::{ClientPort, TransportKind};
-pub use router::Router;

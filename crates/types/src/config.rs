@@ -136,8 +136,8 @@ pub struct Config {
     /// into (intra-partition sharding; `1` reproduces the original unsharded store).
     pub storage_shards: usize,
     /// Number of worker lanes each server of the *threaded* runtime spreads its client
-    /// load across (`1` runs the engine on the server thread itself; the simulator
-    /// ignores this field). Lanes own disjoint sets of storage shards, so values that
+    /// load across (`1` runs the engine on the thread that delivers each request; the
+    /// simulator ignores this field). Lanes own disjoint sets of storage shards, so values that
     /// divide `storage_shards` avoid cross-lane shard contention.
     pub worker_lanes: usize,
     /// Whether servers coalesce replication and garbage-collection traffic per
