@@ -383,10 +383,6 @@ mod tests {
             .config(small_config())
             .protocol(ProtocolKind::Pocc)
             .start();
-        assert!(
-            cluster.server_addr(ServerId::new(0u16, 0u32)).is_none(),
-            "the channel transport has no socket addresses"
-        );
         let mut client = cluster.client(ReplicaId(0));
         let ut = client.put(Key(7), Value::from("v")).unwrap();
         assert!(ut > Timestamp::ZERO);
