@@ -19,7 +19,8 @@
 use crate::json::{Json, SCHEMA_VERSION};
 use crate::{deployment, get_put, point, tx_put, Scale};
 use pocc_sim::{
-    ChaosGen, ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, SimReport, Simulation,
+    ChaosGen, ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, SimConfigBuilder, SimReport,
+    Simulation,
 };
 use pocc_types::{Config, ReplicaId};
 use pocc_workload::WorkloadMix;
@@ -983,37 +984,62 @@ fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
     };
     let p = scale.max_partitions();
     let clients = moderate_clients(scale);
-    durations_ms
+    // The partition opens a quarter into the measured window and heals `dur` later; the
+    // extended drain gives held WAN traffic time to deliver so the run still converges.
+    let partitioned = |builder: SimConfigBuilder, dur: Duration| {
+        let builder = builder
+            .clients_per_partition(clients)
+            .drain(scale.drain() + Duration::from_millis(300));
+        if dur.is_zero() {
+            return builder;
+        }
+        let at = scale.warmup() + scale.duration() / 4;
+        builder
+            .chaos_step(ChaosStep::Partition {
+                at,
+                a: ReplicaId(0),
+                b: ReplicaId(1),
+            })
+            .chaos_step(ChaosStep::Heal {
+                at: at + dur,
+                a: ReplicaId(0),
+                b: ReplicaId(1),
+            })
+    };
+    let mut points: Vec<ScenarioPoint> = durations_ms
         .into_iter()
-        .map(|dur_ms| {
-            // The partition opens a quarter into the measured window and heals `dur_ms`
-            // later; the extended drain gives held WAN traffic time to deliver so the
-            // run still converges.
-            let partition_at = scale.warmup() + scale.duration() / 4;
-            let mut builder = point(scale, ProtocolKind::HaPocc)
-                .clients_per_partition(clients)
-                .mix(get_put(p))
-                .drain(scale.drain() + Duration::from_millis(300));
-            if dur_ms > 0 {
-                builder = builder
-                    .chaos_step(ChaosStep::Partition {
-                        at: partition_at,
-                        a: ReplicaId(0),
-                        b: ReplicaId(1),
-                    })
-                    .chaos_step(ChaosStep::Heal {
-                        at: partition_at + Duration::from_millis(dur_ms),
-                        a: ReplicaId(0),
-                        b: ReplicaId(1),
-                    });
-            }
-            ScenarioPoint {
-                label: label(ProtocolKind::HaPocc, "partition_ms", dur_ms),
-                x: dur_ms as f64,
-                config: builder.build(),
-            }
+        .map(|dur_ms| ScenarioPoint {
+            label: label(ProtocolKind::HaPocc, "partition_ms", dur_ms),
+            x: dur_ms as f64,
+            config: partitioned(
+                point(scale, ProtocolKind::HaPocc).mix(get_put(p)),
+                Duration::from_millis(dur_ms),
+            )
+            .build(),
         })
-        .collect()
+        .collect();
+    // The default detection timeout outlasts every partition above, so none of those
+    // points ever leaves optimistic mode. This one lowers the timeout below the partition
+    // and runs transactions, so the fall-back's writes and RO-TXs, its session closes and
+    // the recovery all show in the run, under the exact causal checker.
+    let dur = scale.duration() / 2;
+    let deployment = Config {
+        partition_detection_timeout: scale.duration() / 5,
+        ..deployment(p)
+    };
+    points.push(ScenarioPoint {
+        label: label(ProtocolKind::HaPocc, "tx_partition_ms", dur.as_millis()),
+        x: dur.as_millis() as f64,
+        config: partitioned(
+            point(scale, ProtocolKind::HaPocc)
+                .deployment(deployment)
+                .mix(tx_put(p))
+                .check_consistency(true),
+            dur,
+        )
+        .build(),
+    });
+    points
 }
 
 /// The chaos scenarios disturb only the measured window — every schedule is fully over

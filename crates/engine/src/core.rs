@@ -729,12 +729,14 @@ impl<C: Clock> EngineCore<C> {
     /// closing their client sessions.
     pub fn abort_expired_transactions(&mut self, now: Timestamp, outputs: &mut Vec<ServerOutput>) {
         let timeout = self.config.partition_detection_timeout;
-        let expired: Vec<TxId> = self
+        let mut expired: Vec<TxId> = self
             .transactions
             .iter()
             .filter(|(_, st)| now.saturating_since(st.started) >= timeout)
             .map(|(tx, _)| *tx)
             .collect();
+        // Abort in start order: `HashMap` iteration order is randomised per process.
+        expired.sort_unstable();
         for tx in expired {
             let state = self.transactions.remove(&tx).expect("tx present");
             self.metrics.sessions_aborted += 1;
