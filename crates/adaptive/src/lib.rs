@@ -146,22 +146,6 @@ impl<C: Clock> VisibilityPolicy<C> for AdaptivePolicy {
         *score = score.saturating_add(1);
     }
 
-    fn on_stabilization_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vv: VersionVector,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        core.local_vvs.insert(from.partition, vv);
-        core.recompute_gss(true);
-        core.unpark(outputs);
-    }
-
-    fn on_gc_vector(&mut self, core: &mut EngineCore<C>, from: ServerId, vector: DependencyVector) {
-        core.gc_contributions.insert(from.partition, vector);
-    }
-
     fn on_tick(
         &mut self,
         core: &mut EngineCore<C>,

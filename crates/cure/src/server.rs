@@ -80,18 +80,6 @@ impl<C: Clock> VisibilityPolicy<C> for CurePolicy {
         outputs
     }
 
-    fn on_stabilization_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vv: VersionVector,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        core.local_vvs.insert(from.partition, vv);
-        core.recompute_gss(true);
-        core.unpark(outputs);
-    }
-
     fn on_tick(
         &mut self,
         core: &mut EngineCore<C>,

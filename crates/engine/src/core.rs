@@ -49,8 +49,7 @@ struct TxState {
 pub struct EngineCore<C> {
     /// This server's identity `p^m_n`.
     pub id: ServerId,
-    /// The deployment configuration. Policies may adjust runtime-tunable knobs (HA-POCC
-    /// disables `put_waits_for_dependencies` while a partition is suspected).
+    /// The deployment configuration, fixed at construction.
     pub config: Config,
     /// The server's physical clock.
     pub clock: C,
@@ -842,9 +841,9 @@ impl<C: Clock> EngineCore<C> {
 
     /// Recomputes the GSS as the entry-wise minimum of the latest known version vectors of
     /// every partition in the local data center (including this one). The GSS only moves
-    /// forward. `charge_extra_work` accounts one CPU work unit per merged vector (Cure\*
-    /// pays this every few milliseconds; HA-POCC's infrequent protocol does not bother).
-    pub fn recompute_gss(&mut self, charge_extra_work: bool) {
+    /// forward. Each merged vector costs one extra CPU work unit: Cure\* pays this every
+    /// few milliseconds, HA-POCC only at its infrequent rounds.
+    pub fn recompute_gss(&mut self) {
         if self.local_vvs.len() < self.config.num_partitions.saturating_sub(1) {
             // Not every peer has reported yet: the GSS cannot safely advance.
             return;
@@ -852,9 +851,7 @@ impl<C: Clock> EngineCore<C> {
         let mut gss = DependencyVector(self.vv.as_clock_vector().clone());
         for vv in self.local_vvs.values() {
             gss.0.meet(vv.as_clock_vector());
-            if charge_extra_work {
-                self.extra_work += 1;
-            }
+            self.extra_work += 1;
         }
         // Monotonic advance.
         self.gss.join(&gss);
@@ -870,7 +867,7 @@ impl<C: Clock> EngineCore<C> {
             let out = self.send(peer, msg);
             outputs.push(out);
         }
-        self.recompute_gss(true);
+        self.recompute_gss();
     }
 
     // -----------------------------------------------------------------------------------

@@ -5,17 +5,18 @@ use crate::core::{EngineCore, SliceUnmergedMode};
 use pocc_clock::Clock;
 use pocc_proto::{
     ClientRequest, MetricsSnapshot, ProtocolServer, ServerIntrospect, ServerMessage, ServerOutput,
-    TxId, TxItem,
 };
-use pocc_types::{ClientId, Key, ReplicaId, ServerId, Timestamp, VersionVector};
+use pocc_types::{ClientId, Key, ReplicaId, ServerId, Timestamp};
 
 /// The protocol-defining decisions layered over the shared [`EngineCore`].
 ///
 /// The engine owns replication, batching, heartbeats, parked operations, transaction
-/// coordination and metrics; a policy decides **which version a read may return**, what
-/// periodic stabilization traffic to emit, and how to react to peer-health signals. The
-/// paper's three systems — and any future variant — differ only in these hooks; see the
-/// "Adding a protocol variant" section of `ARCHITECTURE.md`.
+/// coordination and metrics, and handles every server-to-server message itself (a
+/// stabilization vector refreshes the GSS, a GC vector is recorded for the exchange);
+/// a policy decides **which version a read may return**, what periodic stabilization
+/// traffic to emit, and how to react to peer-health signals. The paper's three systems —
+/// and any future variant — differ only in these four hooks; see the "Adding a protocol
+/// variant" section of `ARCHITECTURE.md`.
 pub trait VisibilityPolicy<C: Clock>: Send {
     /// How [`EngineCore::read_slice`] classifies unmerged transactional items under this
     /// protocol. Consulted once, at engine construction.
@@ -32,65 +33,11 @@ pub trait VisibilityPolicy<C: Clock>: Send {
         request: ClientRequest,
     ) -> Vec<ServerOutput>;
 
-    /// Reacts to a stabilization vector from a local peer. The engine has already counted
-    /// the message; the default ignores it (plain POCC does not run the stabilization
-    /// protocol, but counting keeps misconfigurations visible in metrics).
-    fn on_stabilization_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vv: VersionVector,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        let _ = (core, from, vv, outputs);
-    }
-
-    /// Reacts to a garbage-collection vector from a local peer. The engine has already
-    /// counted the message; the default ignores it (Cure\* collects from the GSS directly).
-    fn on_gc_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vector: pocc_types::DependencyVector,
-    ) {
-        let _ = (core, from, vector);
-    }
-
     /// Observes a replicated remote version right after it was installed (and before
     /// parked operations are re-evaluated). The Adaptive policy tracks per-key remote
     /// churn here; the default does nothing.
     fn on_replicate(&mut self, core: &mut EngineCore<C>, from: ServerId, key: Key) {
         let _ = (core, from, key);
-    }
-
-    /// Offers the policy a slice response before the engine folds it into a coordinated
-    /// transaction. Return the items to let the engine complete the transaction, or
-    /// `None` if the policy consumed the response (HA-POCC routes responses of its
-    /// pessimistic-mode transactions this way).
-    fn claim_slice_response(
-        &mut self,
-        core: &mut EngineCore<C>,
-        tx: TxId,
-        items: Vec<TxItem>,
-        outputs: &mut Vec<ServerOutput>,
-    ) -> Option<Vec<TxItem>> {
-        let _ = (core, tx, outputs);
-        Some(items)
-    }
-
-    /// Offers the policy a slice abort ("snapshot too old", see
-    /// [`EngineCore::read_slice`]) before the engine aborts the core-coordinated
-    /// transaction. Return `true` if the policy owns the transaction and handled the
-    /// abort (HA-POCC's pessimistic-mode transactions), `false` to let the engine abort
-    /// the transaction in [`EngineCore::abort_tx_snapshot_too_old`].
-    fn claim_slice_abort(
-        &mut self,
-        core: &mut EngineCore<C>,
-        tx: TxId,
-        outputs: &mut Vec<ServerOutput>,
-    ) -> bool {
-        let _ = (core, tx, outputs);
-        false
     }
 
     /// Protocol-specific periodic work, run at the end of every tick (after the batcher
@@ -126,11 +73,6 @@ impl<C: Clock, P: VisibilityPolicy<C>> ProtocolEngine<C, P> {
     /// Read access to the shared core.
     pub fn core(&self) -> &EngineCore<C> {
         &self.core
-    }
-
-    /// Mutable access to the shared core.
-    pub fn core_mut(&mut self) -> &mut EngineCore<C> {
-        &mut self.core
     }
 
     /// Read access to the policy.
@@ -195,26 +137,22 @@ impl<C: Clock, P: VisibilityPolicy<C>> ProtocolEngine<C, P> {
                     .serve_or_park_slice(Some(from), tx, client, keys, snapshot, outputs);
             }
             ServerMessage::SliceResponse { tx, items } => {
-                if let Some(items) =
-                    self.policy
-                        .claim_slice_response(&mut self.core, tx, items, outputs)
-                {
-                    self.core.complete_slice(tx, items, outputs);
-                }
+                self.core.complete_slice(tx, items, outputs);
             }
             ServerMessage::SliceAbort { tx } => {
-                if !self.policy.claim_slice_abort(&mut self.core, tx, outputs) {
-                    self.core.abort_tx_snapshot_too_old(tx, outputs);
-                }
+                self.core.abort_tx_snapshot_too_old(tx, outputs);
             }
             ServerMessage::StabilizationVector { vv } => {
+                // Only the protocols that run the stabilization protocol send these.
                 self.core.metrics.stabilization_messages += 1;
-                self.policy
-                    .on_stabilization_vector(&mut self.core, from, vv, outputs);
+                self.core.local_vvs.insert(from.partition, vv);
+                self.core.recompute_gss();
+                self.core.unpark(outputs);
             }
             ServerMessage::GcVector { vector } => {
+                // A peer's contribution to the GC-vector exchange (§IV-B).
                 self.core.metrics.gc_messages += 1;
-                self.policy.on_gc_vector(&mut self.core, from, vector);
+                self.core.gc_contributions.insert(from.partition, vector);
             }
             ServerMessage::Batch { messages } => {
                 for inner in messages {
@@ -300,46 +238,8 @@ impl<C: Clock> VisibilityPolicy<C> for Box<dyn VisibilityPolicy<C>> {
         (**self).handle_client_request(core, client, request)
     }
 
-    fn on_stabilization_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vv: VersionVector,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        (**self).on_stabilization_vector(core, from, vv, outputs)
-    }
-
-    fn on_gc_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vector: pocc_types::DependencyVector,
-    ) {
-        (**self).on_gc_vector(core, from, vector)
-    }
-
     fn on_replicate(&mut self, core: &mut EngineCore<C>, from: ServerId, key: Key) {
         (**self).on_replicate(core, from, key)
-    }
-
-    fn claim_slice_response(
-        &mut self,
-        core: &mut EngineCore<C>,
-        tx: TxId,
-        items: Vec<TxItem>,
-        outputs: &mut Vec<ServerOutput>,
-    ) -> Option<Vec<TxItem>> {
-        (**self).claim_slice_response(core, tx, items, outputs)
-    }
-
-    fn claim_slice_abort(
-        &mut self,
-        core: &mut EngineCore<C>,
-        tx: TxId,
-        outputs: &mut Vec<ServerOutput>,
-    ) -> bool {
-        (**self).claim_slice_abort(core, tx, outputs)
     }
 
     fn on_tick(

@@ -9,10 +9,13 @@
 //!   version vector, the replication apply/ship paths, the [`pocc_proto::MessageBatcher`]
 //!   flush ordering, heartbeat emission, the GC-vector exchange, GSS/stabilization
 //!   bookkeeping, parked-operation management, read-only transaction coordination and
-//!   metrics accounting.
-//! * [`VisibilityPolicy`] is the per-protocol decision surface: read visibility
-//!   (freshest vs freshest-stable vs snapshot-bounded), which periodic stabilization
-//!   messages to emit, and how to react to peer-health signals.
+//!   metrics accounting. [`ProtocolEngine`] handles every server-to-server message with
+//!   it, stabilization and GC vectors included.
+//! * [`VisibilityPolicy`] is the per-protocol decision surface, four hooks: read
+//!   visibility and wait behaviour per client request (freshest vs freshest-stable vs
+//!   snapshot-bounded, and each RO-TX's snapshot), the unmerged-item rule of slice reads,
+//!   an observation of each replicated version, and the periodic work of a tick
+//!   (stabilization rounds, GC, timeouts, peer-health detection).
 //! * [`ProtocolEngine`] glues a policy onto the core and implements
 //!   [`pocc_proto::ProtocolServer`], so every policy runs unchanged under the
 //!   deterministic simulator, the threaded runtime and the benchmark harness.

@@ -13,8 +13,15 @@
 //!    protocol that HA-POCC runs infrequently during normal operation precisely so that
 //!    this fall-back is possible), writes no longer wait for their dependencies, and
 //!    read-only transaction snapshots are bounded by the GSS instead of the version
-//!    vector. No operation ever blocks in this mode, so availability is restored at the
-//!    cost of staleness — exactly the trade-off a pessimistic protocol makes all the time.
+//!    vector. No operation ever blocks on a remote data center in this mode, so
+//!    availability is restored at the cost of staleness — exactly the trade-off a
+//!    pessimistic protocol makes all the time.
+//!
+//!    The fall-back is a choice of engine paths, not a second server: its writes call
+//!    `EngineCore::serve_put` directly, its RO-TXs go through `EngineCore::start_ro_tx`
+//!    with Cure\*'s snapshot (`GSS ∨ RDV`, local entry from the version vector), and
+//!    the infrequent round is `EngineCore::stabilization_round`. Only its GET is its
+//!    own, so that a session still reads its own writes (see `HaPolicy`).
 //! 3. **Recover** — when replication traffic from every data center resumes, the server
 //!    promotes itself back to optimistic mode.
 //!

@@ -3,18 +3,11 @@
 
 use pocc_clock::Clock;
 use pocc_engine::{EngineCore, ProtocolEngine, VisibilityPolicy};
-use pocc_proto::{
-    ClientReply, ClientRequest, MetricsSnapshot, ServerMessage, ServerOutput, TxId, TxItem,
-};
+use pocc_proto::{ClientReply, ClientRequest, ServerOutput};
 use pocc_protocol::PoccPolicy;
-use pocc_storage::{partition_for_key, ShardedStore};
+use pocc_storage::ShardedStore;
 use pocc_types::{ClientId, Config, DependencyVector, Key, ServerId, Timestamp, VersionVector};
-use std::collections::{HashMap, HashSet};
-
-/// Transaction ids coordinated by the HA layer (pessimistic mode) live in a disjoint id
-/// space from the ids used by the wrapped optimistic machinery, so that slice responses
-/// can be routed to the right coordinator.
-const HA_TX_BIT: u64 = 1 << 63;
+use std::collections::HashSet;
 
 /// The operating mode of an HA-POCC server.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,7 +16,7 @@ pub enum Mode {
     Optimistic,
     /// A network partition is suspected: reads are served pessimistically from the
     /// Globally Stable Snapshot, writes do not wait for dependencies, transactions are
-    /// bounded by the GSS. No operation blocks in this mode.
+    /// bounded by the GSS. No operation waits on a remote data center in this mode.
     Pessimistic {
         /// When the server entered pessimistic mode (server clock).
         since: Timestamp,
@@ -35,14 +28,6 @@ impl Mode {
     pub fn is_pessimistic(&self) -> bool {
         matches!(self, Mode::Pessimistic { .. })
     }
-}
-
-/// State of a read-only transaction coordinated in pessimistic mode.
-#[derive(Clone, Debug)]
-struct HaTxState {
-    client: ClientId,
-    outstanding_slices: usize,
-    items: Vec<TxItem>,
 }
 
 /// The highly available visibility policy (§III-B and §IV-C): the optimistic POCC policy
@@ -62,15 +47,11 @@ pub struct HaPolicy {
     /// `sessions_aborted` at the last tick, to detect new aborts.
     aborted_seen: u64,
 
-    /// Read-only transactions coordinated by the HA layer (pessimistic mode only).
-    ha_txs: HashMap<TxId, HaTxState>,
-    next_ha_tx: u64,
     /// Clients that issued requests while the server was optimistic. Their sessions are
     /// closed at their first request after a switch to pessimistic mode, because the
     /// pessimistic protocol cannot honour dependencies on unstable items they may have
     /// observed (§III-B: "it closes the session with c").
     optimistic_clients: HashSet<ClientId>,
-    put_wait_configured: bool,
 }
 
 impl HaPolicy {
@@ -83,32 +64,24 @@ impl HaPolicy {
             last_remote_advance: vec![now; config.num_replicas],
             prev_vv: VersionVector::zero(config.num_replicas),
             aborted_seen: 0,
-            ha_txs: HashMap::new(),
-            next_ha_tx: 0,
             optimistic_clients: HashSet::new(),
-            put_wait_configured: config.put_waits_for_dependencies,
         }
     }
 
-    fn enter_pessimistic<C: Clock>(&mut self, core: &mut EngineCore<C>) {
+    fn enter_pessimistic(&mut self, now: Timestamp) {
         if self.mode.is_pessimistic() {
             return;
         }
-        self.mode = Mode::Pessimistic {
-            since: core.clock.now(),
-        };
+        self.mode = Mode::Pessimistic { since: now };
         self.mode_switches += 1;
-        // Writes must not block during the partition.
-        core.config.put_waits_for_dependencies = false;
     }
 
-    fn enter_optimistic<C: Clock>(&mut self, core: &mut EngineCore<C>) {
+    fn enter_optimistic(&mut self) {
         if !self.mode.is_pessimistic() {
             return;
         }
         self.mode = Mode::Optimistic;
         self.mode_switches += 1;
-        core.config.put_waits_for_dependencies = self.put_wait_configured;
     }
 
     // -----------------------------------------------------------------------------------
@@ -154,6 +127,12 @@ impl HaPolicy {
 
     /// A pessimistic GET: the freshest version visible under the GSS (local versions are
     /// always visible, as in Cure). Never blocks.
+    ///
+    /// This is not [`EngineCore::serve_get_stable`], whose snapshot is `GSS ∨ RDV ∨
+    /// local`. HA sessions are POCC sessions, so a GET's `rdv` carries the client's reads
+    /// but not its own writes, and a local write whose remote dependencies exceed the GSS
+    /// would drop out of that snapshot: the client would not read its own write. Here
+    /// every locally originated version stays visible.
     fn pessimistic_get<C: Clock>(
         &mut self,
         core: &mut EngineCore<C>,
@@ -168,150 +147,6 @@ impl HaPolicy {
         }
         let response = core.response_for(outcome.version.as_ref());
         ServerOutput::reply(client, ClientReply::Get(response))
-    }
-
-    /// A pessimistic read-only transaction: the snapshot is bounded by the GSS (plus the
-    /// client's session history and the coordinator's local clock entry), so participant
-    /// slices never wait for remote replication.
-    ///
-    /// This deliberately does *not* reuse [`EngineCore::start_ro_tx`]: pessimistic-mode
-    /// transactions live in a disjoint tx-id space (`HA_TX_BIT`), must never be aborted
-    /// by the partition-detection timeout (the partition is exactly when they run), and
-    /// must not hold back the GC lower bound of the optimistic machinery.
-    fn pessimistic_ro_tx<C: Clock>(
-        &mut self,
-        core: &mut EngineCore<C>,
-        client: ClientId,
-        keys: Vec<Key>,
-        rdv: DependencyVector,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        if keys.is_empty() {
-            core.metrics.rotx_served += 1;
-            outputs.push(ServerOutput::reply(
-                client,
-                ClientReply::RoTx { items: Vec::new() },
-            ));
-            return;
-        }
-        let id = core.id;
-        let mut snapshot = core.gss.joined(&rdv);
-        snapshot.advance(id.replica, core.vv.get(id.replica));
-
-        let mut by_partition: HashMap<pocc_types::PartitionId, Vec<Key>> = HashMap::new();
-        for key in keys {
-            by_partition
-                .entry(partition_for_key(key, core.config.num_partitions))
-                .or_default()
-                .push(key);
-        }
-
-        let tx = TxId(HA_TX_BIT | self.next_ha_tx);
-        self.next_ha_tx += 1;
-        self.ha_txs.insert(
-            tx,
-            HaTxState {
-                client,
-                outstanding_slices: by_partition.len(),
-                items: Vec::new(),
-            },
-        );
-
-        // Deterministic fan-out order (HashMap iteration order is randomised per process).
-        let mut groups: Vec<_> = by_partition.into_iter().collect();
-        groups.sort_by_key(|(partition, _)| *partition);
-        let mut local_keys = None;
-        for (partition, keys) in groups {
-            if partition == id.partition {
-                local_keys = Some(keys);
-            } else {
-                core.metrics.bytes_sent += (keys.len() * 8 + snapshot.wire_size()) as u64;
-                outputs.push(ServerOutput::send(
-                    id.local_peer(partition),
-                    ServerMessage::SliceRequest {
-                        tx,
-                        client,
-                        keys,
-                        snapshot: snapshot.clone(),
-                    },
-                ));
-            }
-        }
-        if let Some(keys) = local_keys {
-            match self.read_local_slice(core, &keys, &snapshot) {
-                Some(items) => self.complete_ha_slice(&mut core.metrics, tx, items, outputs),
-                None => self.abort_ha_tx(&mut core.metrics, tx, outputs),
-            }
-        }
-    }
-
-    /// Reads a slice of a pessimistic transaction against the local store. Returns `None`
-    /// when garbage collection may have removed the version the snapshot needs for one of
-    /// the keys (see [`EngineCore::read_slice`]) — the transaction must abort.
-    fn read_local_slice<C: Clock>(
-        &mut self,
-        core: &mut EngineCore<C>,
-        keys: &[Key],
-        snapshot: &DependencyVector,
-    ) -> Option<Vec<TxItem>> {
-        let mut items = Vec::with_capacity(keys.len());
-        for &key in keys {
-            let outcome = core.store.latest_in_snapshot(key, snapshot);
-            if outcome.version.is_none() && core.store.snapshot_may_predate_gc(key, snapshot) {
-                return None;
-            }
-            core.metrics.tx_items_returned += 1;
-            if outcome.is_old() {
-                core.metrics.old_tx_items += 1;
-            }
-            let response = core.response_for(outcome.version.as_ref());
-            items.push(TxItem { key, response });
-        }
-        Some(items)
-    }
-
-    /// Aborts a pessimistic-mode transaction whose snapshot preceded garbage collection
-    /// on a participant, closing the client session. Late aborts are ignored.
-    fn abort_ha_tx(
-        &mut self,
-        metrics: &mut MetricsSnapshot,
-        tx: TxId,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        if let Some(state) = self.ha_txs.remove(&tx) {
-            metrics.sessions_aborted += 1;
-            outputs.push(ServerOutput::reply(
-                state.client,
-                ClientReply::SessionAborted {
-                    reason: "transaction snapshot preceded garbage collection".into(),
-                },
-            ));
-        }
-    }
-
-    fn complete_ha_slice(
-        &mut self,
-        metrics: &mut MetricsSnapshot,
-        tx: TxId,
-        items: Vec<TxItem>,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        let finished = {
-            let Some(state) = self.ha_txs.get_mut(&tx) else {
-                return;
-            };
-            state.items.extend(items);
-            state.outstanding_slices = state.outstanding_slices.saturating_sub(1);
-            state.outstanding_slices == 0
-        };
-        if finished {
-            let state = self.ha_txs.remove(&tx).expect("tx present");
-            metrics.rotx_served += 1;
-            outputs.push(ServerOutput::reply(
-                state.client,
-                ClientReply::RoTx { items: state.items },
-            ));
-        }
     }
 
     // -----------------------------------------------------------------------------------
@@ -349,7 +184,7 @@ impl HaPolicy {
         match self.mode {
             Mode::Optimistic => {
                 if new_aborts || silent_replica {
-                    self.enter_pessimistic(core);
+                    self.enter_pessimistic(now);
                 }
             }
             Mode::Pessimistic { since } => {
@@ -367,7 +202,7 @@ impl HaPolicy {
                 let settled =
                     now.saturating_since(since) >= core.config.partition_detection_timeout;
                 if all_healthy && settled && !silent_replica {
-                    self.enter_optimistic(core);
+                    self.enter_optimistic();
                 }
             }
         }
@@ -393,73 +228,29 @@ impl<C: Clock> VisibilityPolicy<C> for HaPolicy {
         }
         let mut outputs = Vec::new();
         match request {
-            ClientRequest::Get { key, rdv } => {
-                let out = if self.serveable_pessimistically(core, &rdv) {
-                    self.pessimistic_get(core, client, key)
-                } else {
-                    self.abort_session(core, client)
-                };
-                outputs.push(out);
+            ClientRequest::Get { ref rdv, .. } | ClientRequest::RoTx { ref rdv, .. }
+                if !self.serveable_pessimistically(core, rdv) =>
+            {
+                outputs.push(self.abort_session(core, client));
             }
-            ClientRequest::Put { .. } => {
-                // Writes are applied by the optimistic machinery; the dependency wait is
-                // disabled while in pessimistic mode so the PUT cannot block.
-                outputs = self.pocc.handle_client_request(core, client, request);
+            ClientRequest::Get { key, .. } => {
+                outputs.push(self.pessimistic_get(core, client, key));
+            }
+            ClientRequest::Put { key, value, dv } => {
+                // Writes never wait for their dependencies during a partition.
+                core.serve_put(client, key, value, dv, &mut outputs);
+                core.unpark(&mut outputs);
             }
             ClientRequest::RoTx { keys, rdv } => {
-                if self.serveable_pessimistically(core, &rdv) {
-                    self.pessimistic_ro_tx(core, client, keys, rdv, &mut outputs);
-                } else {
-                    let out = self.abort_session(core, client);
-                    outputs.push(out);
-                }
+                // Cure*'s snapshot: bounded by the GSS, extended with the session history,
+                // with the local entry from the version vector, so participant slices
+                // never wait for remote replication.
+                let mut snapshot = core.gss.joined(&rdv);
+                snapshot.advance(core.id.replica, core.vv.get(core.id.replica));
+                core.start_ro_tx(client, keys, snapshot, &mut outputs);
             }
         }
         outputs
-    }
-
-    fn on_stabilization_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vv: VersionVector,
-        _outputs: &mut Vec<ServerOutput>,
-    ) {
-        core.local_vvs.insert(from.partition, vv);
-        core.recompute_gss(false);
-    }
-
-    fn on_gc_vector(&mut self, core: &mut EngineCore<C>, from: ServerId, vector: DependencyVector) {
-        VisibilityPolicy::<C>::on_gc_vector(&mut self.pocc, core, from, vector);
-    }
-
-    fn claim_slice_response(
-        &mut self,
-        core: &mut EngineCore<C>,
-        tx: TxId,
-        items: Vec<TxItem>,
-        outputs: &mut Vec<ServerOutput>,
-    ) -> Option<Vec<TxItem>> {
-        if tx.0 & HA_TX_BIT != 0 {
-            self.complete_ha_slice(&mut core.metrics, tx, items, outputs);
-            None
-        } else {
-            Some(items)
-        }
-    }
-
-    fn claim_slice_abort(
-        &mut self,
-        core: &mut EngineCore<C>,
-        tx: TxId,
-        outputs: &mut Vec<ServerOutput>,
-    ) -> bool {
-        if tx.0 & HA_TX_BIT != 0 {
-            self.abort_ha_tx(&mut core.metrics, tx, outputs);
-            true
-        } else {
-            false
-        }
     }
 
     fn on_tick(
@@ -476,17 +267,7 @@ impl<C: Clock> VisibilityPolicy<C> for HaPolicy {
         // than Cure's it costs almost nothing during normal operation (§IV-C).
         if now.saturating_since(core.last_stabilization) >= core.config.ha_stabilization_interval {
             core.last_stabilization = now;
-            let vv = core.vv.clone();
-            for i in 0..core.local_peers().len() {
-                let peer = core.local_peers()[i];
-                core.metrics.stabilization_messages += 1;
-                core.metrics.bytes_sent += vv.wire_size() as u64;
-                outputs.push(ServerOutput::send(
-                    peer,
-                    ServerMessage::StabilizationVector { vv: vv.clone() },
-                ));
-            }
-            core.recompute_gss(false);
+            core.stabilization_round(outputs);
         }
 
         self.detect_and_recover(core, now);
@@ -539,13 +320,13 @@ impl<C: Clock> HaPoccServer<C> {
     /// partition is coming, e.g. planned maintenance).
     pub fn force_pessimistic(&mut self) {
         let (core, policy) = self.engine.parts_mut();
-        policy.enter_pessimistic(core);
+        policy.enter_pessimistic(core.clock.now());
     }
 
     /// Forces the server back into optimistic mode.
     pub fn force_optimistic(&mut self) {
-        let (core, policy) = self.engine.parts_mut();
-        policy.enter_optimistic(core);
+        let (_, policy) = self.engine.parts_mut();
+        policy.enter_optimistic();
     }
 }
 
@@ -555,7 +336,8 @@ pocc_engine::delegate_protocol_server!(HaPoccServer);
 mod tests {
     use super::*;
     use pocc_clock::ManualClock;
-    use pocc_proto::{expect_reply, ProtocolServer, ServerIntrospect};
+    use pocc_proto::{expect_reply, ProtocolServer, ServerIntrospect, ServerMessage};
+    use pocc_storage::partition_for_key;
     use pocc_types::{ReplicaId, Value, Version};
     use std::time::Duration;
 
@@ -882,5 +664,126 @@ mod tests {
             },
         );
         assert_eq!(s.gss(), &dv(&[8 * MS, 0, 0]));
+    }
+
+    #[test]
+    fn pessimistic_get_reads_the_clients_own_write_above_the_gss() {
+        let clock = ManualClock::new(Timestamp(10 * MS));
+        let mut s = HaPoccServer::new(ServerId::new(0u16, 0u32), config(), clock.clone());
+        s.force_pessimistic();
+        let key = key_in(0, 1);
+        // The write depends on a remote update the GSS does not cover yet.
+        let outputs = s.handle_client_request(
+            ClientId(1),
+            ClientRequest::Put {
+                key,
+                value: Value::from("mine"),
+                dv: dv(&[0, 0, 500 * MS]),
+            },
+        );
+        assert!(matches!(
+            extract_reply(&outputs, ClientId(1)),
+            Some(ClientReply::Put { .. })
+        ));
+        // A POCC session's read vector holds its reads, not its writes.
+        let outputs = s.handle_client_request(
+            ClientId(1),
+            ClientRequest::Get {
+                key,
+                rdv: dv(&[0, 0, 0]),
+            },
+        );
+        expect_reply!(
+            extract_reply(&outputs, ClientId(1)),
+            Some(ClientReply::Get(resp)) => {
+                assert_eq!(resp.value.as_ref().unwrap().as_slice(), b"mine");
+            }
+        );
+    }
+
+    fn two_partition_config() -> Config {
+        Config::builder()
+            .num_replicas(3)
+            .num_partitions(2)
+            .partition_detection_timeout(Duration::from_millis(200))
+            .ha_stabilization_interval(Duration::from_millis(50))
+            .build()
+            .unwrap()
+    }
+
+    fn is_slice_request(output: &ServerOutput) -> bool {
+        matches!(
+            output,
+            ServerOutput::Send {
+                message: ServerMessage::SliceRequest { .. },
+                ..
+            }
+        )
+    }
+
+    #[test]
+    fn a_silent_participant_aborts_a_pessimistic_transaction_at_the_timeout() {
+        let clock = ManualClock::new(Timestamp(10 * MS));
+        let mut s = HaPoccServer::new(
+            ServerId::new(0u16, 0u32),
+            two_partition_config(),
+            clock.clone(),
+        );
+        s.force_pessimistic();
+        let outputs = s.handle_client_request(
+            ClientId(1),
+            ClientRequest::RoTx {
+                keys: vec![key_in(0, 2), key_in(1, 2)],
+                rdv: dv(&[0, 0, 0]),
+            },
+        );
+        assert!(outputs.iter().any(is_slice_request));
+        assert_eq!(extract_reply(&outputs, ClientId(1)), None);
+
+        // The remote slice never arrives.
+        clock.set(Timestamp(210 * MS));
+        let outputs = s.tick();
+        assert!(matches!(
+            extract_reply(&outputs, ClientId(1)),
+            Some(ClientReply::SessionAborted { .. })
+        ));
+        assert_eq!(s.metrics().sessions_aborted, 1);
+    }
+
+    #[test]
+    fn pessimistic_traffic_is_counted_at_its_wire_size() {
+        let clock = ManualClock::new(Timestamp(100 * MS));
+        let mut s = HaPoccServer::new(
+            ServerId::new(0u16, 0u32),
+            two_partition_config(),
+            clock.clone(),
+        );
+        s.force_pessimistic();
+        // One stabilization round (plus heartbeats and a GC exchange), then a transaction
+        // that sends a slice request to the other partition.
+        let mut outputs = s.tick();
+        assert!(outputs.iter().any(|o| matches!(
+            o,
+            ServerOutput::Send {
+                message: ServerMessage::StabilizationVector { .. },
+                ..
+            }
+        )));
+        outputs.extend(s.handle_client_request(
+            ClientId(1),
+            ClientRequest::RoTx {
+                keys: vec![key_in(0, 2), key_in(1, 2)],
+                rdv: dv(&[0, 0, 0]),
+            },
+        ));
+        assert!(outputs.iter().any(is_slice_request));
+        let wire: u64 = outputs
+            .iter()
+            .filter_map(|o| match o {
+                ServerOutput::Send { message, .. } => Some(message.wire_size() as u64),
+                ServerOutput::Reply { .. } => None,
+            })
+            .sum();
+        assert_eq!(s.metrics().bytes_sent, wire);
     }
 }

@@ -69,15 +69,6 @@ impl<C: Clock> VisibilityPolicy<C> for PoccPolicy {
         outputs
     }
 
-    fn on_gc_vector(
-        &mut self,
-        core: &mut EngineCore<C>,
-        from: ServerId,
-        vector: pocc_types::DependencyVector,
-    ) {
-        core.gc_contributions.insert(from.partition, vector);
-    }
-
     fn on_tick(
         &mut self,
         core: &mut EngineCore<C>,
@@ -129,15 +120,6 @@ impl<C: Clock> PoccServer<C> {
     /// Read access to the underlying store (used by tests and the convergence checker).
     pub fn store(&self) -> &ShardedStore {
         &self.engine.core().store
-    }
-
-    /// Enables or disables the PUT-side dependency wait (Algorithm 2 line 6) at runtime.
-    ///
-    /// HA-POCC (`pocc-ha`) turns the wait off while a session operates in pessimistic mode
-    /// during a network partition, so writes never block on dependencies that may be stuck
-    /// behind the partition.
-    pub fn set_put_waits_for_dependencies(&mut self, yes: bool) {
-        self.engine.core_mut().config.put_waits_for_dependencies = yes;
     }
 
     /// An observability snapshot of the server's state.

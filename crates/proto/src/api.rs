@@ -32,7 +32,7 @@ pub struct MetricsSnapshot {
     /// blocks on its dependencies under POCC, Adaptive-POCC and optimistic HA-POCC when
     /// `Config::put_waits_for_dependencies` is set, never under Cure\*. A transactional
     /// slice blocks until its snapshot is installed, under every protocol. HA-POCC in
-    /// pessimistic mode blocks nothing.
+    /// pessimistic mode blocks no GET or PUT.
     pub blocked_operations: u64,
     /// Total time spent blocked across all blocked operations.
     pub total_block_time: Duration,

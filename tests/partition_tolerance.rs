@@ -5,7 +5,9 @@ use pocc::types::ReplicaId;
 use pocc::workload::WorkloadMix;
 use std::time::Duration;
 
-fn partitioned_run(protocol: ProtocolKind, heal: bool) -> pocc::sim::SimReport {
+const GET_PUT: WorkloadMix = WorkloadMix::GetPut { gets_per_put: 3 };
+
+fn partitioned_run(protocol: ProtocolKind, mix: WorkloadMix, heal: bool) -> pocc::sim::SimReport {
     // A detection timeout well below the partition duration, so that plain POCC actually
     // reaches the "close the session" phase of the recovery procedure during the test.
     let deployment = pocc::types::Config::builder()
@@ -19,7 +21,7 @@ fn partitioned_run(protocol: ProtocolKind, heal: bool) -> pocc::sim::SimReport {
         .deployment(deployment)
         .clients_per_partition(4)
         .keys_per_partition(200)
-        .mix(WorkloadMix::GetPut { gets_per_put: 3 })
+        .mix(mix)
         .think_time(Duration::from_millis(5))
         .warmup(Duration::from_millis(100))
         .duration(Duration::from_secs(3))
@@ -43,7 +45,7 @@ fn partitioned_run(protocol: ProtocolKind, heal: bool) -> pocc::sim::SimReport {
 
 #[test]
 fn pocc_stays_consistent_through_a_partition_and_heal() {
-    let report = partitioned_run(ProtocolKind::Pocc, true);
+    let report = partitioned_run(ProtocolKind::Pocc, GET_PUT, true);
     assert_eq!(report.consistency_violations, 0);
     // The lossless network re-delivers held traffic after the heal, so replicas converge.
     assert!(report.converged, "replicas must converge after the heal");
@@ -52,7 +54,7 @@ fn pocc_stays_consistent_through_a_partition_and_heal() {
 
 #[test]
 fn pocc_aborts_blocked_sessions_during_a_partition() {
-    let report = partitioned_run(ProtocolKind::Pocc, true);
+    let report = partitioned_run(ProtocolKind::Pocc, GET_PUT, true);
     // Some clients depended on updates stuck behind the partition; their requests blocked
     // past the detection timeout and their sessions were closed (§III-B phase 1).
     assert!(
@@ -64,8 +66,8 @@ fn pocc_aborts_blocked_sessions_during_a_partition() {
 
 #[test]
 fn ha_pocc_keeps_serving_without_blocking_anomalies_during_a_partition() {
-    let pocc = partitioned_run(ProtocolKind::Pocc, true);
-    let ha = partitioned_run(ProtocolKind::HaPocc, true);
+    let pocc = partitioned_run(ProtocolKind::Pocc, GET_PUT, true);
+    let ha = partitioned_run(ProtocolKind::HaPocc, GET_PUT, true);
     assert_eq!(ha.consistency_violations, 0);
     assert!(ha.converged);
     // The fall-back removes the long dependency stalls, so the worst-case latency during
@@ -80,8 +82,21 @@ fn ha_pocc_keeps_serving_without_blocking_anomalies_during_a_partition() {
 }
 
 #[test]
+fn ha_pocc_transactions_complete_through_the_fall_back() {
+    let mix = WorkloadMix::TxPut {
+        partitions_per_tx: 2,
+    };
+    let report = partitioned_run(ProtocolKind::HaPocc, mix, true);
+    assert_eq!(report.consistency_violations, 0);
+    assert!(report.converged);
+    assert!(report.rotx_completed > 0);
+    // The fall-back ran: sessions that predate it were closed on first contact.
+    assert!(report.sessions_reinitialized > 0);
+}
+
+#[test]
 fn cure_is_unaffected_by_partitions_apart_from_staleness() {
-    let report = partitioned_run(ProtocolKind::Cure, true);
+    let report = partitioned_run(ProtocolKind::Cure, GET_PUT, true);
     assert_eq!(report.consistency_violations, 0);
     assert!(report.converged);
     // The pessimistic protocol never blocks client operations, partition or not.
@@ -91,7 +106,7 @@ fn cure_is_unaffected_by_partitions_apart_from_staleness() {
 
 #[test]
 fn unhealed_partition_prevents_convergence_but_not_safety() {
-    let report = partitioned_run(ProtocolKind::Pocc, false);
+    let report = partitioned_run(ProtocolKind::Pocc, GET_PUT, false);
     assert_eq!(report.consistency_violations, 0);
     // Updates held on the partitioned link were never delivered, so replicas of the same
     // partition legitimately diverge (the "lost update" discussion of §III-B).
