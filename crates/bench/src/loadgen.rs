@@ -32,7 +32,7 @@ use crate::Scale;
 use pocc_protocol::{Client, ProtocolClient};
 use pocc_runtime::{ClientPort, Cluster, TransportKind};
 use pocc_sim::{LatencyStats, ProtocolKind, SimConfig, SimReport};
-use pocc_storage::{ShardStats, StoreStats};
+use pocc_storage::StoreStats;
 use pocc_types::{Config, Key, LatencyMatrix, PartitionId, ServerId, Value};
 use pocc_workload::KeySpace;
 use std::collections::VecDeque;
@@ -227,7 +227,6 @@ impl ConnResult {
 struct ConnDriver<'a> {
     cluster: &'a Cluster,
     home: ServerId,
-    snapshot_reads: bool,
     session: Client,
     port: Box<dyn ClientPort>,
     /// Intended start offsets, warmup included.
@@ -259,11 +258,8 @@ impl<'a> ConnDriver<'a> {
 
     fn reconnect(&mut self) {
         let (id, port) = self.cluster.open_port();
-        self.session = if self.snapshot_reads {
-            Client::new_snapshot_reads(id, self.home, self.cluster.config().num_replicas)
-        } else {
-            Client::new(id, self.home, self.cluster.config().num_replicas)
-        };
+        let replicas = self.cluster.config().num_replicas;
+        self.session = self.cluster.protocol().session(id, self.home, replicas);
         // Dropping the old port closes the socket / unregisters the reply route.
         self.port = port;
         self.result.reconnects += 1;
@@ -430,7 +426,6 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
         .transport(options.transport)
         .start();
 
-    let snapshot_reads = options.protocol.snapshot_reads();
     let keyspace = KeySpace::new(options.partitions, options.keys_per_partition);
     let servers: Vec<ServerId> = deployment.servers().collect();
     let conn_rate = options.rate / options.conns as f64;
@@ -459,11 +454,6 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
                 let value = value.clone();
                 scope.spawn(move || {
                     let (id, port) = cluster.open_port();
-                    let session = if snapshot_reads {
-                        Client::new_snapshot_reads(id, home, options.replicas)
-                    } else {
-                        Client::new(id, home, options.replicas)
-                    };
                     // Each connection works the key range of its home partition only, so
                     // every request is served without cross-partition forwarding.
                     let keys: Vec<Key> = (0..keyspace.keys_per_partition())
@@ -472,8 +462,7 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
                     ConnDriver {
                         cluster: &cluster,
                         home,
-                        snapshot_reads,
-                        session,
+                        session: options.protocol.session(id, home, options.replicas),
                         port,
                         schedule,
                         start,
@@ -545,18 +534,12 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
     let probes = cluster.probe_all();
     let mut metrics = pocc_proto::MetricsSnapshot::default();
     let mut store = StoreStats::default();
-    let mut store_shards: Vec<ShardStats> = Vec::with_capacity(probes.len());
+    let mut store_shards: Vec<StoreStats> = Vec::with_capacity(probes.len());
     for (_, probe) in &probes {
         metrics.merge(&probe.metrics);
         store.merge(&probe.store_stats);
         // One pseudo-shard entry per server: shows how the load spread over servers.
-        store_shards.push(ShardStats {
-            keys: probe.store_stats.keys,
-            versions: probe.store_stats.versions,
-            max_chain_len: probe.store_stats.max_chain_len,
-            gc_removed: probe.store_stats.gc_removed,
-            live_bytes: probe.store_stats.live_bytes,
-        });
+        store_shards.push(probe.store_stats);
     }
     // Wire-level traffic: the servers count replication/heartbeat/GC bytes; the channel
     // transport has no socket counters, so this is the comparable figure on both.

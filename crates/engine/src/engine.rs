@@ -216,7 +216,7 @@ impl<C: Clock, P: VisibilityPolicy<C>> ServerIntrospect for ProtocolEngine<C, P>
         self.core.store.stats()
     }
 
-    fn shard_stats(&self) -> Vec<pocc_storage::ShardStats> {
+    fn shard_stats(&self) -> Vec<pocc_storage::StoreStats> {
         self.core.store.shard_stats()
     }
 }
@@ -321,7 +321,7 @@ macro_rules! delegate_protocol_server {
                 $crate::reexports::ServerIntrospect::store_stats(&self.engine)
             }
 
-            fn shard_stats(&self) -> Vec<$crate::reexports::ShardStats> {
+            fn shard_stats(&self) -> Vec<$crate::reexports::StoreStats> {
                 $crate::reexports::ServerIntrospect::shard_stats(&self.engine)
             }
         }
@@ -336,6 +336,6 @@ pub mod reexports {
         ClientRequest, MetricsSnapshot, ProtocolServer, ServerIntrospect, ServerMessage,
         ServerOutput,
     };
-    pub use pocc_storage::{ShardStats, StoreStats};
+    pub use pocc_storage::StoreStats;
     pub use pocc_types::{ClientId, Key, ReplicaId, ServerId, Timestamp};
 }

@@ -40,7 +40,8 @@ pub use server::{OutputSink, ParallelServer, ServerClosed, Sink};
 use pocc_clock::Clock;
 use pocc_engine::VisibilityPolicy;
 use pocc_proto::InstrumentedServer;
-use pocc_types::{Config, ServerId, Timestamp};
+use pocc_protocol::Client;
+use pocc_types::{ClientId, Config, ServerId, Timestamp};
 
 /// Which of the four protocol variants a server runs. The four are one engine with four
 /// visibility policies, so this enum lives in the lowest crate that links all of them.
@@ -99,11 +100,16 @@ impl ProtocolKind {
         ProtocolKind::Adaptive,
     ];
 
-    /// Whether client sessions must carry their full history in GET request vectors
-    /// because the protocol serves reads from a snapshot (see
-    /// `Client::new_snapshot_reads`).
-    pub fn snapshot_reads(self) -> bool {
-        matches!(self, ProtocolKind::Cure | ProtocolKind::Adaptive)
+    /// Opens client session `id` homed at `home` in a deployment of `replicas` data
+    /// centers. Protocols that serve reads from a snapshot need the session's full
+    /// history in GET request vectors (see [`Client::new_snapshot_reads`]).
+    pub fn session(self, id: ClientId, home: ServerId, replicas: usize) -> Client {
+        match self {
+            ProtocolKind::Cure | ProtocolKind::Adaptive => {
+                Client::new_snapshot_reads(id, home, replicas)
+            }
+            ProtocolKind::Pocc | ProtocolKind::HaPocc => Client::new(id, home, replicas),
+        }
     }
 
     /// Builds the serial (single-threaded, sans-IO) server for `id`, with the protocol's

@@ -9,7 +9,7 @@ use pocc_proto::{
     ClientReply, ClientRequest, MetricsSnapshot, ProtocolServer, ServerIntrospect, ServerMessage,
     ServerOutput,
 };
-use pocc_storage::{partition_for_key, shard_for_key, ShardStats, StoreStats};
+use pocc_storage::{partition_for_key, shard_for_key, StoreStats};
 use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -282,7 +282,7 @@ impl<C: Clock + 'static> ServerIntrospect for ParallelServer<C> {
             .with_engine(|engine, _| ServerIntrospect::store_stats(engine))
     }
 
-    fn shard_stats(&self) -> Vec<ShardStats> {
+    fn shard_stats(&self) -> Vec<StoreStats> {
         self.shared
             .with_engine(|engine, _| ServerIntrospect::shard_stats(engine))
     }

@@ -2,7 +2,7 @@
 //! chaos windows (lag spikes, drop windows, duplication windows).
 
 use crate::LatencyModel;
-use pocc_proto::{Envelope, ServerMessage};
+use pocc_proto::Envelope;
 use pocc_types::{ReplicaId, ServerId, Timestamp};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::time::Duration;
@@ -136,19 +136,6 @@ impl SimNetwork {
         self.duplicating.remove(&(b, a));
     }
 
-    /// Whether a message kind may be dropped or duplicated by a chaos window: only
-    /// idempotent periodic traffic that the next protocol round supersedes. Replication
-    /// and transaction traffic rides reliable FIFO channels with no retransmission, so
-    /// the network never drops or duplicates it.
-    fn is_expendable(message: &ServerMessage) -> bool {
-        matches!(
-            message,
-            ServerMessage::Heartbeat { .. }
-                | ServerMessage::StabilizationVector { .. }
-                | ServerMessage::GcVector { .. }
-        )
-    }
-
     /// Accepts a message and returns its scheduled deliveries: empty if the link is
     /// partitioned (held, not dropped) or an active drop window consumed the message,
     /// one entry on a healthy link, two inside a duplication window.
@@ -163,13 +150,12 @@ impl SimNetwork {
             self.held.entry(pair).or_default().push_back(envelope);
             return Vec::new();
         }
-        if self.dropping.contains(&pair) && Self::is_expendable(&envelope.message) {
+        if self.dropping.contains(&pair) && envelope.message.is_expendable() {
             self.stats.dropped_messages += 1;
             return Vec::new();
         }
-        let duplicate = (self.duplicating.contains(&pair)
-            && Self::is_expendable(&envelope.message))
-        .then(|| envelope.clone());
+        let duplicate = (self.duplicating.contains(&pair) && envelope.message.is_expendable())
+            .then(|| envelope.clone());
         let mut deliveries = vec![self.schedule(envelope, now)];
         if let Some(copy) = duplicate {
             self.stats.duplicated_messages += 1;

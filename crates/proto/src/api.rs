@@ -316,7 +316,7 @@ pub trait ServerIntrospect {
 
     /// Per-shard statistics of the server's version store, indexed by shard. Used by the
     /// benchmark harness to report how evenly the key space spreads.
-    fn shard_stats(&self) -> Vec<pocc_storage::ShardStats>;
+    fn shard_stats(&self) -> Vec<pocc_storage::StoreStats>;
 }
 
 /// A server that can be both driven and observed: the simulator and the serial runtime

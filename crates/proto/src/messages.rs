@@ -216,6 +216,19 @@ impl ServerMessage {
     /// 4-byte member count (must match the codec's batch encoding).
     pub const BATCH_ENVELOPE_SIZE: usize = 1 + 4;
 
+    /// Whether a chaos window may drop or duplicate this message: only idempotent periodic
+    /// traffic that the next protocol round supersedes. Replication and transaction
+    /// traffic rides reliable FIFO channels with no retransmission, so it is never
+    /// dropped or duplicated.
+    pub fn is_expendable(&self) -> bool {
+        matches!(
+            self,
+            ServerMessage::Heartbeat { .. }
+                | ServerMessage::StabilizationVector { .. }
+                | ServerMessage::GcVector { .. }
+        )
+    }
+
     /// Approximate wire size of the message in bytes.
     pub fn wire_size(&self) -> usize {
         match self {

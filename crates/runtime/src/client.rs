@@ -24,19 +24,7 @@ pub struct ClusterClient {
 }
 
 impl ClusterClient {
-    pub(crate) fn new(
-        id: ClientId,
-        home: ServerId,
-        config: Config,
-        port: Box<dyn ClientPort>,
-        snapshot_reads: bool,
-    ) -> Self {
-        let num_replicas = config.num_replicas;
-        let session = if snapshot_reads {
-            Client::new_snapshot_reads(id, home, num_replicas)
-        } else {
-            Client::new(id, home, num_replicas)
-        };
+    pub(crate) fn new(session: Client, config: Config, port: Box<dyn ClientPort>) -> Self {
         ClusterClient {
             session,
             config,

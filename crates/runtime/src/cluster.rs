@@ -228,11 +228,8 @@ impl Cluster {
         let id = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
         let partition = (id.raw() as usize % self.config().num_partitions) as u32;
         let home = ServerId::new(replica, partition);
-        // Snapshot-serving protocols need the full session history in GET request
-        // vectors (see `Client::new_snapshot_reads`).
-        let snapshot_reads = self.protocol.snapshot_reads();
-        let port = self.wire.client_port(id);
-        ClusterClient::new(id, home, self.config().clone(), port, snapshot_reads)
+        let session = self.protocol.session(id, home, self.config().num_replicas);
+        ClusterClient::new(session, self.config().clone(), self.wire.client_port(id))
     }
 
     /// Opens a raw transport port paired with a fresh client id, for external drivers

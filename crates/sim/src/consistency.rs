@@ -12,6 +12,7 @@
 //! tracks exact per-key knowledge, so a protocol bug that corrupts the vectors is caught
 //! rather than masked.
 
+use pocc_proto::{ClientReply, GetResponse};
 use pocc_types::{ClientId, Key, ReplicaId, Timestamp};
 use std::collections::HashMap;
 
@@ -106,6 +107,35 @@ impl ConsistencyChecker {
 
     fn context_mut(&mut self, client: ClientId) -> &mut Context {
         self.clients.entry(client).or_default()
+    }
+
+    /// Records the operation `reply` completes for `client`, whose home replica is `home`:
+    /// a GET reply as a read of `key`, a PUT reply as a write of `key` at `home`, and a
+    /// transaction's items as one snapshot. `key` is the key the GET or PUT named; without
+    /// it they record nothing. A session abort records nothing.
+    pub fn record_reply(
+        &mut self,
+        client: ClientId,
+        home: ReplicaId,
+        key: Option<Key>,
+        reply: &ClientReply,
+    ) {
+        let returned =
+            |r: &GetResponse| r.value.as_ref().map(|_| (r.update_time, r.source_replica));
+        match (reply, key) {
+            (ClientReply::Get(resp), Some(key)) => self.record_read(client, key, returned(resp)),
+            (ClientReply::Put { update_time }, Some(key)) => {
+                self.record_write(client, key, *update_time, home)
+            }
+            (ClientReply::RoTx { items }, _) => {
+                let observed: Vec<_> = items
+                    .iter()
+                    .map(|item| (item.key, returned(&item.response)))
+                    .collect();
+                self.record_transaction(client, &observed);
+            }
+            _ => {}
+        }
     }
 
     /// Records a completed PUT: `client` wrote the version `(key, update_time, source)`.

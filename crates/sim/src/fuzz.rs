@@ -35,7 +35,7 @@ use pocc_exec::ProtocolKind;
 use pocc_proto::{ClientReply, ProtocolClient, ServerMessage};
 use pocc_protocol::Client;
 use pocc_storage::partition_for_key;
-use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Timestamp, Value};
+use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -227,13 +227,8 @@ impl Cluster {
                 let replica = ReplicaId((i % case.replicas) as u16);
                 let home = ServerId::new(replica, 0u32);
                 let id = ClientId(i as u64);
-                let session = if case.protocol.snapshot_reads() {
-                    Client::new_snapshot_reads(id, home, case.replicas)
-                } else {
-                    Client::new(id, home, case.replicas)
-                };
                 FuzzClient {
-                    session,
+                    session: case.protocol.session(id, home, case.replicas),
                     home,
                     pending: None,
                 }
@@ -266,39 +261,12 @@ impl Cluster {
         let idx = client_id.raw() as usize;
         let pending = self.clients[idx].pending.take();
         let home_replica = self.clients[idx].home.replica;
-        match &reply {
-            ClientReply::Get(resp) => {
-                if let Some(Pending::Get(key)) = pending {
-                    let returned = resp
-                        .value
-                        .as_ref()
-                        .map(|_| (resp.update_time, resp.source_replica));
-                    self.checker.record_read(client_id, key, returned);
-                }
-            }
-            ClientReply::Put { update_time } => {
-                if let Some(Pending::Put(key)) = pending {
-                    self.checker
-                        .record_write(client_id, key, *update_time, home_replica);
-                }
-            }
-            ClientReply::RoTx { items } => {
-                let observed: Vec<(Key, Option<(Timestamp, ReplicaId)>)> = items
-                    .iter()
-                    .map(|item| {
-                        (
-                            item.key,
-                            item.response
-                                .value
-                                .as_ref()
-                                .map(|_| (item.response.update_time, item.response.source_replica)),
-                        )
-                    })
-                    .collect();
-                self.checker.record_transaction(client_id, &observed);
-            }
-            ClientReply::SessionAborted { .. } => {}
-        }
+        let key = match pending {
+            Some(Pending::Get(key) | Pending::Put(key)) => Some(key),
+            _ => None,
+        };
+        self.checker
+            .record_reply(client_id, home_replica, key, &reply);
         let entry = &mut self.clients[idx];
         match entry.session.process_reply(&reply) {
             Ok(()) => self.ops_completed += 1,
@@ -375,17 +343,6 @@ impl Cluster {
     }
 }
 
-/// Is this message kind safe to drop or duplicate? Mirrors the simulated network's rule:
-/// only idempotent periodic traffic that the next protocol round supersedes.
-fn expendable(message: &ServerMessage) -> bool {
-    matches!(
-        message,
-        ServerMessage::Heartbeat { .. }
-            | ServerMessage::StabilizationVector { .. }
-            | ServerMessage::GcVector { .. }
-    )
-}
-
 /// Runs one fuzz case to completion and reports what it observed. Never panics on a
 /// protocol failure — inspect [`FuzzOutcome::is_clean`].
 pub fn run_fuzz_case(case: &FuzzCase) -> FuzzOutcome {
@@ -447,7 +404,7 @@ pub fn run_fuzz_case(case: &FuzzCase) -> FuzzOutcome {
                             .net
                             .links()
                             .iter()
-                            .filter(|(_, q)| q.front().is_some_and(expendable))
+                            .filter(|(_, q)| q.front().is_some_and(ServerMessage::is_expendable))
                             .map(|(link, _)| *link)
                             .collect();
                         if candidates.is_empty() {

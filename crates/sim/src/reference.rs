@@ -262,22 +262,14 @@ mod tests {
             .unwrap()
     }
 
-    fn session(protocol: ProtocolKind, id: u64, home: ServerId, replicas: usize) -> Client {
-        if protocol.snapshot_reads() {
-            Client::new_snapshot_reads(ClientId(id), home, replicas)
-        } else {
-            Client::new(ClientId(id), home, replicas)
-        }
-    }
-
     #[test]
     fn a_put_at_one_data_center_becomes_readable_at_another_under_every_protocol() {
         for protocol in ProtocolKind::ALL {
             let mut cluster = SerialCluster::new(protocol, config(2));
             let dc0 = ServerId::new(ReplicaId(0), 0u32);
             let dc1 = ServerId::new(ReplicaId(1), 0u32);
-            let mut writer = session(protocol, 0, dc0, 2);
-            let reader = session(protocol, 1, dc1, 2);
+            let mut writer = protocol.session(ClientId(0), dc0, 2);
+            let reader = protocol.session(ClientId(1), dc1, 2);
 
             cluster.submit(ClientId(0), dc0, writer.put(Key(7), Value::from("v")));
             let ack = cluster.await_reply(ClientId(0));

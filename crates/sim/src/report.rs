@@ -4,7 +4,7 @@ use crate::metrics::LatencyStats;
 use pocc_exec::ProtocolKind;
 use pocc_net::NetworkStats;
 use pocc_proto::MetricsSnapshot;
-use pocc_storage::{ShardStats, StoreStats};
+use pocc_storage::StoreStats;
 use std::time::Duration;
 
 /// Everything a figure harness or test needs to know about one simulation run.
@@ -54,7 +54,7 @@ pub struct SimReport {
     pub store: StoreStats,
     /// End-of-run per-shard store statistics: element `i` sums shard `i` across all
     /// servers (`max_chain_len` is the maximum). Shows how evenly the key space spreads.
-    pub store_shards: Vec<ShardStats>,
+    pub store_shards: Vec<StoreStats>,
 
     /// Number of causal-consistency violations found by the exact checker (always zero
     /// when the checker is disabled).

@@ -13,6 +13,7 @@ use pocc_proto::{
     ServerMessage, ServerOutput,
 };
 use pocc_protocol::Client;
+use pocc_storage::StoreStats;
 use pocc_types::{ClientId, Key, ServerId, Timestamp};
 use pocc_workload::{KeySpace, OperationKind, WorkloadGenerator};
 use rand::rngs::StdRng;
@@ -139,13 +140,7 @@ impl Simulation {
                         cfg.seed.wrapping_mul(1_000_003).wrapping_add(next_client),
                     )
                     .with_value_size(cfg.value_size);
-                    // Snapshot-serving protocols need the full session history in GET
-                    // request vectors (see `Client::new_snapshot_reads`).
-                    let session = if cfg.protocol.snapshot_reads() {
-                        Client::new_snapshot_reads(id, home, deployment.num_replicas)
-                    } else {
-                        Client::new(id, home, deployment.num_replicas)
-                    };
+                    let session = cfg.protocol.session(id, home, deployment.num_replicas);
                     clients.push(ClientEntry {
                         session,
                         generator,
@@ -421,38 +416,8 @@ impl Simulation {
         // Feed the checker before updating the session (it needs the pre-read state only
         // for its own bookkeeping, which it manages internally).
         if let Some(checker) = self.checker.as_mut() {
-            match &reply {
-                ClientReply::Get(resp) => {
-                    let key = outstanding.as_ref().and_then(|o| o.key);
-                    if let Some(key) = key {
-                        let returned = resp
-                            .value
-                            .as_ref()
-                            .map(|_| (resp.update_time, resp.source_replica));
-                        checker.record_read(client_id, key, returned);
-                    }
-                }
-                ClientReply::Put { update_time } => {
-                    if let Some(key) = outstanding.as_ref().and_then(|o| o.key) {
-                        checker.record_write(client_id, key, *update_time, home_replica);
-                    }
-                }
-                ClientReply::RoTx { items } => {
-                    let observed: Vec<(Key, Option<(Timestamp, pocc_types::ReplicaId)>)> = items
-                        .iter()
-                        .map(|item| {
-                            (
-                                item.key,
-                                item.response.value.as_ref().map(|_| {
-                                    (item.response.update_time, item.response.source_replica)
-                                }),
-                            )
-                        })
-                        .collect();
-                    checker.record_transaction(client_id, &observed);
-                }
-                ClientReply::SessionAborted { .. } => {}
-            }
+            let key = outstanding.as_ref().and_then(|o| o.key);
+            checker.record_reply(client_id, home_replica, key, &reply);
         }
 
         let aborted = {
@@ -585,14 +550,14 @@ impl Simulation {
 
     /// Sums store statistics over every server: the aggregate, plus the per-shard view
     /// (element `i` accumulates shard `i` of all servers).
-    fn aggregate_store_stats(&self) -> (pocc_storage::StoreStats, Vec<pocc_storage::ShardStats>) {
-        let mut store = pocc_storage::StoreStats::default();
-        let mut shards: Vec<pocc_storage::ShardStats> = Vec::new();
+    fn aggregate_store_stats(&self) -> (StoreStats, Vec<StoreStats>) {
+        let mut store = StoreStats::default();
+        let mut shards: Vec<StoreStats> = Vec::new();
         for entry in self.servers.values() {
             store.merge(&entry.server.store_stats());
             for (i, sh) in entry.server.shard_stats().into_iter().enumerate() {
                 if shards.len() <= i {
-                    shards.resize(i + 1, pocc_storage::ShardStats::default());
+                    shards.resize(i + 1, StoreStats::default());
                 }
                 shards[i].merge(&sh);
             }

@@ -1,9 +1,9 @@
-//! Per-key version chains.
+//! What a chain lookup returns, and the newest-first walk every lookup shares.
 
-use pocc_types::{DependencyVector, Version};
+use pocc_types::Version;
 
 /// Statistics about a single chain lookup, used by the evaluation to reproduce the
-//  staleness metrics of Figures 2b and 3d.
+/// staleness metrics of Figures 2b and 3d.
 /// * `traversed` — how many chain elements were inspected before the returned version was
 ///   found; Cure\* pays a CPU cost proportional to this, POCC GETs always return the head.
 /// * `fresher_than_returned` — how many versions in the chain are fresher (win under
@@ -37,137 +37,10 @@ impl LookupOutcome {
     }
 }
 
-/// The multi-version chain of a single key, ordered newest-first under the
-/// last-writer-wins order (highest update timestamp first, ties broken by lowest source
-/// replica).
-///
-/// Insertion keeps the order and is idempotent: re-delivering the same `(update_time,
-/// source_replica)` pair (e.g. a retransmitted replication message) leaves the chain
-/// unchanged.
-#[derive(Clone, Debug, Default)]
-pub struct VersionChain {
-    /// Versions ordered newest-first.
-    versions: Vec<Version>,
-}
-
-impl VersionChain {
-    /// Creates an empty chain.
-    pub fn new() -> Self {
-        VersionChain {
-            versions: Vec::new(),
-        }
-    }
-
-    /// Number of versions currently retained.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// Whether the chain holds no version.
-    pub fn is_empty(&self) -> bool {
-        self.versions.is_empty()
-    }
-
-    /// Inserts a version, keeping newest-first order. Duplicate `(update_time, source
-    /// replica)` pairs are ignored.
-    pub fn insert(&mut self, version: Version) {
-        let pos = self.versions.partition_point(|v| v.wins_over(&version));
-        if let Some(existing) = self.versions.get(pos) {
-            if existing.update_time == version.update_time
-                && existing.source_replica == version.source_replica
-            {
-                return;
-            }
-        }
-        self.versions.insert(pos, version);
-    }
-
-    /// The freshest version in the chain (the head). This is what a POCC GET returns
-    /// (Algorithm 2 line 3): the version with the highest update timestamp, stable or not.
-    pub fn latest(&self) -> Option<&Version> {
-        self.versions.first()
-    }
-
-    /// The freshest version whose dependency vector is entry-wise `<=` the snapshot vector
-    /// `tv` **and** whose own update time is covered by the snapshot entry of its source
-    /// replica. This is the visible-version computation of the RO-TX slice handler
-    /// (Algorithm 2 lines 43–44).
-    pub fn latest_in_snapshot(&self, tv: &DependencyVector) -> LookupOutcome {
-        self.lookup(|v| v.update_time <= tv.get(v.source_replica) && v.visible_under(tv))
-    }
-
-    /// The freshest version visible under Cure's pessimistic rule: versions originated at
-    /// the local data center (`local` = the server's replica id) are always visible, remote
-    /// versions are visible only when covered by the Globally Stable Snapshot `gss`
-    /// (their source entry covers their update time and their dependency vector is
-    /// entry-wise `<=` the GSS).
-    pub fn latest_stable(
-        &self,
-        gss: &DependencyVector,
-        local: pocc_types::ReplicaId,
-    ) -> LookupOutcome {
-        self.lookup(|v| {
-            v.source_replica == local
-                || (v.update_time <= gss.get(v.source_replica) && v.visible_under(gss))
-        })
-    }
-
-    /// Generic newest-first lookup: returns the first (freshest) version satisfying
-    /// `visible`, along with traversal and staleness statistics.
-    pub fn lookup<F>(&self, visible: F) -> LookupOutcome
-    where
-        F: FnMut(&Version) -> bool,
-    {
-        lookup_newest_first(self.versions.iter(), visible)
-    }
-
-    /// Counts how many versions in the chain are **not** visible under the given predicate.
-    /// Used to report the paper's "unmerged" statistics without performing a lookup.
-    pub fn count_invisible<F>(&self, mut visible: F) -> usize
-    where
-        F: FnMut(&Version) -> bool,
-    {
-        self.versions.iter().filter(|v| !visible(v)).count()
-    }
-
-    /// Garbage collection (§IV-B): scanning newest-first, retain every version down to and
-    /// including the first one whose dependency vector is `<=` the garbage-collection
-    /// vector `gv` (the oldest version that can still be read by an active or future
-    /// transaction); remove everything older. Returns the number of versions removed.
-    pub fn collect(&mut self, gv: &DependencyVector) -> usize {
-        let keep = self
-            .versions
-            .iter()
-            .position(|v| v.update_time <= gv.get(v.source_replica) && v.visible_under(gv));
-        match keep {
-            Some(idx) if idx + 1 < self.versions.len() => {
-                let removed = self.versions.len() - (idx + 1);
-                self.versions.truncate(idx + 1);
-                removed
-            }
-            _ => 0,
-        }
-    }
-
-    /// Iterates the chain newest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &Version> {
-        self.versions.iter()
-    }
-
-    /// Builds a chain from versions already in newest-first last-writer-wins order.
-    /// Used by the slab-backed shard to materialize a chain view for white-box callers.
-    pub(crate) fn from_sorted(versions: Vec<Version>) -> Self {
-        debug_assert!(versions
-            .windows(2)
-            .all(|w| w[0].wins_over(&w[1]) || w[0].lww_cmp(&w[1]) == std::cmp::Ordering::Equal));
-        VersionChain { versions }
-    }
-}
-
 /// Newest-first lookup over any version iterator: returns the first (freshest) version
-/// satisfying `visible`, with traversal and staleness statistics. Shared by the
-/// materialized [`VersionChain`] and the slab-backed shard storage, so both report the
-/// paper's staleness metrics identically.
+/// satisfying `visible`, with traversal and staleness statistics. Every store read
+/// (snapshot, stable) walks a chain through it, so all report the paper's staleness
+/// metrics identically.
 pub(crate) fn lookup_newest_first<'a, F>(
     iter: impl Iterator<Item = &'a Version>,
     mut visible: F,
@@ -200,11 +73,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_types::{Key, ReplicaId, Timestamp, Value};
+    use crate::ShardedStore;
+    use pocc_types::{DependencyVector, Key, PartitionId, ReplicaId, Timestamp, Value};
+
+    const K: Key = Key(1);
 
     fn version(ut: u64, sr: u16, deps: &[u64]) -> Version {
         Version::new(
-            Key(1),
+            K,
             Value::from(ut),
             ReplicaId(sr),
             Timestamp(ut),
@@ -216,53 +92,67 @@ mod tests {
         DependencyVector::from_entries(entries.iter().map(|&d| Timestamp(d)).collect())
     }
 
+    /// A one-partition store (it owns every key) holding `versions` in the chain of `K`.
+    fn chain_of(versions: &[Version]) -> ShardedStore {
+        let store = ShardedStore::new(PartitionId(0), 1);
+        for v in versions {
+            store.insert(v.clone()).unwrap();
+        }
+        store
+    }
+
+    fn times(store: &ShardedStore) -> Vec<u64> {
+        store
+            .chain(K)
+            .iter()
+            .map(|v| v.update_time.as_micros())
+            .collect()
+    }
+
     #[test]
     fn empty_chain_returns_nothing() {
-        let chain = VersionChain::new();
-        assert!(chain.is_empty());
-        assert!(chain.latest().is_none());
-        let out = chain.latest_in_snapshot(&dv(&[100, 100, 100]));
+        let store = chain_of(&[]);
+        assert!(store.chain(K).is_empty());
+        assert!(store.latest(K).is_none());
+        let out = store.latest_in_snapshot(K, &dv(&[100, 100, 100]));
         assert!(out.version.is_none());
         assert!(!out.is_old());
     }
 
     #[test]
     fn insert_keeps_newest_first_order() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 0, &[0, 0, 0]));
-        chain.insert(version(30, 1, &[0, 0, 0]));
-        chain.insert(version(20, 2, &[0, 0, 0]));
-        let times: Vec<u64> = chain.iter().map(|v| v.update_time.as_micros()).collect();
-        assert_eq!(times, vec![30, 20, 10]);
-        assert_eq!(chain.latest().unwrap().update_time, Timestamp(30));
+        let store = chain_of(&[
+            version(10, 0, &[0, 0, 0]),
+            version(30, 1, &[0, 0, 0]),
+            version(20, 2, &[0, 0, 0]),
+        ]);
+        assert_eq!(times(&store), vec![30, 20, 10]);
+        assert_eq!(store.latest(K).unwrap().update_time, Timestamp(30));
     }
 
     #[test]
     fn insert_is_idempotent_for_duplicates() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 0, &[0, 0, 0]));
-        chain.insert(version(10, 0, &[0, 0, 0]));
-        assert_eq!(chain.len(), 1);
+        let store = chain_of(&[version(10, 0, &[0, 0, 0]), version(10, 0, &[0, 0, 0])]);
+        assert_eq!(store.chain(K).len(), 1);
     }
 
     #[test]
     fn concurrent_versions_with_equal_timestamp_order_by_replica() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 2, &[0, 0, 0]));
-        chain.insert(version(10, 0, &[0, 0, 0]));
+        let store = chain_of(&[version(10, 2, &[0, 0, 0]), version(10, 0, &[0, 0, 0])]);
         // Lowest replica wins the tie, so it sits at the head.
-        assert_eq!(chain.latest().unwrap().source_replica, ReplicaId(0));
-        assert_eq!(chain.len(), 2);
+        assert_eq!(store.latest(K).unwrap().source_replica, ReplicaId(0));
+        assert_eq!(store.chain(K).len(), 2);
     }
 
     #[test]
     fn snapshot_lookup_skips_versions_outside_the_snapshot() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 0, &[0, 0, 0]));
-        chain.insert(version(20, 1, &[10, 0, 0]));
-        chain.insert(version(30, 2, &[10, 20, 0]));
+        let store = chain_of(&[
+            version(10, 0, &[0, 0, 0]),
+            version(20, 1, &[10, 0, 0]),
+            version(30, 2, &[10, 20, 0]),
+        ]);
         // Snapshot covers only up to ts 20 on every replica.
-        let out = chain.latest_in_snapshot(&dv(&[20, 20, 20]));
+        let out = store.latest_in_snapshot(K, &dv(&[20, 20, 20]));
         let v = out.version.clone().unwrap();
         assert_eq!(v.update_time, Timestamp(20));
         assert!(out.is_old());
@@ -272,22 +162,20 @@ mod tests {
 
     #[test]
     fn snapshot_lookup_checks_own_timestamp_not_only_deps() {
-        let mut chain = VersionChain::new();
         // Version with no dependencies but a timestamp beyond the snapshot: must be skipped.
-        chain.insert(version(50, 1, &[0, 0, 0]));
-        chain.insert(version(10, 0, &[0, 0, 0]));
-        let out = chain.latest_in_snapshot(&dv(&[20, 20, 20]));
+        let store = chain_of(&[version(50, 1, &[0, 0, 0]), version(10, 0, &[0, 0, 0])]);
+        let out = store.latest_in_snapshot(K, &dv(&[20, 20, 20]));
         assert_eq!(out.version.unwrap().update_time, Timestamp(10));
     }
 
     #[test]
     fn stable_lookup_always_sees_local_versions() {
         let local = ReplicaId(0);
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 1, &[0, 0, 0]));
-        chain.insert(version(50, 0, &[0, 40, 0])); // local, depends on an unstable remote
-        let gss = dv(&[0, 0, 0]);
-        let out = chain.latest_stable(&gss, local);
+        let store = chain_of(&[
+            version(10, 1, &[0, 0, 0]),
+            version(50, 0, &[0, 40, 0]), // local, depends on an unstable remote
+        ]);
+        let out = store.latest_stable(K, &dv(&[0, 0, 0]), local);
         assert_eq!(out.version.clone().unwrap().update_time, Timestamp(50));
         assert!(!out.is_old());
     }
@@ -295,13 +183,13 @@ mod tests {
     #[test]
     fn stable_lookup_hides_unstable_remote_versions() {
         let local = ReplicaId(0);
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 1, &[0, 0, 0]));
-        chain.insert(version(50, 1, &[0, 40, 0]));
-        chain.insert(version(60, 2, &[0, 50, 0]));
+        let store = chain_of(&[
+            version(10, 1, &[0, 0, 0]),
+            version(50, 1, &[0, 40, 0]),
+            version(60, 2, &[0, 50, 0]),
+        ]);
         // GSS has seen everything from replica 1 up to 10 only.
-        let gss = dv(&[0, 10, 0]);
-        let out = chain.latest_stable(&gss, local);
+        let out = store.latest_stable(K, &dv(&[0, 10, 0]), local);
         let v = out.version.clone().unwrap();
         assert_eq!(v.update_time, Timestamp(10));
         assert!(out.is_old());
@@ -310,65 +198,56 @@ mod tests {
 
     #[test]
     fn lookup_outcome_reports_none_when_nothing_visible() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(50, 1, &[0, 40, 0]));
-        let out = chain.latest_stable(&dv(&[0, 0, 0]), ReplicaId(0));
+        let store = chain_of(&[version(50, 1, &[0, 40, 0])]);
+        let out = store.latest_stable(K, &dv(&[0, 0, 0]), ReplicaId(0));
         assert!(out.version.is_none());
         assert_eq!(out.stats.fresher_than_returned, 1);
     }
 
     #[test]
     fn count_invisible_counts_unstable_versions() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 1, &[0, 0, 0]));
-        chain.insert(version(50, 1, &[0, 40, 0]));
-        let gss = dv(&[0, 10, 0]);
-        let n = chain.count_invisible(|v| {
-            v.update_time <= gss.get(v.source_replica) && v.visible_under(&gss)
-        });
-        assert_eq!(n, 1);
+        let store = chain_of(&[version(10, 1, &[0, 0, 0]), version(50, 1, &[0, 40, 0])]);
+        assert_eq!(store.unmerged_count(K, &dv(&[0, 10, 0]), ReplicaId(0)), 1);
     }
 
     #[test]
     fn gc_keeps_versions_down_to_the_first_covered_one() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 0, &[0, 0, 0]));
-        chain.insert(version(20, 0, &[10, 0, 0]));
-        chain.insert(version(30, 0, &[20, 0, 0]));
-        chain.insert(version(40, 0, &[30, 0, 0]));
+        let store = chain_of(&[
+            version(10, 0, &[0, 0, 0]),
+            version(20, 0, &[10, 0, 0]),
+            version(30, 0, &[20, 0, 0]),
+            version(40, 0, &[30, 0, 0]),
+        ]);
         // GC vector covers up to 25: the first covered version (newest-first) is ts 20.
-        let removed = chain.collect(&dv(&[25, 0, 0]));
+        let removed = store.collect_garbage(&dv(&[25, 0, 0]));
         assert_eq!(removed, 1); // only ts 10 dropped
-        let times: Vec<u64> = chain.iter().map(|v| v.update_time.as_micros()).collect();
-        assert_eq!(times, vec![40, 30, 20]);
+        assert_eq!(times(&store), vec![40, 30, 20]);
     }
 
     #[test]
     fn gc_is_a_noop_when_nothing_is_covered_or_chain_is_short() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(40, 0, &[30, 0, 0]));
-        assert_eq!(chain.collect(&dv(&[0, 0, 0])), 0);
-        assert_eq!(chain.collect(&dv(&[100, 100, 100])), 0);
-        assert_eq!(chain.len(), 1);
+        let store = chain_of(&[version(40, 0, &[30, 0, 0])]);
+        assert_eq!(store.collect_garbage(&dv(&[0, 0, 0])), 0);
+        assert_eq!(store.collect_garbage(&dv(&[100, 100, 100])), 0);
+        assert_eq!(store.chain(K).len(), 1);
     }
 
     #[test]
     fn gc_never_empties_a_chain_with_a_covered_version() {
-        let mut chain = VersionChain::new();
-        chain.insert(version(10, 0, &[0, 0, 0]));
-        chain.insert(version(20, 0, &[10, 0, 0]));
-        chain.collect(&dv(&[100, 100, 100]));
+        let store = chain_of(&[version(10, 0, &[0, 0, 0]), version(20, 0, &[10, 0, 0])]);
+        store.collect_garbage(&dv(&[100, 100, 100]));
         // The newest covered version is the head itself; nothing below it is retained.
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain.latest().unwrap().update_time, Timestamp(20));
+        assert_eq!(times(&store), vec![20]);
     }
 }
 
 #[cfg(test)]
 mod proptests {
-    use super::*;
-    use pocc_types::{Key, ReplicaId, Timestamp, Value};
+    use crate::ShardedStore;
+    use pocc_types::{DependencyVector, Key, PartitionId, ReplicaId, Timestamp, Value, Version};
     use proptest::prelude::*;
+
+    const K: Key = Key(7);
 
     fn arb_version() -> impl Strategy<Value = Version> {
         (
@@ -378,7 +257,7 @@ mod proptests {
         )
             .prop_map(|(ut, sr, deps)| {
                 Version::new(
-                    Key(7),
+                    K,
                     Value::from(ut),
                     ReplicaId(sr),
                     Timestamp(ut),
@@ -387,70 +266,74 @@ mod proptests {
             })
     }
 
+    fn arb_vector() -> impl Strategy<Value = DependencyVector> {
+        proptest::collection::vec(0u64..1_000, 3)
+            .prop_map(|tv| DependencyVector::from_entries(tv.into_iter().map(Timestamp).collect()))
+    }
+
+    /// A one-partition store (it owns every key) holding `versions` in the chain of `K`.
+    fn chain_of(versions: &[Version]) -> ShardedStore {
+        let store = ShardedStore::new(PartitionId(0), 1);
+        for v in versions {
+            store.insert(v.clone()).unwrap();
+        }
+        store
+    }
+
+    /// The oracle's own statement of snapshot visibility (Algorithm 2 line 43): the
+    /// snapshot covers the version's update time at its source replica and its
+    /// dependencies entry-wise.
+    fn in_snapshot(v: &Version, tv: &DependencyVector) -> bool {
+        v.visible_under(tv) && v.update_time <= tv.get(v.source_replica)
+    }
+
     proptest! {
         #[test]
         fn prop_chain_is_always_sorted_newest_first(vs in proptest::collection::vec(arb_version(), 0..50)) {
-            let mut chain = VersionChain::new();
-            for v in vs {
-                chain.insert(v);
-            }
-            let collected: Vec<&Version> = chain.iter().collect();
-            for w in collected.windows(2) {
-                prop_assert!(w[0].wins_over(w[1]) || w[0].lww_cmp(w[1]) == std::cmp::Ordering::Equal);
+            let chain = chain_of(&vs).chain(K);
+            for w in chain.windows(2) {
+                prop_assert!(w[0].wins_over(&w[1]) || w[0].lww_cmp(&w[1]) == std::cmp::Ordering::Equal);
             }
         }
 
         #[test]
         fn prop_latest_wins_over_every_other_version(vs in proptest::collection::vec(arb_version(), 1..50)) {
-            let mut chain = VersionChain::new();
-            for v in vs {
-                chain.insert(v);
-            }
-            let head = chain.latest().unwrap();
-            for v in chain.iter().skip(1) {
-                prop_assert!(!v.wins_over(head));
+            let store = chain_of(&vs);
+            let head = store.latest(K).unwrap();
+            for v in store.chain(K).iter().skip(1) {
+                prop_assert!(!v.wins_over(&head));
             }
         }
 
         #[test]
         fn prop_insert_idempotent(vs in proptest::collection::vec(arb_version(), 0..30)) {
-            let mut once = VersionChain::new();
-            let mut twice = VersionChain::new();
+            let once = chain_of(&vs);
+            let twice = chain_of(&[]);
             for v in &vs {
-                once.insert(v.clone());
-                twice.insert(v.clone());
-                twice.insert(v.clone());
+                twice.insert(v.clone()).unwrap();
+                twice.insert(v.clone()).unwrap();
             }
-            prop_assert_eq!(once.len(), twice.len());
+            prop_assert_eq!(once.chain(K), twice.chain(K));
         }
 
         #[test]
         fn prop_snapshot_lookup_result_is_visible_and_freshest(
             vs in proptest::collection::vec(arb_version(), 0..40),
-            tv in proptest::collection::vec(0u64..1_000, 3),
+            tv in arb_vector(),
         ) {
-            let tv = DependencyVector::from_entries(tv.into_iter().map(Timestamp).collect());
-            let mut chain = VersionChain::new();
-            for v in vs {
-                chain.insert(v);
-            }
-            let out = chain.latest_in_snapshot(&tv);
+            let store = chain_of(&vs);
+            let out = store.latest_in_snapshot(K, &tv);
             if let Some(found) = &out.version {
-                prop_assert!(found.visible_under(&tv));
-                prop_assert!(found.update_time <= tv.get(found.source_replica));
+                prop_assert!(in_snapshot(found, &tv));
                 // No fresher visible version exists.
-                for v in chain.iter() {
+                for v in store.chain(K) {
                     if v.wins_over(found) {
-                        prop_assert!(
-                            !(v.visible_under(&tv) && v.update_time <= tv.get(v.source_replica))
-                        );
+                        prop_assert!(!in_snapshot(&v, &tv));
                     }
                 }
             } else {
-                for v in chain.iter() {
-                    prop_assert!(
-                        !(v.visible_under(&tv) && v.update_time <= tv.get(v.source_replica))
-                    );
+                for v in store.chain(K) {
+                    prop_assert!(!in_snapshot(&v, &tv));
                 }
             }
         }
@@ -458,19 +341,15 @@ mod proptests {
         #[test]
         fn prop_gc_preserves_the_head_and_visibility(
             vs in proptest::collection::vec(arb_version(), 1..40),
-            gv in proptest::collection::vec(0u64..1_000, 3),
+            gv in arb_vector(),
         ) {
-            let gv = DependencyVector::from_entries(gv.into_iter().map(Timestamp).collect());
-            let mut chain = VersionChain::new();
-            for v in vs {
-                chain.insert(v);
-            }
-            let head_before = chain.latest().cloned();
-            let visible_before = chain.latest_in_snapshot(&gv).version;
-            chain.collect(&gv);
-            prop_assert_eq!(chain.latest().cloned(), head_before);
+            let store = chain_of(&vs);
+            let head_before = store.latest(K);
+            let visible_before = store.latest_in_snapshot(K, &gv).version;
+            store.collect_garbage(&gv);
+            prop_assert_eq!(store.latest(K), head_before);
             // GC never removes the version a transaction running at exactly GV would read.
-            prop_assert_eq!(chain.latest_in_snapshot(&gv).version, visible_before);
+            prop_assert_eq!(store.latest_in_snapshot(K, &gv).version, visible_before);
         }
     }
 }

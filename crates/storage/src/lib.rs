@@ -8,16 +8,16 @@
 //!
 //! * [`partition_for_key`] / [`shard_for_key`] — the deterministic key → partition and
 //!   key → shard assignments,
-//! * [`VersionChain`] — the per-key chain with the lookups both protocols need:
-//!   the freshest version (POCC GET), the freshest version visible under a snapshot
-//!   vector (RO-TX slice reads, Algorithm 2 line 43), and the freshest version visible
-//!   under Cure's Globally Stable Snapshot (pessimistic GET), together with the staleness
-//!   statistics the evaluation reports (how many fresher/unmerged versions sit above the
-//!   returned one),
 //! * [`ShardedStore`] — the per-server store: the partition's chains split across
-//!   key-hashed [`StoreShard`]s, each with its own statistics and GC watermark, with
-//!   garbage collection (§IV-B) and the content digests used by convergence tests.
-//!   [`PartitionStore`] is the historical single-shard alias.
+//!   key-hashed shards, each a slab of versions with its own statistics and GC watermark.
+//!   It answers the reads both protocols need — the freshest version (POCC GET), the
+//!   freshest version covered by a snapshot vector (RO-TX slice reads, Algorithm 2
+//!   line 43, and Cure's GET), and the freshest version stable under Cure's Globally
+//!   Stable Snapshot (HA-POCC's pessimistic GET) — with the staleness statistics the
+//!   evaluation reports ([`LookupOutcome`], [`ChainReadStats`]), and runs garbage
+//!   collection (§IV-B) and the content digests used by convergence tests.
+//!
+//! Every read and GC pass asks one visibility rule, [`Version::covered_by`](pocc_types::Version::covered_by).
 //!
 //! # Example
 //!
@@ -58,7 +58,6 @@ mod partitioning;
 mod shard;
 mod store;
 
-pub use chain::{ChainReadStats, LookupOutcome, VersionChain};
+pub use chain::{ChainReadStats, LookupOutcome};
 pub use partitioning::{partition_for_key, shard_for_key};
-pub use shard::{ShardStats, StoreShard};
-pub use store::{PartitionStore, ShardedStore, StoreStats};
+pub use store::{ShardedStore, StoreStats};

@@ -3,8 +3,7 @@
 //! A [`crate::ShardedStore`] splits the key space its partition owns into `N` key-hashed
 //! shards. Each [`StoreShard`] is an independent unit with its own version chains,
 //! statistics and garbage-collection watermark, so shards can be worked on (inserted
-//! into, read, collected) without touching — or in future work, without locking — any
-//! sibling shard.
+//! into, read, collected) without touching any sibling shard.
 //!
 //! # Memory layout
 //!
@@ -17,42 +16,16 @@
 //! shard instead of one per key. Garbage collection returns slots to the free list, so
 //! shard memory stops growing once the workload's live set stabilizes.
 
-use crate::chain::{lookup_newest_first, LookupOutcome, VersionChain};
-use pocc_types::{DependencyVector, Key, Timestamp, Version};
+use crate::chain::{lookup_newest_first, LookupOutcome};
+use crate::StoreStats;
+use pocc_types::{DependencyVector, Key, ReplicaId, Timestamp, Version};
 use std::collections::HashMap;
-
-/// Statistics of one shard.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Number of distinct keys with at least one version in this shard.
-    pub keys: usize,
-    /// Total number of versions retained across the shard's chains.
-    pub versions: usize,
-    /// Length of the longest version chain in this shard.
-    pub max_chain_len: usize,
-    /// Versions removed by garbage collection from this shard since creation.
-    pub gc_removed: usize,
-    /// Approximate bytes of live version data (wire-size sum of retained versions).
-    pub live_bytes: usize,
-}
-
-impl ShardStats {
-    /// Accumulates another shard's statistics into this one (counts sum; chain length
-    /// maxes). Used to combine the same shard index across servers.
-    pub fn merge(&mut self, other: &ShardStats) {
-        self.keys += other.keys;
-        self.versions += other.versions;
-        self.max_chain_len = self.max_chain_len.max(other.max_chain_len);
-        self.gc_removed += other.gc_removed;
-        self.live_bytes += other.live_bytes;
-    }
-}
 
 /// Slot storage for the versions of one shard: a growable array of slots with a free
 /// list. Indices are stable for the lifetime of the version they hold and are recycled
 /// after release, so steady-state insert-after-GC traffic reuses slots instead of
 /// growing the heap.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct VersionSlab {
     slots: Vec<Option<Version>>,
     free: Vec<u32>,
@@ -93,17 +66,12 @@ impl VersionSlab {
     }
 }
 
-/// The newest-first chain of one key, as slot indices into the shard's slab.
-#[derive(Clone, Debug, Default)]
-struct SlabChain {
-    idxs: Vec<u32>,
-}
-
-/// One key-hashed shard: slab-backed version chains plus per-shard GC state.
-#[derive(Clone, Debug, Default)]
-pub struct StoreShard {
+/// One key-hashed shard: per-key chains of slab slot indices, newest-first under
+/// last-writer-wins, plus per-shard GC state.
+#[derive(Debug, Default)]
+pub(crate) struct StoreShard {
     slab: VersionSlab,
-    chains: HashMap<Key, SlabChain>,
+    chains: HashMap<Key, Vec<u32>>,
     gc_removed: usize,
     /// Approximate bytes of live version data, maintained incrementally on insert/GC.
     live_bytes: usize,
@@ -113,30 +81,13 @@ pub struct StoreShard {
 }
 
 impl StoreShard {
-    /// Creates an empty shard.
-    pub fn new() -> Self {
-        StoreShard::default()
-    }
-
-    /// Number of distinct keys stored in this shard.
-    pub fn num_keys(&self) -> usize {
-        self.chains.len()
-    }
-
-    /// Whether any version of `key` is stored in this shard.
-    pub fn has_key(&self, key: Key) -> bool {
-        self.chains.contains_key(&key)
-    }
-
     /// Inserts a version into the chain of its key, keeping newest-first last-writer-wins
     /// order. Duplicate `(update_time, source replica)` pairs are ignored.
-    pub fn insert(&mut self, version: Version) {
+    pub(crate) fn insert(&mut self, version: Version) {
         let StoreShard { slab, chains, .. } = self;
         let chain = chains.entry(version.key).or_default();
-        let pos = chain
-            .idxs
-            .partition_point(|&i| slab.get(i).wins_over(&version));
-        if let Some(&at) = chain.idxs.get(pos) {
+        let pos = chain.partition_point(|&i| slab.get(i).wins_over(&version));
+        if let Some(&at) = chain.get(pos) {
             let existing = slab.get(at);
             if existing.update_time == version.update_time
                 && existing.source_replica == version.source_replica
@@ -146,92 +97,58 @@ impl StoreShard {
         }
         self.live_bytes += version.wire_size();
         let idx = slab.alloc(version);
-        chain.idxs.insert(pos, idx);
+        chain.insert(pos, idx);
     }
 
-    /// Iterates the versions of one chain newest-first.
-    fn chain_versions<'a>(
-        &'a self,
-        chain: &'a SlabChain,
-    ) -> impl Iterator<Item = &'a Version> + 'a {
-        chain.idxs.iter().map(move |&i| self.slab.get(i))
+    /// The versions of `key`, newest-first (none for an unknown key).
+    fn versions(&self, key: Key) -> impl Iterator<Item = &Version> {
+        let chain = self.chains.get(&key).map_or(&[][..], Vec::as_slice);
+        chain.iter().map(move |&i| self.slab.get(i))
     }
 
-    /// A materialized clone of the chain of `key`, if any version of it exists.
-    /// This copies the chain's versions; it is a white-box inspection helper, not a
-    /// hot-path read (the lookups below read the slab in place).
-    pub fn chain(&self, key: Key) -> Option<VersionChain> {
-        self.chains
-            .get(&key)
-            .map(|c| VersionChain::from_sorted(self.chain_versions(c).cloned().collect::<Vec<_>>()))
+    /// A copy of the chain of `key`, newest-first. An inspection helper for tests; the
+    /// reads below walk the slab in place.
+    pub(crate) fn chain(&self, key: Key) -> Vec<Version> {
+        self.versions(key).cloned().collect()
     }
 
-    /// The freshest version of `key`, regardless of stability.
-    pub fn latest(&self, key: Key) -> Option<&Version> {
-        self.chains
-            .get(&key)
-            .and_then(|c| c.idxs.first())
-            .map(|&i| self.slab.get(i))
+    /// Whether any version of `key` is stored in this shard.
+    pub(crate) fn has_key(&self, key: Key) -> bool {
+        self.chains.contains_key(&key)
     }
 
-    /// The freshest version of `key` within snapshot `tv`.
-    pub fn latest_in_snapshot(&self, key: Key, tv: &DependencyVector) -> LookupOutcome {
-        match self.chains.get(&key) {
-            Some(c) => lookup_newest_first(self.chain_versions(c), |v| {
-                v.update_time <= tv.get(v.source_replica) && v.visible_under(tv)
-            }),
-            None => LookupOutcome::default(),
-        }
+    /// The freshest version of `key`, regardless of visibility.
+    pub(crate) fn latest(&self, key: Key) -> Option<&Version> {
+        self.versions(key).next()
     }
 
-    /// The freshest version of `key` visible under Cure's pessimistic rule: local
-    /// versions are always visible, remote versions only when covered by `gss`.
-    pub fn latest_stable(
+    /// The freshest version of `key` satisfying `visible`, with read statistics.
+    pub(crate) fn lookup(&self, key: Key, visible: impl FnMut(&Version) -> bool) -> LookupOutcome {
+        lookup_newest_first(self.versions(key), visible)
+    }
+
+    /// Number of versions of `key` that do not satisfy `visible`.
+    pub(crate) fn count_invisible(
         &self,
         key: Key,
-        gss: &DependencyVector,
-        local: pocc_types::ReplicaId,
-    ) -> LookupOutcome {
-        match self.chains.get(&key) {
-            Some(c) => lookup_newest_first(self.chain_versions(c), |v| {
-                v.source_replica == local
-                    || (v.update_time <= gss.get(v.source_replica) && v.visible_under(gss))
-            }),
-            None => LookupOutcome::default(),
-        }
-    }
-
-    /// Number of versions of `key` that are invisible under `visible`.
-    pub fn count_invisible<F>(&self, key: Key, mut visible: F) -> usize
-    where
-        F: FnMut(&Version) -> bool,
-    {
-        match self.chains.get(&key) {
-            Some(c) => self.chain_versions(c).filter(|v| !visible(v)).count(),
-            None => 0,
-        }
+        mut visible: impl FnMut(&Version) -> bool,
+    ) -> usize {
+        self.versions(key).filter(|v| !visible(v)).count()
     }
 
     /// Runs garbage collection with vector `gv` over every chain of this shard, advancing
     /// the shard watermark. Retains, per chain, every version down to and including the
     /// first one covered by `gv` (§IV-B); released versions go back to the slab free
     /// list. Returns the number of versions removed.
-    pub fn collect_garbage(&mut self, gv: &DependencyVector) -> usize {
+    pub(crate) fn collect_garbage(&mut self, gv: &DependencyVector) -> usize {
         let StoreShard { slab, chains, .. } = self;
         let mut removed = 0;
         let mut freed_bytes = 0;
         for chain in chains.values_mut() {
-            let keep = chain.idxs.iter().position(|&i| {
-                let v = slab.get(i);
-                v.update_time <= gv.get(v.source_replica) && v.visible_under(gv)
-            });
-            if let Some(idx) = keep {
-                if idx + 1 < chain.idxs.len() {
-                    for &i in &chain.idxs[idx + 1..] {
-                        freed_bytes += slab.release(i).wire_size();
-                        removed += 1;
-                    }
-                    chain.idxs.truncate(idx + 1);
+            if let Some(keep) = chain.iter().position(|&i| slab.get(i).covered_by(gv)) {
+                for i in chain.drain(keep + 1..) {
+                    freed_bytes += slab.release(i).wire_size();
+                    removed += 1;
                 }
             }
         }
@@ -246,38 +163,30 @@ impl StoreShard {
 
     /// The shard's garbage-collection watermark: the entry-wise maximum of every GC
     /// vector applied so far, or `None` if GC has never run on this shard.
-    pub fn watermark(&self) -> Option<&DependencyVector> {
+    pub(crate) fn watermark(&self) -> Option<&DependencyVector> {
         self.watermark.as_ref()
     }
 
     /// Statistics of this shard.
-    pub fn stats(&self) -> ShardStats {
-        let mut stats = ShardStats {
+    pub(crate) fn stats(&self) -> StoreStats {
+        let mut stats = StoreStats {
             keys: self.chains.len(),
             gc_removed: self.gc_removed,
             live_bytes: self.live_bytes,
-            ..ShardStats::default()
+            ..StoreStats::default()
         };
         for chain in self.chains.values() {
-            stats.versions += chain.idxs.len();
-            stats.max_chain_len = stats.max_chain_len.max(chain.idxs.len());
+            stats.versions += chain.len();
+            stats.max_chain_len = stats.max_chain_len.max(chain.len());
         }
         stats
     }
 
-    /// Iterates over the keys stored in this shard (arbitrary order).
-    pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
-        self.chains.keys().copied()
-    }
-
     /// `(key, update time, source replica)` of the freshest version of every key in this
     /// shard, in arbitrary order (the store sorts the union across shards).
-    pub fn digest_entries(
-        &self,
-    ) -> impl Iterator<Item = (Key, Timestamp, pocc_types::ReplicaId)> + '_ {
+    pub(crate) fn digest_entries(&self) -> impl Iterator<Item = (Key, Timestamp, ReplicaId)> + '_ {
         self.chains.iter().filter_map(|(k, c)| {
-            c.idxs
-                .first()
+            c.first()
                 .map(|&i| self.slab.get(i))
                 .map(|v| (*k, v.update_time, v.source_replica))
         })
@@ -287,7 +196,7 @@ impl StoreShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_types::{ReplicaId, Value};
+    use pocc_types::Value;
 
     fn dv(entries: &[u64]) -> DependencyVector {
         DependencyVector::from_entries(entries.iter().map(|&d| Timestamp(d)).collect())
@@ -305,18 +214,16 @@ mod tests {
 
     #[test]
     fn shard_tracks_chains_and_stats() {
-        let mut shard = StoreShard::new();
+        let mut shard = StoreShard::default();
         shard.insert(version(1, 10, &[0, 0]));
         shard.insert(version(1, 20, &[10, 0]));
         shard.insert(version(2, 15, &[0, 0]));
-        assert_eq!(shard.num_keys(), 2);
         let stats = shard.stats();
         assert_eq!(stats.keys, 2);
         assert_eq!(stats.versions, 3);
         assert_eq!(stats.max_chain_len, 2);
         assert_eq!(shard.latest(Key(1)).unwrap().update_time, Timestamp(20));
         assert!(shard.latest(Key(9)).is_none());
-        assert_eq!(shard.keys().count(), 2);
         assert_eq!(shard.digest_entries().count(), 2);
         assert!(shard.has_key(Key(1)));
         assert!(!shard.has_key(Key(9)));
@@ -324,7 +231,7 @@ mod tests {
 
     #[test]
     fn gc_advances_the_watermark_monotonically() {
-        let mut shard = StoreShard::new();
+        let mut shard = StoreShard::default();
         for i in 1..=4u64 {
             shard.insert(version(1, i * 10, &[(i - 1) * 10, 0]));
         }
@@ -342,22 +249,18 @@ mod tests {
 
     #[test]
     fn lookups_on_missing_keys_return_empty_outcomes() {
-        let shard = StoreShard::new();
-        assert!(shard
-            .latest_in_snapshot(Key(1), &dv(&[9, 9]))
-            .version
-            .is_none());
-        assert!(shard
-            .latest_stable(Key(1), &dv(&[9, 9]), ReplicaId(0))
-            .version
-            .is_none());
+        let shard = StoreShard::default();
+        let out = shard.lookup(Key(1), |_| true);
+        assert!(out.version.is_none());
+        assert_eq!(out.stats, Default::default());
         assert_eq!(shard.count_invisible(Key(1), |_| false), 0);
-        assert!(shard.chain(Key(1)).is_none());
+        assert!(shard.chain(Key(1)).is_empty());
+        assert!(shard.latest(Key(1)).is_none());
     }
 
     #[test]
     fn duplicate_inserts_do_not_grow_the_slab_or_live_bytes() {
-        let mut shard = StoreShard::new();
+        let mut shard = StoreShard::default();
         shard.insert(version(1, 10, &[0, 0]));
         let bytes_after_first = shard.stats().live_bytes;
         assert!(bytes_after_first > 0);
@@ -368,7 +271,7 @@ mod tests {
 
     #[test]
     fn gc_returns_slots_to_the_free_list_and_live_bytes_shrink() {
-        let mut shard = StoreShard::new();
+        let mut shard = StoreShard::default();
         for i in 1..=8u64 {
             shard.insert(version(1, i * 10, &[(i - 1) * 10, 0]));
         }
@@ -391,12 +294,15 @@ mod tests {
 
     #[test]
     fn materialized_chain_matches_slab_order() {
-        let mut shard = StoreShard::new();
+        let mut shard = StoreShard::default();
         shard.insert(version(1, 10, &[0, 0]));
         shard.insert(version(1, 30, &[0, 0]));
         shard.insert(version(1, 20, &[0, 0]));
-        let chain = shard.chain(Key(1)).unwrap();
-        let times: Vec<u64> = chain.iter().map(|v| v.update_time.as_micros()).collect();
+        let times: Vec<u64> = shard
+            .chain(Key(1))
+            .iter()
+            .map(|v| v.update_time.as_micros())
+            .collect();
         assert_eq!(times, vec![30, 20, 10]);
     }
 }

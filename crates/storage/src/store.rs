@@ -1,13 +1,14 @@
 //! The per-server partition store: version chains split across key-hashed shards.
 
 use crate::chain::LookupOutcome;
-use crate::shard::{ShardStats, StoreShard};
+use crate::shard::StoreShard;
 use crate::{partition_for_key, shard_for_key};
 use parking_lot::RwLock;
-use pocc_types::{DependencyVector, Error, Key, PartitionId, ReplicaId, Result, Version};
-use std::sync::Arc;
+use pocc_types::{
+    DependencyVector, Error, Key, PartitionId, ReplicaId, Result, Timestamp, Version,
+};
 
-/// Aggregate statistics of a [`ShardedStore`].
+/// Statistics of a [`ShardedStore`], or of one of its shards.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Number of distinct keys with at least one version.
@@ -24,8 +25,8 @@ pub struct StoreStats {
 
 impl StoreStats {
     /// Accumulates another aggregate into this one (counts sum; chain length maxes).
-    /// The single source of truth for combining store statistics — the per-store
-    /// aggregation below and the simulator's cross-server aggregation both use it.
+    /// The single source of truth for combining store statistics: across a store's
+    /// shards, across servers, and shard by shard across servers.
     pub fn merge(&mut self, other: &StoreStats) {
         self.keys += other.keys;
         self.versions += other.versions;
@@ -33,54 +34,38 @@ impl StoreStats {
         self.gc_removed += other.gc_removed;
         self.live_bytes += other.live_bytes;
     }
-
-    /// Accumulates one shard's statistics into this aggregate.
-    pub fn absorb_shard(&mut self, shard: &ShardStats) {
-        self.merge(&StoreStats {
-            keys: shard.keys,
-            versions: shard.versions,
-            max_chain_len: shard.max_chain_len,
-            gc_removed: shard.gc_removed,
-            live_bytes: shard.live_bytes,
-        });
-    }
 }
 
-/// The historical name of the store, kept for call sites that predate sharding.
-/// `PartitionStore::new` builds a single-shard store, which behaves exactly like the
-/// original one-`HashMap` implementation.
-pub type PartitionStore = ShardedStore;
-
 /// The storage of one server `p^m_n`: the version chains of every key owned by partition
-/// `n`, as seen by the replica in data center `m`, split across `S` key-hashed
-/// [`StoreShard`]s.
+/// `n`, as seen by the replica in data center `m`, split across `S` key-hashed shards.
 ///
 /// Sharding is an intra-partition scalability measure: each shard owns a disjoint slice
 /// of the partition's keys with its own chains, statistics and GC watermark, keeping
-/// per-shard hash maps small and giving future concurrent server loops independently
-/// workable units. Shard routing ([`shard_for_key`]) is deterministic, so a store with
-/// `S = 1` is observationally identical to the original unsharded store — the
-/// equivalence tests in `tests/` of this crate pin that down.
+/// per-shard hash maps small. Shard routing ([`shard_for_key`]) is deterministic, so a
+/// store with `S = 1` answers every query like one with `S > 1` — the equivalence tests
+/// in `tests/` of this crate pin that down.
 ///
 /// The store validates that inserted keys actually belong to its partition (mis-routed
 /// writes are a bug in the routing layer, reported as [`Error::WrongPartition`]).
 ///
-/// Every shard sits behind its own reader-writer lock and every method takes `&self`;
-/// `Clone` produces a *handle* to the same underlying shards (the shard vector is
-/// shared). Lookups return owned data (cloned versions) rather than references, since
-/// references cannot outlive the internal shard locks; version payloads are cheap,
-/// refcounted byte buffers, so the clones are shallow.
-#[derive(Clone, Debug)]
+/// Every shard sits behind its own reader-writer lock and every method takes `&self`.
+/// Lookups return owned data (cloned versions) rather than references, since references
+/// cannot outlive the internal shard locks; version payloads are cheap, refcounted byte
+/// buffers, so the clones are shallow.
+///
+/// Every read and GC pass asks one visibility rule, [`Version::covered_by`]: a snapshot
+/// read returns the freshest version its snapshot covers, a stable read the freshest
+/// local or GSS-covered one, and GC keeps each chain down to its first covered version.
+#[derive(Debug)]
 pub struct ShardedStore {
     partition: PartitionId,
     num_partitions: usize,
-    shards: Arc<Vec<RwLock<StoreShard>>>,
+    shards: Vec<RwLock<StoreShard>>,
 }
 
 impl ShardedStore {
     /// Creates an empty single-shard store for `partition` in a deployment of
-    /// `num_partitions` partitions — the configuration equivalent to the original
-    /// unsharded `PartitionStore`.
+    /// `num_partitions` partitions.
     pub fn new(partition: PartitionId, num_partitions: usize) -> Self {
         ShardedStore::with_shards(partition, num_partitions, 1)
     }
@@ -95,22 +80,8 @@ impl ShardedStore {
         ShardedStore {
             partition,
             num_partitions,
-            shards: Arc::new(
-                (0..num_shards)
-                    .map(|_| RwLock::new(StoreShard::new()))
-                    .collect(),
-            ),
+            shards: (0..num_shards).map(|_| RwLock::default()).collect(),
         }
-    }
-
-    /// The partition this store belongs to.
-    pub fn partition(&self) -> PartitionId {
-        self.partition
-    }
-
-    /// Number of shards the key space of this partition is split into.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The lock guarding the shard that owns `key`.
@@ -119,7 +90,7 @@ impl ShardedStore {
     }
 
     /// Checks that `key` is owned by this partition.
-    pub fn check_ownership(&self, key: Key) -> Result<()> {
+    fn check_ownership(&self, key: Key) -> Result<()> {
         let owner = partition_for_key(key, self.num_partitions);
         if owner == self.partition {
             Ok(())
@@ -146,21 +117,21 @@ impl ShardedStore {
         self.shard(key).read().latest(key).cloned()
     }
 
-    /// The freshest version of `key` within snapshot `tv` (RO-TX slice read,
+    /// The freshest version of `key` covered by snapshot `tv` (RO-TX slice read,
     /// Algorithm 2 lines 43–44).
     pub fn latest_in_snapshot(&self, key: Key, tv: &DependencyVector) -> LookupOutcome {
-        self.shard(key).read().latest_in_snapshot(key, tv)
+        self.shard(key).read().lookup(key, |v| v.covered_by(tv))
     }
 
-    /// The freshest version of `key` visible under Cure's pessimistic rule (local versions
-    /// always visible, remote versions only when covered by the GSS).
+    /// The freshest version of `key` visible under Cure's pessimistic rule: local versions
+    /// are always visible, remote versions only when covered by the GSS.
     pub fn latest_stable(
         &self,
         key: Key,
         gss: &DependencyVector,
         local: ReplicaId,
     ) -> LookupOutcome {
-        self.shard(key).read().latest_stable(key, gss, local)
+        self.shard(key).read().lookup(key, stable(gss, local))
     }
 
     /// Whether the chain of `key` contains at least one version that is **not** stable
@@ -177,10 +148,9 @@ impl ShardedStore {
 
     /// Number of versions of `key` that are not stable under `gss`.
     pub fn unmerged_count(&self, key: Key, gss: &DependencyVector, local: ReplicaId) -> usize {
-        self.shard(key).read().count_invisible(key, |v| {
-            v.source_replica == local
-                || (v.update_time <= gss.get(v.source_replica) && v.visible_under(gss))
-        })
+        self.shard(key)
+            .read()
+            .count_invisible(key, stable(gss, local))
     }
 
     /// Whether a `None` result of [`latest_in_snapshot`](Self::latest_in_snapshot) for
@@ -213,15 +183,15 @@ impl ShardedStore {
     /// Aggregate statistics of the store, summed over all shards.
     pub fn stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
-        for shard in self.shards.iter() {
-            stats.absorb_shard(&shard.read().stats());
+        for shard in &self.shards {
+            stats.merge(&shard.read().stats());
         }
         stats
     }
 
     /// Per-shard statistics, indexed by shard. Useful to check how evenly the key space
     /// spreads (the ablation bench prints these).
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    pub fn shard_stats(&self) -> Vec<StoreStats> {
         self.shards
             .iter()
             .map(|shard| shard.read().stats())
@@ -232,7 +202,7 @@ impl ShardedStore {
     /// source replica)` triples sorted by key. Two replicas of the same partition have
     /// converged exactly when their digests are equal — the convergence tests rely on
     /// this. The digest is independent of the shard count.
-    pub fn digest(&self) -> Vec<(Key, pocc_types::Timestamp, ReplicaId)> {
+    pub fn digest(&self) -> Vec<(Key, Timestamp, ReplicaId)> {
         let mut d: Vec<_> = self
             .shards
             .iter()
@@ -242,24 +212,23 @@ impl ShardedStore {
         d
     }
 
-    /// All keys with at least one version (arbitrary order).
-    pub fn keys(&self) -> Vec<Key> {
-        self.shards
-            .iter()
-            .flat_map(|shard| shard.read().keys().collect::<Vec<_>>())
-            .collect()
-    }
-
-    /// A materialized clone of the chain of `key`, if present (used by white-box tests).
-    pub fn chain(&self, key: Key) -> Option<crate::VersionChain> {
+    /// A copy of the chain of `key`, newest-first; empty for an unknown key (used by
+    /// white-box tests).
+    pub fn chain(&self, key: Key) -> Vec<Version> {
         self.shard(key).read().chain(key)
     }
+}
+
+/// Cure's stable-read rule: a version is stable at replica `local` when it is local or
+/// covered by the Globally Stable Snapshot `gss`.
+fn stable(gss: &DependencyVector, local: ReplicaId) -> impl Fn(&Version) -> bool + '_ {
+    move |v| v.source_replica == local || v.covered_by(gss)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_types::{Timestamp, Value};
+    use pocc_types::Value;
 
     fn dv(entries: &[u64]) -> DependencyVector {
         DependencyVector::from_entries(entries.iter().map(|&d| Timestamp(d)).collect())
@@ -280,7 +249,7 @@ mod tests {
     #[test]
     fn insert_and_read_back_latest() {
         let k = key_in(0, 4);
-        let store = PartitionStore::new(PartitionId(0), 4);
+        let store = ShardedStore::new(PartitionId(0), 4);
         store.insert(version(k, 10, 0, &[0, 0, 0])).unwrap();
         store.insert(version(k, 30, 1, &[0, 0, 0])).unwrap();
         assert_eq!(store.latest(k).unwrap().update_time, Timestamp(30));
@@ -291,7 +260,7 @@ mod tests {
     fn misrouted_writes_are_rejected() {
         let num = 4;
         let k = key_in(1, num);
-        let store = PartitionStore::new(PartitionId(0), num);
+        let store = ShardedStore::new(PartitionId(0), num);
         let err = store.insert(version(k, 10, 0, &[0, 0, 0])).unwrap_err();
         match err {
             Error::WrongPartition {
@@ -307,7 +276,7 @@ mod tests {
     #[test]
     fn snapshot_and_stable_lookups_delegate_to_the_chain() {
         let k = key_in(0, 2);
-        let store = PartitionStore::new(PartitionId(0), 2);
+        let store = ShardedStore::new(PartitionId(0), 2);
         store.insert(version(k, 10, 1, &[0, 0, 0])).unwrap();
         store.insert(version(k, 50, 1, &[0, 40, 0])).unwrap();
 
@@ -328,7 +297,7 @@ mod tests {
     #[test]
     fn unmerged_accounting_matches_definition() {
         let k = key_in(0, 2);
-        let store = PartitionStore::new(PartitionId(0), 2);
+        let store = ShardedStore::new(PartitionId(0), 2);
         store.insert(version(k, 10, 1, &[0, 0, 0])).unwrap();
         store.insert(version(k, 50, 1, &[0, 40, 0])).unwrap();
         let gss = dv(&[0, 10, 0]);
@@ -342,7 +311,7 @@ mod tests {
     #[test]
     fn garbage_collection_updates_stats() {
         let k = key_in(0, 2);
-        let store = PartitionStore::new(PartitionId(0), 2);
+        let store = ShardedStore::new(PartitionId(0), 2);
         for i in 1..=5u64 {
             store
                 .insert(version(k, i * 10, 0, &[(i - 1) * 10, 0, 0]))
@@ -367,8 +336,8 @@ mod tests {
             .find(|k| partition_for_key(*k, num).index() == 0)
             .unwrap();
 
-        let a = PartitionStore::new(PartitionId(0), num);
-        let b = PartitionStore::new(PartitionId(0), num);
+        let a = ShardedStore::new(PartitionId(0), num);
+        let b = ShardedStore::new(PartitionId(0), num);
         for store in [&a, &b] {
             store.insert(version(k1, 10, 0, &[0, 0, 0])).unwrap();
             store.insert(version(k2, 20, 1, &[0, 0, 0])).unwrap();
@@ -382,23 +351,22 @@ mod tests {
         // Converge again by applying the same update to a (different arrival order).
         a.insert(version(k1, 30, 1, &[0, 0, 0])).unwrap();
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.keys().len(), 2);
+        assert_eq!(a.stats().keys, 2);
     }
 
     #[test]
     fn chain_accessor_exposes_raw_chain() {
         let k = key_in(0, 2);
-        let store = PartitionStore::new(PartitionId(0), 2);
+        let store = ShardedStore::new(PartitionId(0), 2);
         store.insert(version(k, 10, 0, &[0, 0, 0])).unwrap();
-        assert_eq!(store.chain(k).unwrap().len(), 1);
-        assert!(store.chain(Key(u64::MAX)).is_none());
+        assert_eq!(store.chain(k).len(), 1);
+        assert!(store.chain(Key(u64::MAX)).is_empty());
     }
 
     #[test]
     fn sharded_store_spreads_keys_and_aggregates_stats() {
         let num_partitions = 1;
         let store = ShardedStore::with_shards(PartitionId(0), num_partitions, 4);
-        assert_eq!(store.num_shards(), 4);
         for k in 0..256u64 {
             store.insert(version(Key(k), 10, 0, &[0, 0, 0])).unwrap();
         }

@@ -184,6 +184,15 @@ impl Version {
         self.deps.visible_under(tv)
     }
 
+    /// Whether vector `tv` *covers* this version: its entry for the source replica covers
+    /// the version's own update time and its dependency vector is entry-wise `<=` `tv`.
+    /// The one visibility rule of the store: snapshot reads (Algorithm 2 line 43), Cure's
+    /// GSS-stable reads and garbage collection (§IV-B) all ask it.
+    #[inline]
+    pub fn covered_by(&self, tv: &DependencyVector) -> bool {
+        self.update_time <= tv.get(self.source_replica) && self.visible_under(tv)
+    }
+
     /// Approximate wire size of the version in bytes: key + value + source replica +
     /// update time + dependency vector. Used for metadata-overhead accounting.
     pub fn wire_size(&self) -> usize {
@@ -268,6 +277,18 @@ mod tests {
         let tv_bad = DependencyVector::from_entries(vec![Timestamp(4), Timestamp(9), Timestamp(9)]);
         assert!(v.visible_under(&tv_ok));
         assert!(!v.visible_under(&tv_bad));
+    }
+
+    #[test]
+    fn coverage_needs_the_update_time_as_well_as_the_dependencies() {
+        let v = version(10, 1);
+        let dv = |e: [u64; 3]| DependencyVector::from_entries(e.map(Timestamp).to_vec());
+        assert!(v.covered_by(&dv([0, 10, 0])));
+        // Dependencies covered, own update time not.
+        assert!(v.visible_under(&dv([0, 9, 0])));
+        assert!(!v.covered_by(&dv([0, 9, 0])));
+        // Update time covered by another replica's entry only.
+        assert!(!v.covered_by(&dv([10, 0, 10])));
     }
 
     #[test]

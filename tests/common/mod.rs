@@ -8,7 +8,7 @@
 //! causal checker; interleavings, timestamps and latencies are allowed to differ.
 
 use pocc::prelude::*;
-use pocc::proto::{ClientReply, GetResponse, MetricsSnapshot};
+use pocc::proto::{ClientReply, MetricsSnapshot};
 use pocc::protocol::Client;
 use pocc::sim::reference::SerialCluster;
 use pocc::sim::ConsistencyChecker;
@@ -138,12 +138,6 @@ pub fn assert_agree(label: &str, a: &Outcome, b: &Outcome) {
     );
 }
 
-fn returned(resp: &GetResponse) -> Option<(Timestamp, ReplicaId)> {
-    resp.value
-        .as_ref()
-        .map(|_| (resp.update_time, resp.source_replica))
-}
-
 /// Feeds one completed operation to the exact checker.
 fn record(
     checker: &mut ConsistencyChecker,
@@ -152,20 +146,14 @@ fn record(
     op: &Op,
     reply: &ClientReply,
 ) {
-    match (reply, op) {
-        (ClientReply::Put { update_time }, Op::Put(key, _)) => {
-            checker.record_write(id, *key, *update_time, replica);
+    let key = match (reply, op) {
+        (ClientReply::Put { .. }, Op::Put(key, _)) | (ClientReply::Get(_), Op::Get(key)) => {
+            Some(*key)
         }
-        (ClientReply::Get(resp), Op::Get(key)) => checker.record_read(id, *key, returned(resp)),
-        (ClientReply::RoTx { items }, Op::RoTx(_)) => {
-            let recorded: Vec<_> = items
-                .iter()
-                .map(|item| (item.key, returned(&item.response)))
-                .collect();
-            checker.record_transaction(id, &recorded);
-        }
+        (ClientReply::RoTx { .. }, Op::RoTx(_)) => None,
         (reply, op) => panic!("mismatched reply {reply:?} for op {op:?}"),
-    }
+    };
+    checker.record_reply(id, replica, key, reply);
 }
 
 /// The reference run: the scripts, interleaved round-robin so cross-client causality
@@ -184,11 +172,7 @@ pub fn run_serial(protocol: ProtocolKind, scripts: &[Vec<Op>], cfg: Config) -> O
         .map(|i| {
             let id = ClientId(i as u64);
             let home = ServerId::new(ReplicaId((i % replicas) as u16), 0u32);
-            if protocol.snapshot_reads() {
-                Client::new_snapshot_reads(id, home, replicas)
-            } else {
-                Client::new(id, home, replicas)
-            }
+            protocol.session(id, home, replicas)
         })
         .collect();
 
