@@ -331,6 +331,45 @@ fn bench_gc_collect() -> BenchResult {
     })
 }
 
+/// Single-version keys of the sparse GC store: the cold majority of a skewed key space.
+const SPARSE_COLD_KEYS: u64 = 100_000;
+/// Multi-version keys of the sparse GC store: the hot few that GC actually trims.
+const SPARSE_HOT_KEYS: u64 = 64;
+/// Versions per hot key before the pass.
+const SPARSE_HOT_VERSIONS: u64 = 9;
+
+/// One GC pass over a skewed store: many single-version keys, which cannot shrink, and a
+/// few multi-version ones (the `chan_repl_lanes2` shape). Costs per version removed.
+fn bench_gc_sparse() -> BenchResult {
+    let store = fresh_store();
+    let version = |key: u64, ts: u64| {
+        Version::new(
+            Key(key),
+            Value::from(ts),
+            ReplicaId(0),
+            Timestamp(ts),
+            dv([ts.saturating_sub(1), 0, 0]),
+        )
+    };
+    for key in SPARSE_HOT_KEYS..SPARSE_HOT_KEYS + SPARSE_COLD_KEYS {
+        store
+            .insert(version(key, 1))
+            .expect("key owned by partition 0");
+    }
+    for round in 1..=SPARSE_HOT_VERSIONS {
+        for key in 0..SPARSE_HOT_KEYS {
+            store
+                .insert(version(key, round))
+                .expect("key owned by partition 0");
+        }
+    }
+    let removed = SPARSE_HOT_KEYS * (SPARSE_HOT_VERSIONS - 1);
+    let gv = dv([u64::MAX, u64::MAX, u64::MAX]);
+    measure("gc_sparse", removed, || {
+        assert_eq!(store.collect_garbage(&gv) as u64, removed);
+    })
+}
+
 // ---------------------------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------------------------
@@ -416,6 +455,7 @@ fn main() -> ExitCode {
         bench_codec_encode_scratch(),
         bench_codec_decode(),
         bench_gc_collect(),
+        bench_gc_sparse(),
     ];
     print!("{}", render_table(&results));
 

@@ -788,7 +788,11 @@ impl<C: Clock> EngineCore<C> {
     ///
     /// The paper exchanges the aggregate *maximum* of the active snapshot vectors; we use
     /// the minimum, which is never less conservative and guarantees that no version
-    /// readable by an active transaction is ever collected (see DESIGN.md).
+    /// readable by an active transaction is ever collected. GC keeps each chain down to
+    /// its first version covered by the GC vector `GV`, and a snapshot `TV` reads the
+    /// first version `TV` covers. With `GV <= TV` entry-wise, every version `GV` covers
+    /// `TV` covers too, so the version `TV` reads is at or above the one GC keeps last. A
+    /// maximum can exceed some `TV` and collect the version that transaction needs.
     pub fn gc_contribution(&self) -> DependencyVector {
         let mut contribution = DependencyVector(self.vv.as_clock_vector().clone());
         for tx in self.transactions.values() {

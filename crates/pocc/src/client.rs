@@ -151,7 +151,7 @@ impl ProtocolClient for Client {
         // full dependency vector DV_c (which dominates RDV_c): the snapshot vector computed
         // by the coordinator then covers the whole session history, at the cost of a
         // slightly larger wait window on the participant partitions (bounded by the clock
-        // skew plus one heartbeat interval). See DESIGN.md §5 for the rationale.
+        // skew plus one heartbeat interval).
         ClientRequest::RoTx {
             keys,
             rdv: self.dv.clone(),

@@ -1,10 +1,11 @@
 //! A deterministic discrete-event simulator of geo-replicated POCC / Cure\* deployments.
 //!
-//! This crate is the substitute for the paper's AWS test-bed (see DESIGN.md §2): it builds
-//! a full deployment — `M` data centers × `N` partitions, closed-loop clients collocated
-//! with the servers, WAN/LAN links with realistic latencies, per-server CPU service times
-//! and clock skew — and drives the *same protocol state machines* used by the threaded
-//! runtime through a single ordered event queue.
+//! This crate is the substitute for the paper's AWS test-bed (see ARCHITECTURE.md,
+//! *Sans-IO state machines*): it builds a full deployment — `M` data centers × `N`
+//! partitions, closed-loop clients collocated with the servers, WAN/LAN links with
+//! realistic latencies, per-server CPU service times and clock skew — and drives the
+//! *same protocol state machines* used by the threaded runtime through a single ordered
+//! event queue.
 //!
 //! What the simulator measures is exactly what the paper's evaluation reports:
 //! throughput, operation response times, blocking probability and blocking time (POCC),

@@ -15,7 +15,9 @@
 //!   line 43, and Cure's GET), and the freshest version stable under Cure's Globally
 //!   Stable Snapshot (HA-POCC's pessimistic GET) — with the staleness statistics the
 //!   evaluation reports ([`LookupOutcome`], [`ChainReadStats`]), and runs garbage
-//!   collection (§IV-B) and the content digests used by convergence tests.
+//!   collection (§IV-B) and the content digests used by convergence tests. Each shard
+//!   lists its keys of two or more versions, the only chains GC can trim, so a GC pass
+//!   costs O(multi-version chains + versions removed), not O(keys).
 //!
 //! Every read and GC pass asks one visibility rule, [`Version::covered_by`](pocc_types::Version::covered_by).
 //!

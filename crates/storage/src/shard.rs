@@ -72,6 +72,9 @@ impl VersionSlab {
 pub(crate) struct StoreShard {
     slab: VersionSlab,
     chains: HashMap<Key, Vec<u32>>,
+    /// The keys whose chain holds two or more versions, each listed once: the only
+    /// chains garbage collection can shorten.
+    multi_version: Vec<Key>,
     gc_removed: usize,
     /// Approximate bytes of live version data, maintained incrementally on insert/GC.
     live_bytes: usize,
@@ -96,8 +99,12 @@ impl StoreShard {
             }
         }
         self.live_bytes += version.wire_size();
+        let key = version.key;
         let idx = slab.alloc(version);
         chain.insert(pos, idx);
+        if chain.len() == 2 {
+            self.multi_version.push(key);
+        }
     }
 
     /// The versions of `key`, newest-first (none for an unknown key).
@@ -136,22 +143,31 @@ impl StoreShard {
         self.versions(key).filter(|v| !visible(v)).count()
     }
 
-    /// Runs garbage collection with vector `gv` over every chain of this shard, advancing
-    /// the shard watermark. Retains, per chain, every version down to and including the
-    /// first one covered by `gv` (§IV-B); released versions go back to the slab free
-    /// list. Returns the number of versions removed.
+    /// Runs garbage collection with vector `gv` over this shard, advancing the shard
+    /// watermark. Retains, per chain, every version down to and including the first one
+    /// covered by `gv` (§IV-B); released versions go back to the slab free list. Only
+    /// chains of two or more versions can shrink, so the pass walks the list of those
+    /// and unlists each chain it trims back to one version: it costs O(multi-version
+    /// chains + versions removed), not O(keys). Returns the number of versions removed.
     pub(crate) fn collect_garbage(&mut self, gv: &DependencyVector) -> usize {
-        let StoreShard { slab, chains, .. } = self;
+        let StoreShard {
+            slab,
+            chains,
+            multi_version,
+            ..
+        } = self;
         let mut removed = 0;
         let mut freed_bytes = 0;
-        for chain in chains.values_mut() {
+        multi_version.retain(|key| {
+            let chain = chains.get_mut(key).expect("a listed key has a chain");
             if let Some(keep) = chain.iter().position(|&i| slab.get(i).covered_by(gv)) {
                 for i in chain.drain(keep + 1..) {
                     freed_bytes += slab.release(i).wire_size();
                     removed += 1;
                 }
             }
-        }
+            chain.len() > 1
+        });
         self.gc_removed += removed;
         self.live_bytes -= freed_bytes;
         match &mut self.watermark {
@@ -290,6 +306,76 @@ mod tests {
         assert_eq!(shard.slab.slots.len(), slots_before);
         assert_eq!(shard.slab.free.len(), 0);
         assert_eq!(shard.stats().versions, 8);
+    }
+
+    /// How many times `key` appears on the shard's multi-version list.
+    fn times_listed(shard: &StoreShard, key: u64) -> usize {
+        shard
+            .multi_version
+            .iter()
+            .filter(|&&k| k == Key(key))
+            .count()
+    }
+
+    /// Every key is listed exactly once when its chain holds two or more versions, and
+    /// never otherwise.
+    fn assert_listed_iff_multi_version(shard: &StoreShard) {
+        for (key, chain) in &shard.chains {
+            let expected = usize::from(chain.len() >= 2);
+            assert_eq!(times_listed(shard, key.raw()), expected, "key {key:?}");
+        }
+        assert!(shard
+            .multi_version
+            .iter()
+            .all(|k| shard.chains.contains_key(k)));
+    }
+
+    #[test]
+    fn single_version_keys_are_never_listed() {
+        let mut shard = StoreShard::default();
+        for key in 0..16u64 {
+            shard.insert(version(key, 10, &[0, 0]));
+        }
+        assert!(shard.multi_version.is_empty());
+        shard.collect_garbage(&dv(&[100, 100]));
+        assert!(shard.multi_version.is_empty());
+        assert_listed_iff_multi_version(&shard);
+    }
+
+    #[test]
+    fn growing_to_two_versions_lists_the_key_once() {
+        let mut shard = StoreShard::default();
+        shard.insert(version(1, 10, &[0, 0]));
+        assert_eq!(times_listed(&shard, 1), 0);
+        shard.insert(version(1, 20, &[10, 0]));
+        assert_eq!(times_listed(&shard, 1), 1);
+        // A duplicate insert returns early, and a third version does not re-list.
+        shard.insert(version(1, 20, &[10, 0]));
+        shard.insert(version(1, 10, &[0, 0]));
+        assert_eq!(times_listed(&shard, 1), 1);
+        shard.insert(version(1, 30, &[20, 0]));
+        assert_eq!(times_listed(&shard, 1), 1);
+        assert_listed_iff_multi_version(&shard);
+    }
+
+    #[test]
+    fn gc_unlists_a_chain_only_when_it_is_back_to_one_version() {
+        let mut shard = StoreShard::default();
+        for i in 1..=4u64 {
+            shard.insert(version(1, i * 10, &[(i - 1) * 10, 0]));
+        }
+        // Covers 30 but not 40: the chain keeps 40 and 30, and stays listed.
+        assert_eq!(shard.collect_garbage(&dv(&[35, 0])), 2);
+        assert_eq!(shard.chain(Key(1)).len(), 2);
+        assert_eq!(times_listed(&shard, 1), 1);
+        // Covers 40: the chain is back to one version and leaves the list.
+        assert_eq!(shard.collect_garbage(&dv(&[45, 0])), 1);
+        assert_eq!(shard.chain(Key(1)).len(), 1);
+        assert_eq!(times_listed(&shard, 1), 0);
+        // Growing again lists it again.
+        shard.insert(version(1, 50, &[40, 0]));
+        assert_eq!(times_listed(&shard, 1), 1);
+        assert_listed_iff_multi_version(&shard);
     }
 
     #[test]

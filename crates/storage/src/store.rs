@@ -171,8 +171,11 @@ impl ShardedStore {
         }
     }
 
-    /// Runs garbage collection with vector `gv` over every shard (§IV-B), advancing each
-    /// shard's watermark. Returns the number of versions removed in this pass.
+    /// Runs garbage collection with vector `gv` on every shard (§IV-B), advancing each
+    /// shard's watermark. Each shard visits only its chains of two or more versions,
+    /// since a single-version chain cannot shrink, so a pass costs O(multi-version
+    /// chains + versions removed) rather than O(keys). Returns the number of versions
+    /// removed in this pass.
     pub fn collect_garbage(&self, gv: &DependencyVector) -> usize {
         self.shards
             .iter()
