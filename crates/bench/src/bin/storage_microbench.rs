@@ -1,6 +1,6 @@
 //! Allocation-aware micro-benchmarks of the hot paths: version-chain inserts, snapshot
 //! reads, clock-vector lattice operations, version cloning (the replication fan-out
-//! cost), wire-codec encode/decode and chain garbage collection.
+//! cost), wire-codec encode/decode and chain garbage collection, whole and in steps.
 //!
 //! ```text
 //! storage_microbench [--json <path>]
@@ -331,6 +331,32 @@ fn bench_gc_collect() -> BenchResult {
     })
 }
 
+/// Listed chains per step of `gc_stepped`: the step a threaded server runs between two
+/// spine acquisitions.
+const GC_STEP: usize = 256;
+
+/// The `gc_collect` pass run as a threaded server runs it: `begin_gc`, then steps of
+/// `GC_STEP` listed chains until the pass reports done.
+fn bench_gc_stepped() -> BenchResult {
+    let store = fresh_store();
+    for v in build_versions(1) {
+        store.insert(v).expect("key owned by partition 0");
+    }
+    let gv = dv([u64::MAX, u64::MAX, u64::MAX]);
+    measure("gc_stepped", INSERT_OPS - KEYS, || {
+        store.begin_gc(&gv);
+        let mut removed = 0;
+        loop {
+            let step = store.gc_step(GC_STEP);
+            removed += step.removed;
+            if step.done {
+                break;
+            }
+        }
+        assert_eq!(removed as u64, INSERT_OPS - KEYS);
+    })
+}
+
 /// Single-version keys of the sparse GC store: the cold majority of a skewed key space.
 const SPARSE_COLD_KEYS: u64 = 100_000;
 /// Multi-version keys of the sparse GC store: the hot few that GC actually trims.
@@ -456,6 +482,7 @@ fn main() -> ExitCode {
         bench_codec_decode(),
         bench_gc_collect(),
         bench_gc_sparse(),
+        bench_gc_stepped(),
     ];
     print!("{}", render_table(&results));
 

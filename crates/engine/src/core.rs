@@ -801,8 +801,11 @@ impl<C: Clock> EngineCore<C> {
         contribution
     }
 
-    /// Runs one garbage-collection exchange round and collects garbage if contributions
-    /// from every local peer are known.
+    /// Runs one garbage-collection exchange round: sends this server's contribution to
+    /// the local peers and, once contributions from every partition are known, begins a
+    /// GC pass with their entry-wise minimum. The pass is only begun here, and
+    /// [`EngineCore::gc_step`] runs it: `ProtocolServer::tick` finishes it before it
+    /// returns, and a threaded server runs it in bounded steps.
     pub fn gc_exchange_round(&mut self, outputs: &mut Vec<ServerOutput>) {
         let contribution = self.gc_contribution();
         for i in 0..self.local_peers.len() {
@@ -825,18 +828,27 @@ impl<C: Clock> EngineCore<C> {
             for v in self.gc_contributions.values() {
                 gv.meet(v);
             }
-            let removed = self.store.collect_garbage(&gv);
-            self.metrics.gc_versions_removed += removed as u64;
+            self.store.begin_gc(&gv);
         }
     }
 
-    /// Collects garbage directly from the GSS: every version below the snapshot any
+    /// Begins a GC pass directly from the GSS: every version below the snapshot any
     /// future transaction could use is collectable except the newest such version
-    /// (Cure\*'s GC, which needs no extra message exchange).
+    /// (Cure\*'s GC, which needs no extra message exchange). [`EngineCore::gc_step`] runs
+    /// the pass, as for [`EngineCore::gc_exchange_round`].
     pub fn gc_from_gss(&mut self) {
         let gss = self.gss.clone();
-        let removed = self.store.collect_garbage(&gss);
-        self.metrics.gc_versions_removed += removed as u64;
+        self.store.begin_gc(&gss);
+    }
+
+    /// Runs the pending GC pass over at most `budget` listed chains (see
+    /// `ShardedStore::gc_step`) and counts what it removed. Returns whether the pass is
+    /// done; with no pass pending it does nothing and returns `true`. GC emits no
+    /// outputs.
+    pub fn gc_step(&mut self, budget: usize) -> bool {
+        let step = self.store.gc_step(budget);
+        self.metrics.gc_versions_removed += step.removed as u64;
+        step.done
     }
 
     // -----------------------------------------------------------------------------------

@@ -86,6 +86,22 @@ impl<C: Clock, P: VisibilityPolicy<C>> ProtocolEngine<C, P> {
         (&mut self.core, &mut self.policy)
     }
 
+    /// Runs one tick (batcher flush, heartbeats, the policy's periodic work) into
+    /// `outputs`, but leaves a GC pass the tick begins pending, and returns whether one
+    /// is pending. A threaded server runs the pass with [`EngineCore::gc_step`] and
+    /// serves operations between steps. Finishing it later cannot change the tick's
+    /// outputs: a pass emits nothing, and nothing a policy does after beginning one in
+    /// `on_tick` reads a chain.
+    pub fn tick_leaving_gc(&mut self, outputs: &mut Vec<ServerOutput>) -> bool {
+        // Ship the traffic coalesced since the last tick first, so heartbeats emitted
+        // below cannot overtake buffered replication on the FIFO channels.
+        self.core.flush_batcher(outputs);
+        let now = self.core.clock.now();
+        self.core.heartbeat_tick(now, outputs);
+        self.policy.on_tick(&mut self.core, now, outputs);
+        self.core.store.gc_pending()
+    }
+
     /// Absorbs the bookkeeping half of one replicated remote version: replication
     /// accounting, the origin's version-vector advance, the policy's `on_replicate`
     /// hook and a re-evaluation of parked operations (Algorithm 2 lines 16–18 minus
@@ -187,14 +203,13 @@ impl<C: Clock, P: VisibilityPolicy<C>> ProtocolServer for ProtocolEngine<C, P> {
         outputs
     }
 
+    /// A tick whose GC pass, if it begins one, runs whole before the tick returns:
+    /// [`ProtocolEngine::tick_leaving_gc`] and then one unbounded GC step.
     fn tick(&mut self) -> Vec<ServerOutput> {
         let mut outputs = Vec::new();
-        // Ship the traffic coalesced since the last tick first, so heartbeats emitted
-        // below cannot overtake buffered replication on the FIFO channels.
-        self.core.flush_batcher(&mut outputs);
-        let now = self.core.clock.now();
-        self.core.heartbeat_tick(now, &mut outputs);
-        self.policy.on_tick(&mut self.core, now, &mut outputs);
+        if self.tick_leaving_gc(&mut outputs) {
+            self.core.gc_step(usize::MAX);
+        }
         outputs
     }
 

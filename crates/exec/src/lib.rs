@@ -20,6 +20,9 @@
 //!   run the engine under it, and every output is emitted before the lock is released,
 //!   so messages leave on each FIFO link in engine order: a heartbeat never promises a
 //!   timestamp while a smaller-timestamped write to the same sibling is still unsent.
+//! * **GC in steps.** A tick that begins a garbage-collection pass runs it in steps of
+//!   256 listed chains, releasing the spine and yielding the processor between steps,
+//!   so no lane waits for a whole pass; the pass is over when the tick returns.
 //! * **One lane runs in place.** At `worker_lanes = 1` there is no lane thread: every
 //!   operation and message runs the engine on the calling thread under the spine. This
 //!   lane-count test is the only place that chooses between the two execution shapes.

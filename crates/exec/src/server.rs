@@ -48,6 +48,9 @@ type Engine<C> = ProtocolEngine<C, Box<dyn VisibilityPolicy<C>>>;
 const MAILBOX: usize = 1024;
 /// Maximum operations a lane runs under one spine acquisition.
 const BATCH: usize = 64;
+/// Listed chains one GC step trims under one spine acquisition (see
+/// [`ParallelServer::tick`]).
+const GC_STEP: usize = 256;
 
 /// The server has shut down and can no longer accept operations. Returned by
 /// [`ParallelServer::submit_client`] after [`ParallelServer::shutdown`] (a *full*
@@ -237,10 +240,24 @@ impl<C: Clock + 'static> ParallelServer<C> {
         });
     }
 
-    /// Runs one engine tick (batcher flush, heartbeats, policy periodic work).
+    /// Runs one engine tick (batcher flush, heartbeats, policy periodic work) under one
+    /// spine acquisition. A GC pass the tick begins then runs in steps of at most
+    /// `GC_STEP` listed chains, each under a spine acquisition of its own, so lanes and
+    /// delivering threads get the spine between steps instead of waiting for a whole
+    /// pass. Before each step the ticking thread yields its processor: the spine is not
+    /// a fair lock, and a thread that re-locks at once usually gets it back before a
+    /// woken waiter runs. The pass is done when this returns, as with a serial engine's
+    /// tick; an idle tick takes the spine once.
     pub fn tick(&self) {
-        self.shared
-            .with_engine(|engine, outputs| *outputs = engine.tick());
+        let mut gc_pending = self
+            .shared
+            .with_engine(|engine, outputs| engine.tick_leaving_gc(outputs));
+        while gc_pending {
+            std::thread::yield_now();
+            gc_pending = !self
+                .shared
+                .with_engine(|engine, _| engine.parts_mut().0.gc_step(GC_STEP));
+        }
     }
 }
 
@@ -292,7 +309,7 @@ impl<C: Clock + 'static> ServerIntrospect for ParallelServer<C> {
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
-    use pocc_clock::{MonotonicClock, SystemClock};
+    use pocc_clock::{ManualClock, MonotonicClock, SystemClock};
     use pocc_types::{DependencyVector, PartitionId, Value, Version};
     use std::time::Duration;
 
@@ -621,6 +638,88 @@ mod tests {
             assert_eq!(metrics.replicate_received, 50, "lanes={lanes}");
             assert_eq!(metrics.heartbeats_received, 1, "lanes={lanes}");
             assert_eq!(server.store_stats().versions, 50, "lanes={lanes}");
+        }
+    }
+
+    /// Keys that each get two versions below: enough listed chains that a GC pass over
+    /// them takes several steps.
+    const GC_CHAINS: u64 = 1_000;
+
+    fn spine_acquisitions<C>(server: &ParallelServer<C>) -> u64 {
+        server.shared.spine_acquisitions.load(Ordering::Relaxed)
+    }
+
+    /// A tick whose GC pass runs in steps leaves the store, and the counters, a serial
+    /// engine's tick leaves after the same writes at the same clock readings. The pass
+    /// takes a spine acquisition per step on top of the tick's own; an idle tick takes
+    /// one.
+    #[test]
+    fn a_stepped_gc_pass_leaves_what_a_serial_tick_leaves() {
+        let id = ServerId::new(ReplicaId(0), PartitionId(0));
+        let put = |i: u64| ClientRequest::Put {
+            key: Key(i % GC_CHAINS),
+            value: Value::from(i),
+            dv: DependencyVector::zero(1),
+        };
+        let start = Timestamp::from(Duration::from_millis(10));
+        for (lanes, protocol) in [1, 2]
+            .into_iter()
+            .flat_map(|lanes| ProtocolKind::ALL.map(|protocol| (lanes, protocol)))
+        {
+            let config = single_server_config(lanes);
+            let gc_interval = config.gc_interval;
+            let context = format!("{protocol} lanes={lanes}");
+
+            let clock = ManualClock::new(start);
+            let mut serial = protocol.server(id, config.clone(), clock.clone());
+            for i in 0..2 * GC_CHAINS {
+                clock.advance(Duration::from_micros(1));
+                serial.handle_client_request(ClientId(i), put(i));
+            }
+            clock.advance(gc_interval);
+            serial.tick();
+
+            let clock = ManualClock::new(start);
+            let (tx, rx) = unbounded();
+            let sink: OutputSink = Arc::new(move |out| {
+                let _ = tx.send(out);
+            });
+            let parallel = ParallelServer::start(id, config, protocol, clock.clone(), sink);
+            for i in 0..2 * GC_CHAINS {
+                clock.advance(Duration::from_micros(1));
+                parallel.submit_client(ClientId(i), put(i)).unwrap();
+                // One write at a time, so each reads the same clock the serial run did.
+                while !matches!(rx.recv().unwrap(), ServerOutput::Reply { .. }) {}
+            }
+            assert_eq!(parallel.store_stats().max_chain_len, 2, "{context}");
+            clock.advance(gc_interval);
+            let before = spine_acquisitions(&parallel);
+            parallel.tick();
+            let pass = spine_acquisitions(&parallel) - before;
+            let steps = GC_CHAINS.div_ceil(GC_STEP as u64);
+            assert!(
+                pass > steps,
+                "{context}: {pass} acquisitions for {steps} steps"
+            );
+
+            let stats = parallel.store_stats();
+            assert_eq!(stats.gc_removed as u64, GC_CHAINS, "{context}");
+            assert_eq!(serial.store_stats(), stats, "{context}");
+            assert_eq!(serial.digest(), parallel.digest(), "{context}");
+            let metrics = MetricsSnapshot {
+                lane_fast_path_misses: 0,
+                spine_acquisitions: 0,
+                ..parallel.metrics()
+            };
+            assert_eq!(serial.metrics(), metrics, "{context}");
+
+            let before = spine_acquisitions(&parallel);
+            parallel.tick();
+            assert_eq!(
+                spine_acquisitions(&parallel) - before,
+                1,
+                "{context}: idle tick"
+            );
         }
     }
 

@@ -17,7 +17,9 @@
 //!   evaluation reports ([`LookupOutcome`], [`ChainReadStats`]), and runs garbage
 //!   collection (§IV-B) and the content digests used by convergence tests. Each shard
 //!   lists its keys of two or more versions, the only chains GC can trim, so a GC pass
-//!   costs O(multi-version chains + versions removed), not O(keys).
+//!   costs O(multi-version chains + versions removed), not O(keys). A pass runs whole
+//!   ([`ShardedStore::collect_garbage`]) or in bounded steps ([`ShardedStore::begin_gc`],
+//!   then [`ShardedStore::gc_step`], each reporting a [`GcStep`]).
 //!
 //! Every read and GC pass asks one visibility rule, [`Version::covered_by`](pocc_types::Version::covered_by).
 //!
@@ -62,4 +64,4 @@ mod store;
 
 pub use chain::{ChainReadStats, LookupOutcome};
 pub use partitioning::{partition_for_key, shard_for_key};
-pub use store::{ShardedStore, StoreStats};
+pub use store::{GcStep, ShardedStore, StoreStats};

@@ -78,8 +78,9 @@ pub(crate) struct StoreShard {
     gc_removed: usize,
     /// Approximate bytes of live version data, maintained incrementally on insert/GC.
     live_bytes: usize,
-    /// The entry-wise maximum of every GC vector applied to this shard — the shard's
-    /// garbage-collection watermark. Versions below it (except chain heads) are gone.
+    /// The entry-wise maximum of every GC vector a pass has begun with — the shard's
+    /// garbage-collection watermark. Versions below it (except the first covered one
+    /// of each chain) are gone, or go before the pending pass ends.
     watermark: Option<DependencyVector>,
 }
 
@@ -143,13 +144,30 @@ impl StoreShard {
         self.versions(key).filter(|v| !visible(v)).count()
     }
 
-    /// Runs garbage collection with vector `gv` over this shard, advancing the shard
-    /// watermark. Retains, per chain, every version down to and including the first one
-    /// covered by `gv` (§IV-B); released versions go back to the slab free list. Only
-    /// chains of two or more versions can shrink, so the pass walks the list of those
-    /// and unlists each chain it trims back to one version: it costs O(multi-version
-    /// chains + versions removed), not O(keys). Returns the number of versions removed.
-    pub(crate) fn collect_garbage(&mut self, gv: &DependencyVector) -> usize {
+    /// Joins `gv` into the shard's garbage-collection watermark. A pass does this for
+    /// every shard before it trims any chain, so a snapshot the pass's vector does not
+    /// cover is refused from the moment the pass begins.
+    pub(crate) fn join_watermark(&mut self, gv: &DependencyVector) {
+        match &mut self.watermark {
+            Some(w) => w.join(gv),
+            none => *none = Some(gv.clone()),
+        }
+    }
+
+    /// Trims the listed chains from position `*cursor` of the multi-version list on, at
+    /// most `*budget` of them, under GC vector `gv`: each keeps every version down to and
+    /// including the first one `gv` covers (§IV-B), and released versions go back to the
+    /// slab free list. A chain trimmed back to one version is unlisted with `swap_remove`,
+    /// which moves the last listed chain under the cursor, so the cursor only advances
+    /// past chains that stay listed. Spends one unit of `budget` per chain visited and
+    /// returns the number of versions removed. The shard's part of the pass is done once
+    /// `*cursor` reaches [`StoreShard::listed`].
+    pub(crate) fn trim_listed(
+        &mut self,
+        gv: &DependencyVector,
+        cursor: &mut usize,
+        budget: &mut usize,
+    ) -> usize {
         let StoreShard {
             slab,
             chains,
@@ -158,23 +176,31 @@ impl StoreShard {
         } = self;
         let mut removed = 0;
         let mut freed_bytes = 0;
-        multi_version.retain(|key| {
-            let chain = chains.get_mut(key).expect("a listed key has a chain");
+        while *budget > 0 && *cursor < multi_version.len() {
+            *budget -= 1;
+            let chain = chains
+                .get_mut(&multi_version[*cursor])
+                .expect("a listed key has a chain");
             if let Some(keep) = chain.iter().position(|&i| slab.get(i).covered_by(gv)) {
                 for i in chain.drain(keep + 1..) {
                     freed_bytes += slab.release(i).wire_size();
                     removed += 1;
                 }
             }
-            chain.len() > 1
-        });
+            if chain.len() > 1 {
+                *cursor += 1;
+            } else {
+                multi_version.swap_remove(*cursor);
+            }
+        }
         self.gc_removed += removed;
         self.live_bytes -= freed_bytes;
-        match &mut self.watermark {
-            Some(w) => w.join(gv),
-            none => *none = Some(gv.clone()),
-        }
         removed
+    }
+
+    /// Number of chains on the multi-version list: the chains a GC pass visits.
+    pub(crate) fn listed(&self) -> usize {
+        self.multi_version.len()
     }
 
     /// The shard's garbage-collection watermark: the entry-wise maximum of every GC
@@ -218,6 +244,13 @@ mod tests {
         DependencyVector::from_entries(entries.iter().map(|&d| Timestamp(d)).collect())
     }
 
+    /// A whole GC pass over one shard: the watermark join, then every listed chain.
+    fn collect_garbage(shard: &mut StoreShard, gv: &DependencyVector) -> usize {
+        shard.join_watermark(gv);
+        let mut budget = usize::MAX;
+        shard.trim_listed(gv, &mut 0, &mut budget)
+    }
+
     fn version(key: u64, ut: u64, deps: &[u64]) -> Version {
         Version::new(
             Key(key),
@@ -253,13 +286,13 @@ mod tests {
         }
         assert!(shard.watermark().is_none());
 
-        let removed = shard.collect_garbage(&dv(&[25, 0]));
+        let removed = collect_garbage(&mut shard, &dv(&[25, 0]));
         assert_eq!(removed, 1);
         assert_eq!(shard.watermark(), Some(&dv(&[25, 0])));
         assert_eq!(shard.stats().gc_removed, 1);
 
         // A later GC vector joins entry-wise; an entry regressing does not move it back.
-        shard.collect_garbage(&dv(&[20, 5]));
+        collect_garbage(&mut shard, &dv(&[20, 5]));
         assert_eq!(shard.watermark(), Some(&dv(&[25, 5])));
     }
 
@@ -293,7 +326,7 @@ mod tests {
         }
         let slots_before = shard.slab.slots.len();
         let bytes_before = shard.stats().live_bytes;
-        let removed = shard.collect_garbage(&dv(&[100, 100]));
+        let removed = collect_garbage(&mut shard, &dv(&[100, 100]));
         assert_eq!(removed, 7);
         assert_eq!(shard.slab.free.len(), 7);
         assert!(shard.stats().live_bytes < bytes_before);
@@ -337,7 +370,7 @@ mod tests {
             shard.insert(version(key, 10, &[0, 0]));
         }
         assert!(shard.multi_version.is_empty());
-        shard.collect_garbage(&dv(&[100, 100]));
+        collect_garbage(&mut shard, &dv(&[100, 100]));
         assert!(shard.multi_version.is_empty());
         assert_listed_iff_multi_version(&shard);
     }
@@ -365,16 +398,39 @@ mod tests {
             shard.insert(version(1, i * 10, &[(i - 1) * 10, 0]));
         }
         // Covers 30 but not 40: the chain keeps 40 and 30, and stays listed.
-        assert_eq!(shard.collect_garbage(&dv(&[35, 0])), 2);
+        assert_eq!(collect_garbage(&mut shard, &dv(&[35, 0])), 2);
         assert_eq!(shard.chain(Key(1)).len(), 2);
         assert_eq!(times_listed(&shard, 1), 1);
         // Covers 40: the chain is back to one version and leaves the list.
-        assert_eq!(shard.collect_garbage(&dv(&[45, 0])), 1);
+        assert_eq!(collect_garbage(&mut shard, &dv(&[45, 0])), 1);
         assert_eq!(shard.chain(Key(1)).len(), 1);
         assert_eq!(times_listed(&shard, 1), 0);
         // Growing again lists it again.
         shard.insert(version(1, 50, &[40, 0]));
         assert_eq!(times_listed(&shard, 1), 1);
+        assert_listed_iff_multi_version(&shard);
+    }
+
+    #[test]
+    fn a_bounded_trim_stops_at_its_budget_and_resumes_at_the_cursor() {
+        let mut shard = StoreShard::default();
+        for key in 0..5u64 {
+            shard.insert(version(key, 10, &[0, 0]));
+            shard.insert(version(key, 20, &[10, 0]));
+        }
+        // Key 4 keeps two versions: its newest is not covered.
+        shard.insert(version(4, 30, &[20, 5]));
+        let gv = dv(&[30, 0]);
+        // Key 0 is trimmed to one version and unlisted, which swaps key 4 under the
+        // cursor; key 4 stays listed, so the cursor moves past it.
+        let (mut cursor, mut budget) = (0, 2);
+        assert_eq!(shard.trim_listed(&gv, &mut cursor, &mut budget), 2);
+        assert_eq!((cursor, budget, shard.listed()), (1, 0, 4));
+        let mut budget = usize::MAX;
+        assert_eq!(shard.trim_listed(&gv, &mut cursor, &mut budget), 3);
+        assert_eq!((cursor, shard.listed()), (1, 1));
+        assert_eq!(budget, usize::MAX - 3);
+        assert_eq!(shard.chain(Key(4)).len(), 2);
         assert_listed_iff_multi_version(&shard);
     }
 

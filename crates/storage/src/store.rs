@@ -3,7 +3,7 @@
 use crate::chain::LookupOutcome;
 use crate::shard::StoreShard;
 use crate::{partition_for_key, shard_for_key};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use pocc_types::{
     DependencyVector, Error, Key, PartitionId, ReplicaId, Result, Timestamp, Version,
 };
@@ -56,11 +56,35 @@ impl StoreStats {
 /// Every read and GC pass asks one visibility rule, [`Version::covered_by`]: a snapshot
 /// read returns the freshest version its snapshot covers, a stable read the freshest
 /// local or GSS-covered one, and GC keeps each chain down to its first covered version.
+///
+/// A GC pass can run in bounded steps ([`begin_gc`](Self::begin_gc), then
+/// [`gc_step`](Self::gc_step) until it reports done) with reads and inserts in between.
 #[derive(Debug)]
 pub struct ShardedStore {
     partition: PartitionId,
     num_partitions: usize,
     shards: Vec<RwLock<StoreShard>>,
+    /// The GC pass in progress, if any.
+    gc_pass: Mutex<Option<GcPass>>,
+}
+
+/// Where a stepped GC pass stands: its vector and the next listed chain it visits.
+#[derive(Debug)]
+struct GcPass {
+    gv: DependencyVector,
+    /// The shard the pass is in.
+    shard: usize,
+    /// The position on that shard's multi-version list.
+    cursor: usize,
+}
+
+/// What one [`ShardedStore::gc_step`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GcStep {
+    /// Versions removed by this step.
+    pub removed: usize,
+    /// Whether the pass is over: no pass is pending after this step.
+    pub done: bool,
 }
 
 impl ShardedStore {
@@ -81,6 +105,7 @@ impl ShardedStore {
             partition,
             num_partitions,
             shards: (0..num_shards).map(|_| RwLock::default()).collect(),
+            gc_pass: Mutex::new(None),
         }
     }
 
@@ -171,16 +196,81 @@ impl ShardedStore {
         }
     }
 
-    /// Runs garbage collection with vector `gv` on every shard (§IV-B), advancing each
-    /// shard's watermark. Each shard visits only its chains of two or more versions,
-    /// since a single-version chain cannot shrink, so a pass costs O(multi-version
-    /// chains + versions removed) rather than O(keys). Returns the number of versions
-    /// removed in this pass.
+    /// Runs a whole garbage-collection pass with vector `gv` (§IV-B): [`begin_gc`]
+    /// followed by one unbounded [`gc_step`]. Each chain keeps every version down to and
+    /// including the first one `gv` covers. Only chains of two or more versions can
+    /// shrink, and each shard lists those, so a pass costs O(multi-version chains +
+    /// versions removed) rather than O(keys). Returns the number of versions removed.
+    ///
+    /// [`begin_gc`]: Self::begin_gc
+    /// [`gc_step`]: Self::gc_step
     pub fn collect_garbage(&self, gv: &DependencyVector) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.write().collect_garbage(gv))
-            .sum()
+        self.begin_gc(gv);
+        self.gc_step(usize::MAX).removed
+    }
+
+    /// Begins a garbage-collection pass with vector `gv`, to be run by
+    /// [`gc_step`](Self::gc_step). Joins `gv` into every shard's watermark first, so from
+    /// here on [`snapshot_may_predate_gc`](Self::snapshot_may_predate_gc) refuses a
+    /// snapshot `gv` does not cover, before any chain is trimmed.
+    ///
+    /// Between steps a chain is either trimmed or not yet trimmed, and a read at a
+    /// snapshot that dominates the watermark returns the same version from both: the pass
+    /// keeps each chain down to the first version `gv` covers, and such a snapshot covers
+    /// `gv`, so it reads that version or a fresher one. Head reads never see GC at all.
+    ///
+    /// A pass that is still pending is abandoned: the new pass starts over from the first
+    /// listed chain with `gv`. The chains the old pass did not reach keep their versions
+    /// until a pass reaches them, which is safe because the old vector is already in the
+    /// watermark.
+    pub fn begin_gc(&self, gv: &DependencyVector) {
+        for shard in &self.shards {
+            shard.write().join_watermark(gv);
+        }
+        *self.gc_pass.lock() = Some(GcPass {
+            gv: gv.clone(),
+            shard: 0,
+            cursor: 0,
+        });
+    }
+
+    /// Runs the pending pass over at most `budget` listed chains, continuing across
+    /// shards, and reports what it removed and whether the pass is done. Chains inserted
+    /// or grown since the pass began are visited too if the cursor has not passed them.
+    /// With no pass pending it does nothing and reports done.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget` is zero.
+    pub fn gc_step(&self, mut budget: usize) -> GcStep {
+        assert!(budget > 0, "a GC step visits at least one chain");
+        let mut pending = self.gc_pass.lock();
+        let Some(pass) = pending.as_mut() else {
+            return GcStep {
+                removed: 0,
+                done: true,
+            };
+        };
+        let mut removed = 0;
+        while let Some(shard) = self.shards.get(pass.shard) {
+            let mut shard = shard.write();
+            removed += shard.trim_listed(&pass.gv, &mut pass.cursor, &mut budget);
+            if pass.cursor < shard.listed() {
+                break;
+            }
+            pass.shard += 1;
+            pass.cursor = 0;
+        }
+        let done = pass.shard == self.shards.len();
+        if done {
+            *pending = None;
+        }
+        GcStep { removed, done }
+    }
+
+    /// Whether a garbage-collection pass has begun and not yet finished.
+    pub fn gc_pending(&self) -> bool {
+        self.gc_pass.lock().is_some()
     }
 
     /// Aggregate statistics of the store, summed over all shards.

@@ -10,12 +10,17 @@
 //! Garbage collection walks only the chains that hold two or more versions, so a
 //! separate test replays random inserts interleaved with GC passes against a full-scan
 //! model written out below, at 1 and 8 shards.
+//!
+//! A pass can also run in bounded steps with reads and inserts in between. Another test
+//! drives a stepped store, an untrimmed copy and a copy that runs each pass in one call
+//! through the same random script, and checks that reads between steps cannot tell the
+//! three apart.
 
-use pocc_storage::{partition_for_key, shard_for_key, ShardedStore, StoreStats};
+use pocc_storage::{partition_for_key, shard_for_key, GcStep, ShardedStore, StoreStats};
 use pocc_types::{DependencyVector, Key, PartitionId, ReplicaId, Timestamp, Value, Version};
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 const REPLICAS: usize = 3;
 
@@ -156,6 +161,142 @@ fn arb_step() -> impl Strategy<Value = (u8, Version, DependencyVector)> {
             )
         });
     (0u8..10, version, small().prop_map(dv))
+}
+
+/// One op of a stepped-GC script: `op` picks an insert of `version`, the start of a pass
+/// whose vector joins `raise` into the previous one (so vectors only grow, as a server's
+/// do), a step of `budget` listed chains, or reads of `key` at a snapshot that joins
+/// `raise` into the watermark.
+fn arb_gc_op() -> impl Strategy<Value = (u8, Version, DependencyVector, usize, u64)> {
+    let small = || proptest::collection::vec(0u64..24, REPLICAS);
+    let version =
+        (0u64..16, 1u64..48, 0u16..REPLICAS as u16, small()).prop_map(|(key, ut, sr, deps)| {
+            Version::new(
+                Key(key),
+                Value::from(ut),
+                ReplicaId(sr),
+                Timestamp(ut),
+                dv(deps),
+            )
+        });
+    (0u8..16, version, small().prop_map(dv), 1usize..6, 0u64..16)
+}
+
+/// Every chain and the statistics of `a` equal those of `b`.
+fn assert_same_store(a: &ShardedStore, b: &ShardedStore, context: &str) {
+    for key in (0u64..16).map(Key) {
+        assert_eq!(a.chain(key), b.chain(key), "{context}: chain of {key:?}");
+    }
+    assert_eq!(a.stats(), b.stats(), "{context}: stats");
+}
+
+proptest! {
+    /// A pass run in steps, with inserts and reads between them, against an untrimmed
+    /// store and a store that runs every pass in one call when the stepped one begins it:
+    ///
+    /// * the watermark moves when a pass begins, before any chain is trimmed;
+    /// * head reads, and snapshot reads at snapshots that dominate the watermark, return
+    ///   the same version from all three stores between any two steps;
+    /// * a pass with no insert while it ran leaves the chains, statistics and removal
+    ///   count of the one-call pass;
+    /// * after a last whole pass all three stores are equal, and each removed as many
+    ///   versions as it inserted minus what it keeps.
+    ///
+    /// A pass that begins while another is pending restarts from the first listed chain.
+    #[test]
+    fn a_stepped_pass_is_invisible_to_reads_between_steps(
+        ops in proptest::collection::vec(arb_gc_op(), 1..200),
+        probe in proptest::collection::vec(0u64..48, REPLICAS).prop_map(dv),
+    ) {
+        for shards in [1, 8] {
+            let store = || ShardedStore::with_shards(PartitionId(0), 1, shards);
+            let (stepped, untrimmed, whole) = (store(), store(), store());
+            let mut gv: Option<DependencyVector> = None;
+            let (mut stepped_removed, mut whole_removed) = (0, 0);
+            let mut inserted = HashSet::new();
+            let mut inserted_mid_pass = false;
+            for (op, version, raise, budget, key) in &ops {
+                let context = format!("shards={shards}");
+                match op {
+                    0..=6 => {
+                        // Duplicates are left out: a duplicate of a version one store has
+                        // trimmed and another has not is kept by one and dropped by the
+                        // other, which no pass order can make equal.
+                        let id = (version.key, version.update_time, version.source_replica);
+                        if !inserted.insert(id) {
+                            continue;
+                        }
+                        for s in [&stepped, &untrimmed, &whole] {
+                            s.insert(version.clone()).expect("partition 0 owns every key");
+                        }
+                        inserted_mid_pass |= stepped.gc_pending();
+                    }
+                    7 | 8 => {
+                        let next = match &gv {
+                            Some(g) => g.joined(raise),
+                            None => raise.clone(),
+                        };
+                        stepped.begin_gc(&next);
+                        whole_removed += whole.collect_garbage(&next);
+                        inserted_mid_pass = false;
+                        gv = Some(next);
+                        // The watermark has moved before any step has run.
+                        let below = [probe.clone(), DependencyVector::zero(REPLICAS)];
+                        for key in (0u64..16).map(Key) {
+                            for tv in &below {
+                                prop_assert_eq!(
+                                    stepped.snapshot_may_predate_gc(key, tv),
+                                    whole.snapshot_may_predate_gc(key, tv),
+                                    "{}: {:?} at {:?} right after begin_gc", context, key, tv
+                                );
+                            }
+                        }
+                    }
+                    9..=11 => {
+                        let was_pending = stepped.gc_pending();
+                        let step = stepped.gc_step(*budget);
+                        stepped_removed += step.removed;
+                        prop_assert_eq!(step.done, !stepped.gc_pending());
+                        if was_pending && step.done && !inserted_mid_pass {
+                            assert_same_store(&stepped, &whole, &format!("{context}: pass end"));
+                            prop_assert_eq!(stepped_removed, whole_removed);
+                        }
+                    }
+                    _ => {
+                        let key = Key(*key);
+                        let tv = match &gv {
+                            Some(g) => g.joined(raise),
+                            None => raise.clone(),
+                        };
+                        let head = stepped.latest(key);
+                        prop_assert_eq!(&head, &untrimmed.latest(key));
+                        prop_assert_eq!(&head, &whole.latest(key));
+                        let read = stepped.latest_in_snapshot(key, &tv).version;
+                        prop_assert_eq!(&read, &untrimmed.latest_in_snapshot(key, &tv).version);
+                        prop_assert_eq!(&read, &whole.latest_in_snapshot(key, &tv).version);
+                        for tv in [&tv, &probe] {
+                            prop_assert_eq!(
+                                stepped.snapshot_may_predate_gc(key, tv),
+                                whole.snapshot_may_predate_gc(key, tv)
+                            );
+                        }
+                    }
+                }
+            }
+            stepped_removed += stepped.gc_step(usize::MAX).removed;
+            prop_assert!(!stepped.gc_pending());
+            if let Some(gv) = &gv {
+                stepped_removed += stepped.collect_garbage(gv);
+                whole_removed += whole.collect_garbage(gv);
+                untrimmed.collect_garbage(gv);
+            }
+            let context = format!("shards={shards}: after a last whole pass");
+            assert_same_store(&stepped, &whole, &context);
+            assert_same_store(&stepped, &untrimmed, &context);
+            prop_assert_eq!(stepped_removed, whole_removed);
+            prop_assert_eq!(stepped_removed, inserted.len() - stepped.stats().versions);
+        }
+    }
 }
 
 proptest! {
@@ -310,4 +451,98 @@ fn shard_stats_always_sum_to_aggregate() {
         per_shard.iter().map(|s| s.max_chain_len).max().unwrap(),
         total.max_chain_len
     );
+}
+
+fn chain_of_two(store: &ShardedStore, key: u64) {
+    for ut in [10, 20] {
+        store
+            .insert(Version::new(
+                Key(key),
+                Value::from(ut),
+                ReplicaId(0),
+                Timestamp(ut),
+                dv(vec![ut - 10, 0, 0]),
+            ))
+            .unwrap();
+    }
+}
+
+/// A GC vector that arrives while a pass is pending restarts the pass with the new
+/// vector: the chains already trimmed stay trimmed, the new vector trims from the first
+/// listed chain on, and the chains the old pass had not reached are left to the new
+/// vector alone. The watermark holds both vectors from the moment each pass begins.
+#[test]
+fn a_pass_begun_mid_pass_restarts_with_the_new_vector() {
+    for shards in [1, 8] {
+        let store = ShardedStore::with_shards(PartitionId(0), 1, shards);
+        for key in 0..8 {
+            chain_of_two(&store, key);
+        }
+        let covers_all = dv(vec![20, 0, 0]);
+        let covers_none = dv(vec![0, 0, 0]);
+        store.begin_gc(&covers_all);
+        let first = store.gc_step(3);
+        assert_eq!(
+            first,
+            GcStep {
+                removed: 3,
+                done: false
+            }
+        );
+
+        // The new vector covers nothing: the five chains the first pass did not reach
+        // keep both versions, and the restarted pass still visits all five.
+        store.begin_gc(&covers_none);
+        assert!(store.gc_pending());
+        let rest = store.gc_step(5);
+        assert_eq!(
+            rest,
+            GcStep {
+                removed: 0,
+                done: true
+            }
+        );
+        assert!(!store.gc_pending());
+        let stats = store.stats();
+        assert_eq!((stats.versions, stats.gc_removed), (13, 3));
+        for key in (0u64..8).map(Key) {
+            // The first vector is in the watermark: a snapshot below it is refused
+            // whether or not its chain was trimmed.
+            assert!(store.snapshot_may_predate_gc(key, &dv(vec![10, 0, 0])));
+        }
+
+        // A later pass with the first vector finishes the job.
+        assert_eq!(store.collect_garbage(&covers_all), 5);
+        assert_eq!(store.stats().max_chain_len, 1);
+    }
+}
+
+/// A step spends its budget across shards and reports done exactly when the last
+/// listed chain has been visited; with no pass pending a step does nothing.
+#[test]
+fn steps_visit_every_listed_chain_once_across_shards() {
+    for shards in [1, 8] {
+        let store = ShardedStore::with_shards(PartitionId(0), 1, shards);
+        assert_eq!(
+            store.gc_step(1),
+            GcStep {
+                removed: 0,
+                done: true
+            }
+        );
+        for key in 0..40 {
+            chain_of_two(&store, key);
+        }
+        store.begin_gc(&dv(vec![20, 0, 0]));
+        let mut steps = Vec::new();
+        loop {
+            let step = store.gc_step(8);
+            steps.push(step.removed);
+            if step.done {
+                break;
+            }
+        }
+        assert_eq!(steps, vec![8; 5], "shards={shards}");
+        assert_eq!(store.stats().gc_removed, 40);
+    }
 }

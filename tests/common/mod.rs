@@ -1,19 +1,22 @@
-//! What the differential suites (`parallel_equivalence`, `transport_equivalence`) share:
-//! the seeded per-client scripts, the outcome every driver must produce, the serial
-//! reference run on [`SerialCluster`], and the run on a real threaded [`Cluster`].
+//! What the differential suites (`parallel_equivalence`, `transport_equivalence`,
+//! `gc_step_equivalence`) share: the seeded per-client scripts, the outcome every driver
+//! must produce, the serial reference run on [`SerialCluster`], and the run on a real
+//! threaded [`Cluster`], alone or beside background writers.
 //!
 //! The scripts are single-writer-per-key, so the final value of every key is determined
 //! by the script alone, not by timestamp races. Drivers must agree on per-key final
 //! values, convergence across replicas, order-insensitive metric totals and a clean exact
 //! causal checker; interleavings, timestamps and latencies are allowed to differ.
 
+use pocc::net::ClientPort;
 use pocc::prelude::*;
-use pocc::proto::{ClientReply, MetricsSnapshot};
+use pocc::proto::{ClientReply, ClientRequest, MetricsSnapshot};
 use pocc::protocol::Client;
 use pocc::sim::reference::SerialCluster;
 use pocc::sim::ConsistencyChecker;
 use pocc::storage::partition_for_key;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 pub const PARTITIONS: usize = 2;
@@ -26,7 +29,7 @@ pub enum Op {
     RoTx(Vec<Key>),
 }
 
-fn xorshift(state: &mut u64) -> u64 {
+pub fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
@@ -240,6 +243,26 @@ pub fn run_serial(protocol: ProtocolKind, scripts: &[Vec<Op>], cfg: Config) -> O
 
 /// The same scripts through the real threaded [`Cluster`] that `builder` starts.
 pub fn run_cluster(builder: ClusterBuilder, scripts: &[Vec<Op>]) -> Outcome {
+    run_cluster_under_load(builder, scripts, 0)
+}
+
+/// The first key of the background writers' ranges, far above every script key: data
+/// center `r` writes keys `LOAD_KEYS + r * load_keys` onwards.
+pub const LOAD_KEYS: u64 = 1_000_000;
+/// PUTs a background writer keeps in flight.
+const LOAD_IN_FLIGHT: u64 = 32;
+
+/// [`run_cluster`] beside background writers: while the scripts run, one port per data
+/// center pipelines PUTs over `load_keys` keys of its own, round after round, two rounds
+/// at least. So every chain of those keys grows to two versions or more, and GC passes
+/// have many chains to trim while the scripts read. The scripts never touch these keys,
+/// and the outcome leaves the background PUTs out of its counters. No writers run at
+/// `load_keys = 0`.
+pub fn run_cluster_under_load(
+    builder: ClusterBuilder,
+    scripts: &[Vec<Op>],
+    load_keys: u64,
+) -> Outcome {
     let cluster = builder.start();
     let label = format!("{:?} {:?}", cluster.transport(), cluster.protocol());
     let replicas = cluster.config().num_replicas;
@@ -248,22 +271,35 @@ pub fn run_cluster(builder: ClusterBuilder, scripts: &[Vec<Op>]) -> Outcome {
         .map(|i| cluster.client(ReplicaId((i % replicas) as u16)))
         .collect();
 
-    #[allow(clippy::needless_range_loop)] // `step` is the round-robin outer index
-    for step in 0..scripts[0].len() {
-        for (i, client) in clients.iter_mut().enumerate() {
-            let op = &scripts[i][step];
-            let reply = match op {
-                Op::Put(key, value) => ClientReply::Put {
-                    update_time: client.put(*key, Value::from(*value)).unwrap(),
-                },
-                Op::Get(key) => ClientReply::Get(client.get_versioned(*key).unwrap()),
-                Op::RoTx(keys) => ClientReply::RoTx {
-                    items: client.ro_tx_versioned(keys.clone()).unwrap(),
-                },
-            };
-            record(&mut checker, client.id(), client.replica(), op, &reply);
+    let scripted = AtomicBool::new(false);
+    let load_puts: u64 = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..replicas)
+            .filter(|_| load_keys > 0)
+            .map(|r| {
+                let (cluster, scripted) = (&cluster, &scripted);
+                s.spawn(move || write_load(cluster, ReplicaId(r as u16), load_keys, scripted))
+            })
+            .collect();
+
+        #[allow(clippy::needless_range_loop)] // `step` is the round-robin outer index
+        for step in 0..scripts[0].len() {
+            for (i, client) in clients.iter_mut().enumerate() {
+                let op = &scripts[i][step];
+                let reply = match op {
+                    Op::Put(key, value) => ClientReply::Put {
+                        update_time: client.put(*key, Value::from(*value)).unwrap(),
+                    },
+                    Op::Get(key) => ClientReply::Get(client.get_versioned(*key).unwrap()),
+                    Op::RoTx(keys) => ClientReply::RoTx {
+                        items: client.ro_tx_versioned(keys.clone()).unwrap(),
+                    },
+                };
+                record(&mut checker, client.id(), client.replica(), op, &reply);
+            }
         }
-    }
+        scripted.store(true, Ordering::Relaxed);
+        writers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
 
     // Wait for replication to drain: every partition's replicas must reach identical
     // digests.
@@ -307,10 +343,50 @@ pub fn run_cluster(builder: ClusterBuilder, scripts: &[Vec<Op>]) -> Outcome {
     for (_, probe) in cluster.probe_all() {
         metrics.merge(&probe.metrics);
     }
+    metrics.puts_served -= load_puts;
+    metrics.replicate_sent -= load_puts * (replicas as u64 - 1);
     cluster.shutdown();
     Outcome {
         final_values,
         metrics,
         violations: checker.violations().len(),
     }
+}
+
+/// One data center's background writer for [`run_cluster_under_load`]: PUTs over `keys`
+/// keys of its own, `LOAD_IN_FLIGHT` at a time, round after round until `scripted` is
+/// set and two rounds are done. Returns how many PUTs it made.
+fn write_load(cluster: &Cluster, replica: ReplicaId, keys: u64, scripted: &AtomicBool) -> u64 {
+    let config = cluster.config();
+    let (partitions, replicas) = (config.num_partitions, config.num_replicas);
+    let (_, mut port) = cluster.open_port();
+    let first = LOAD_KEYS + u64::from(replica.0) * keys;
+    let await_put =
+        |port: &mut Box<dyn ClientPort>| match port.recv_timeout(Duration::from_secs(10)) {
+            Ok(ClientReply::Put { .. }) => {}
+            other => panic!("background writer at {replica}: {other:?}"),
+        };
+    let mut puts = 0;
+    for round in 0.. {
+        if round >= 2 && scripted.load(Ordering::Relaxed) {
+            break;
+        }
+        for key in (first..first + keys).map(Key) {
+            let to = ServerId::new(replica, partition_for_key(key, partitions));
+            let put = ClientRequest::Put {
+                key,
+                value: Value::from(puts),
+                dv: DependencyVector::zero(replicas),
+            };
+            port.submit(to, put).expect("background PUT submitted");
+            puts += 1;
+            if puts >= LOAD_IN_FLIGHT {
+                await_put(&mut port);
+            }
+        }
+    }
+    for _ in 0..puts.min(LOAD_IN_FLIGHT - 1) {
+        await_put(&mut port);
+    }
+    puts
 }
