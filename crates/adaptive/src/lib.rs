@@ -123,8 +123,8 @@ impl<C: Clock> VisibilityPolicy<C> for AdaptivePolicy {
                 }
             }
             ClientRequest::Put { key, value, dv } => {
-                // POCC's PUT, including the configurable dependency wait.
-                if !core.config.put_waits_for_dependencies || core.covers_remote_deps(&dv) {
+                // POCC's PUT, including its dependency wait.
+                if core.covers_remote_deps(&dv) {
                     core.serve_put(client, key, value, dv, &mut outputs);
                 } else {
                     core.park_put(client, key, value, dv);

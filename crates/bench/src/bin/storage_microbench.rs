@@ -17,6 +17,7 @@
 //! baseline lives at `MICROBENCH_baseline.json` in the repository root.
 
 use pocc_bench::json::Json;
+use pocc_exec::GC_STEP;
 use pocc_proto::{codec, ClientRequest};
 use pocc_storage::ShardedStore;
 use pocc_types::{
@@ -331,12 +332,9 @@ fn bench_gc_collect() -> BenchResult {
     })
 }
 
-/// Listed chains per step of `gc_stepped`: the step a threaded server runs between two
-/// spine acquisitions.
-const GC_STEP: usize = 256;
-
 /// The `gc_collect` pass run as a threaded server runs it: `begin_gc`, then steps of
-/// `GC_STEP` listed chains until the pass reports done.
+/// [`GC_STEP`] listed chains, the step a threaded server runs between two spine
+/// acquisitions, until the pass reports done.
 fn bench_gc_stepped() -> BenchResult {
     let store = fresh_store();
     for v in build_versions(1) {

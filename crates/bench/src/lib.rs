@@ -43,7 +43,7 @@ pub mod json;
 pub mod loadgen;
 pub mod scenarios;
 
-use pocc_sim::{ProtocolKind, SimConfig, SimConfigBuilder, SimReport};
+use pocc_sim::{ProtocolKind, SimConfig, SimConfigBuilder};
 use pocc_workload::WorkloadMix;
 use std::time::Duration;
 
@@ -165,11 +165,6 @@ pub fn point(scale: Scale, protocol: ProtocolKind) -> SimConfigBuilder {
         .seed(42)
 }
 
-/// Runs one configured point and returns the report.
-pub fn run(builder: SimConfigBuilder) -> SimReport {
-    pocc_sim::Simulation::new(builder.build()).run()
-}
-
 /// Convenience: the GET:PUT mix of §V-B with `n` GETs per PUT.
 pub fn get_put(n: usize) -> WorkloadMix {
     WorkloadMix::GetPut { gets_per_put: n }
@@ -239,14 +234,16 @@ mod tests {
 
     #[test]
     fn quick_point_runs_end_to_end() {
-        let report = run(point(Scale::Quick, ProtocolKind::Pocc)
+        let config = point(Scale::Quick, ProtocolKind::Pocc)
             .partitions(2)
             .clients_per_partition(1)
             .keys_per_partition(100)
             .warmup(Duration::from_millis(50))
             .duration(Duration::from_millis(200))
             .drain(Duration::from_millis(100))
-            .mix(get_put(4)));
+            .mix(get_put(4))
+            .build();
+        let report = pocc_sim::Simulation::new(config).run();
         assert!(report.operations_completed > 0);
     }
 }

@@ -324,7 +324,7 @@ pub fn all() -> Vec<Scenario> {
             name: "fig1b_resptime",
             title: "Figure 1b: avg. response time vs throughput",
             x_axis: "clients_per_partition",
-            points_fn: fig1b,
+            points_fn: |scale| fig1b(scale, &BOTH),
         },
         Scenario {
             name: "fig1c_write_intensity",
@@ -336,13 +336,13 @@ pub fn all() -> Vec<Scenario> {
             name: "fig2a_blocking",
             title: "Figure 2a: POCC blocking probability and blocking time vs load",
             x_axis: "clients_per_partition",
-            points_fn: fig2a,
+            points_fn: |scale| fig1b(scale, &[ProtocolKind::Pocc]),
         },
         Scenario {
             name: "fig2b_staleness",
             title: "Figure 2b: data staleness in Cure* vs load",
             x_axis: "clients_per_partition",
-            points_fn: fig2b,
+            points_fn: |scale| fig1b(scale, &[ProtocolKind::Cure]),
         },
         Scenario {
             name: "fig3a_tx_scalability",
@@ -354,19 +354,19 @@ pub fn all() -> Vec<Scenario> {
             name: "fig3b_tx_clients",
             title: "Figure 3b: throughput and RO-TX response time vs clients per partition",
             x_axis: "clients_per_partition",
-            points_fn: fig3b,
+            points_fn: |scale| fig3b(scale, &BOTH),
         },
         Scenario {
             name: "fig3c_tx_blocking",
             title: "Figure 3c: POCC blocking under the transactional workload",
             x_axis: "clients_per_partition",
-            points_fn: fig3c,
+            points_fn: |scale| fig3b(scale, &[ProtocolKind::Pocc]),
         },
         Scenario {
             name: "fig3d_tx_staleness",
             title: "Figure 3d: staleness of transactional reads vs clients per partition",
             x_axis: "clients_per_partition",
-            points_fn: fig3d,
+            points_fn: |scale| fig3b(scale, &BOTH),
         },
         Scenario {
             name: "ablation_stabilization",
@@ -396,7 +396,7 @@ pub fn all() -> Vec<Scenario> {
             name: "hot_key_skew",
             title: "Hot-key workload: zipf exponent sweep (uniform through super-zipfian)",
             x_axis: "zipf_theta",
-            points_fn: hot_key_skew,
+            points_fn: |scale| theta_sweep(scale, get_put(scale.max_partitions()), &BOTH),
         },
         Scenario {
             name: "large_values",
@@ -408,13 +408,13 @@ pub fn all() -> Vec<Scenario> {
             name: "read_heavy",
             title: "Read-heavy mix (GET:PUT = 31:1) vs load",
             x_axis: "clients_per_partition",
-            points_fn: read_heavy,
+            points_fn: |scale| load_sweep(scale, WorkloadMix::read_heavy(), &BOTH),
         },
         Scenario {
             name: "write_heavy",
             title: "Write-heavy mix (GET:PUT = 1:1) vs load",
             x_axis: "clients_per_partition",
-            points_fn: write_heavy,
+            points_fn: |scale| load_sweep(scale, WorkloadMix::write_heavy(), &BOTH),
         },
         Scenario {
             name: "tx_size_sweep",
@@ -432,7 +432,13 @@ pub fn all() -> Vec<Scenario> {
             name: "adaptive_hot_key",
             title: "Adaptive under hot-key churn: zipf exponent sweep with per-key fall-back",
             x_axis: "zipf_theta",
-            points_fn: adaptive_hot_key,
+            points_fn: |scale| {
+                theta_sweep(
+                    scale,
+                    get_put(2),
+                    &[ProtocolKind::Pocc, ProtocolKind::Adaptive],
+                )
+            },
         },
         Scenario {
             name: "partition_heal",
@@ -517,22 +523,66 @@ fn label(protocol: ProtocolKind, axis: &str, x: impl std::fmt::Display) -> Strin
     format!("{protocol}/{axis}={x}")
 }
 
-/// The load sweep of the single-key figures (1b, 2a, 2b) and the mix scenarios.
-fn client_sweep(scale: Scale) -> Vec<usize> {
-    match scale {
-        Scale::Smoke => vec![6],
-        Scale::Quick => vec![32, 64, 128, 192, 256, 320],
-        Scale::Full => vec![32, 64, 128, 192, 256, 320, 384],
+/// A swept value: printed as is in point labels, plotted as its `x`.
+trait Swept: Copy + std::fmt::Display {
+    fn x(self) -> f64;
+}
+
+impl Swept for usize {
+    fn x(self) -> f64 {
+        self as f64
     }
 }
 
-/// The load sweep of the transactional figures (3b, 3c, 3d).
-fn tx_client_sweep(scale: Scale) -> Vec<usize> {
-    match scale {
-        Scale::Smoke => vec![6],
-        Scale::Quick => vec![16, 32, 64, 96, 128, 192],
-        Scale::Full => vec![40, 80, 120, 160, 200],
+impl Swept for u64 {
+    fn x(self) -> f64 {
+        self as f64
     }
+}
+
+impl Swept for f64 {
+    fn x(self) -> f64 {
+        self
+    }
+}
+
+/// A timer swept in microseconds: labelled in µs, plotted in ms.
+#[derive(Clone, Copy)]
+struct Micros(u64);
+
+impl std::fmt::Display for Micros {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl Swept for Micros {
+    fn x(self) -> f64 {
+        self.0 as f64 / 1_000.0
+    }
+}
+
+/// Expands a grid, values in the outer loop and protocols in the inner one: each point is
+/// labelled `{protocol}/{axis}={value}` and configured by `config` from the scale's
+/// [`point`] for its protocol.
+fn sweep<V: Swept>(
+    scale: Scale,
+    axis: &str,
+    values: &[V],
+    protocols: &[ProtocolKind],
+    config: impl Fn(SimConfigBuilder, V) -> SimConfigBuilder,
+) -> Vec<ScenarioPoint> {
+    let mut points = Vec::new();
+    for &value in values {
+        for &protocol in protocols {
+            points.push(ScenarioPoint {
+                label: label(protocol, axis, value),
+                x: value.x(),
+                config: config(point(scale, protocol), value).build(),
+            });
+        }
+    }
+    points
 }
 
 /// The near-saturation client count used by the throughput-comparison figures.
@@ -552,251 +602,139 @@ fn moderate_clients(scale: Scale) -> usize {
     }
 }
 
-/// The transaction size of the fixed-size transactional figures: half the partitions.
-fn half_partitions(scale: Scale) -> usize {
-    (scale.max_partitions() / 2).max(1)
-}
-
 fn fig1a(scale: Scale) -> Vec<ScenarioPoint> {
-    let partitions: Vec<usize> = match scale {
-        Scale::Smoke => vec![2],
-        Scale::Quick => vec![2, 4, 8],
-        Scale::Full => vec![2, 4, 8, 16, 24, 32],
+    let partitions: &[usize] = match scale {
+        Scale::Smoke => &[2],
+        Scale::Quick => &[2, 4, 8],
+        Scale::Full => &[2, 4, 8, 16, 24, 32],
     };
     let clients = saturating_clients(scale);
-    let mut points = Vec::new();
-    for &p in &partitions {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, "partitions", p),
-                x: p as f64,
-                config: point(scale, protocol)
-                    .deployment(deployment(p))
-                    .clients_per_partition(clients)
-                    .mix(get_put(p))
-                    .build(),
-            });
-        }
-    }
-    points
+    sweep(scale, "partitions", partitions, &BOTH, |b, p| {
+        b.deployment(deployment(p))
+            .clients_per_partition(clients)
+            .mix(get_put(p))
+    })
 }
 
-fn fig1b(scale: Scale) -> Vec<ScenarioPoint> {
-    let p = scale.max_partitions();
-    let mut points = Vec::new();
-    for &clients in &client_sweep(scale) {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, "clients", clients),
-                x: clients as f64,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .mix(get_put(p))
-                    .build(),
-            });
-        }
-    }
-    points
+/// A load sweep under `mix`, shared by Fig. 1b, the read- and write-heavy mixes and
+/// `adaptive_vs_pocc`.
+fn load_sweep(scale: Scale, mix: WorkloadMix, protocols: &[ProtocolKind]) -> Vec<ScenarioPoint> {
+    let clients: &[usize] = match scale {
+        Scale::Smoke => &[6],
+        Scale::Quick => &[32, 64, 128, 192, 256, 320],
+        Scale::Full => &[32, 64, 128, 192, 256, 320, 384],
+    };
+    sweep(scale, "clients", clients, protocols, |b, c| {
+        b.clients_per_partition(c).mix(mix)
+    })
+}
+
+/// Fig. 1b's load sweep over the paper's GET:PUT = p:1 mix. Fig. 2a plots the blocking
+/// of its POCC points and Fig. 2b the staleness of its Cure\* points.
+fn fig1b(scale: Scale, protocols: &[ProtocolKind]) -> Vec<ScenarioPoint> {
+    load_sweep(scale, get_put(scale.max_partitions()), protocols)
+}
+
+/// The adaptive protocol head-to-head against both ends of the visibility spectrum it
+/// interpolates between, over the write-heavier 2:1 mix where remote churn (and thus the
+/// per-key fall-back) actually engages.
+fn adaptive_vs_pocc(scale: Scale) -> Vec<ScenarioPoint> {
+    let protocols = [
+        ProtocolKind::Pocc,
+        ProtocolKind::Adaptive,
+        ProtocolKind::Cure,
+    ];
+    load_sweep(scale, get_put(2), &protocols)
 }
 
 fn fig1c(scale: Scale) -> Vec<ScenarioPoint> {
-    let ratios: Vec<usize> = match scale {
-        Scale::Smoke => vec![8, 1],
-        Scale::Quick => vec![8, 4, 2, 1],
-        Scale::Full => vec![32, 16, 8, 4, 2, 1],
+    let ratios: &[usize] = match scale {
+        Scale::Smoke => &[8, 1],
+        Scale::Quick => &[8, 4, 2, 1],
+        Scale::Full => &[32, 16, 8, 4, 2, 1],
     };
     let clients = saturating_clients(scale);
-    let mut points = Vec::new();
-    for &ratio in &ratios {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, "getput", ratio),
-                x: ratio as f64,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .mix(get_put(ratio))
-                    .build(),
-            });
-        }
-    }
-    points
-}
-
-fn fig2a(scale: Scale) -> Vec<ScenarioPoint> {
-    let p = scale.max_partitions();
-    client_sweep(scale)
-        .into_iter()
-        .map(|clients| ScenarioPoint {
-            label: label(ProtocolKind::Pocc, "clients", clients),
-            x: clients as f64,
-            config: point(scale, ProtocolKind::Pocc)
-                .clients_per_partition(clients)
-                .mix(get_put(p))
-                .build(),
-        })
-        .collect()
-}
-
-fn fig2b(scale: Scale) -> Vec<ScenarioPoint> {
-    let p = scale.max_partitions();
-    client_sweep(scale)
-        .into_iter()
-        .map(|clients| ScenarioPoint {
-            label: label(ProtocolKind::Cure, "clients", clients),
-            x: clients as f64,
-            config: point(scale, ProtocolKind::Cure)
-                .clients_per_partition(clients)
-                .mix(get_put(p))
-                .build(),
-        })
-        .collect()
+    sweep(scale, "getput", ratios, &BOTH, |b, ratio| {
+        b.clients_per_partition(clients).mix(get_put(ratio))
+    })
 }
 
 fn fig3a(scale: Scale) -> Vec<ScenarioPoint> {
-    let sweep: Vec<usize> = match scale {
-        Scale::Smoke => vec![2],
-        Scale::Quick => vec![2, 4, 6, 8],
-        Scale::Full => vec![2, 4, 8, 16, 24, 32],
+    let sizes: &[usize] = match scale {
+        Scale::Smoke => &[2],
+        Scale::Quick => &[2, 4, 6, 8],
+        Scale::Full => &[2, 4, 8, 16, 24, 32],
     };
     let clients = match scale {
         Scale::Smoke => 6,
         Scale::Quick => 96,
         Scale::Full => 64,
     };
-    let mut points = Vec::new();
-    for &p in &sweep {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, "txsize", p),
-                x: p as f64,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .mix(tx_put(p))
-                    .build(),
-            });
-        }
-    }
-    points
+    sweep(scale, "txsize", sizes, &BOTH, |b, p| {
+        b.clients_per_partition(clients).mix(tx_put(p))
+    })
 }
 
-fn fig3b(scale: Scale) -> Vec<ScenarioPoint> {
-    let tx_size = half_partitions(scale);
-    let mut points = Vec::new();
-    for &clients in &tx_client_sweep(scale) {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, "clients", clients),
-                x: clients as f64,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .mix(tx_put(tx_size))
-                    .build(),
-            });
-        }
-    }
-    points
-}
-
-fn fig3c(scale: Scale) -> Vec<ScenarioPoint> {
-    let tx_size = half_partitions(scale);
-    tx_client_sweep(scale)
-        .into_iter()
-        .map(|clients| ScenarioPoint {
-            label: label(ProtocolKind::Pocc, "clients", clients),
-            x: clients as f64,
-            config: point(scale, ProtocolKind::Pocc)
-                .clients_per_partition(clients)
-                .mix(tx_put(tx_size))
-                .build(),
-        })
-        .collect()
-}
-
-fn fig3d(scale: Scale) -> Vec<ScenarioPoint> {
-    let tx_size = half_partitions(scale);
-    let mut points = Vec::new();
-    for &clients in &tx_client_sweep(scale) {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, "clients", clients),
-                x: clients as f64,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .mix(tx_put(tx_size))
-                    .build(),
-            });
-        }
-    }
-    points
+/// Fig. 3b's transactional load sweep, each RO-TX reading half the partitions. Fig. 3c
+/// plots the blocking of its POCC points and Fig. 3d the staleness of all of them.
+fn fig3b(scale: Scale, protocols: &[ProtocolKind]) -> Vec<ScenarioPoint> {
+    let clients: &[usize] = match scale {
+        Scale::Smoke => &[6],
+        Scale::Quick => &[16, 32, 64, 96, 128, 192],
+        Scale::Full => &[40, 80, 120, 160, 200],
+    };
+    let tx_size = (scale.max_partitions() / 2).max(1);
+    sweep(scale, "clients", clients, protocols, |b, c| {
+        b.clients_per_partition(c).mix(tx_put(tx_size))
+    })
 }
 
 fn ablation_stabilization(scale: Scale) -> Vec<ScenarioPoint> {
-    let stabs: Vec<u64> = match scale {
-        Scale::Smoke => vec![5, 50],
-        Scale::Quick | Scale::Full => vec![1, 5, 20, 50],
+    let stabs: &[u64] = match scale {
+        Scale::Smoke => &[5, 50],
+        Scale::Quick | Scale::Full => &[1, 5, 20, 50],
     };
     let p = scale.max_partitions();
     let clients = moderate_clients(scale);
-    stabs
-        .into_iter()
-        .map(|stab_ms| ScenarioPoint {
-            label: label(ProtocolKind::Cure, "stab_ms", stab_ms),
-            x: stab_ms as f64,
-            config: point(scale, ProtocolKind::Cure)
-                .deployment(Config {
-                    stabilization_interval: Duration::from_millis(stab_ms),
-                    ..deployment(p)
-                })
-                .clients_per_partition(clients)
-                .mix(get_put(p))
-                .build(),
+    sweep(scale, "stab_ms", stabs, &[ProtocolKind::Cure], |b, ms| {
+        b.deployment(Config {
+            stabilization_interval: Duration::from_millis(ms),
+            ..deployment(p)
         })
-        .collect()
+        .clients_per_partition(clients)
+        .mix(get_put(p))
+    })
 }
 
 fn ablation_heartbeat(scale: Scale) -> Vec<ScenarioPoint> {
-    let heartbeats_us: Vec<u64> = match scale {
-        Scale::Smoke => vec![1_000, 10_000],
-        Scale::Quick | Scale::Full => vec![500, 1_000, 5_000, 10_000],
+    let hbs: &[Micros] = match scale {
+        Scale::Smoke => &[Micros(1_000), Micros(10_000)],
+        Scale::Quick | Scale::Full => &[Micros(500), Micros(1_000), Micros(5_000), Micros(10_000)],
     };
     let p = scale.max_partitions();
     let clients = moderate_clients(scale);
-    heartbeats_us
-        .into_iter()
-        .map(|hb_us| ScenarioPoint {
-            label: label(ProtocolKind::Pocc, "hb_us", hb_us),
-            x: hb_us as f64 / 1_000.0,
-            config: point(scale, ProtocolKind::Pocc)
-                .deployment(Config {
-                    heartbeat_interval: Duration::from_micros(hb_us),
-                    ..deployment(p)
-                })
-                .clients_per_partition(clients)
-                .mix(get_put(p))
-                .build(),
+    sweep(scale, "hb_us", hbs, &[ProtocolKind::Pocc], |b, hb| {
+        b.deployment(Config {
+            heartbeat_interval: Duration::from_micros(hb.0),
+            ..deployment(p)
         })
-        .collect()
+        .clients_per_partition(clients)
+        .mix(get_put(p))
+    })
 }
 
 fn ablation_clock_skew(scale: Scale) -> Vec<ScenarioPoint> {
-    let skews_us: Vec<u64> = match scale {
-        Scale::Smoke => vec![0, 2_000],
-        Scale::Quick | Scale::Full => vec![0, 500, 2_000, 5_000],
+    let skews: &[Micros] = match scale {
+        Scale::Smoke => &[Micros(0), Micros(2_000)],
+        Scale::Quick | Scale::Full => &[Micros(0), Micros(500), Micros(2_000), Micros(5_000)],
     };
     let p = scale.max_partitions();
     let clients = moderate_clients(scale);
-    skews_us
-        .into_iter()
-        .map(|skew_us| ScenarioPoint {
-            label: label(ProtocolKind::Pocc, "skew_us", skew_us),
-            x: skew_us as f64 / 1_000.0,
-            config: point(scale, ProtocolKind::Pocc)
-                .max_clock_skew(Duration::from_micros(skew_us))
-                .clients_per_partition(clients)
-                .mix(get_put(p))
-                .build(),
-        })
-        .collect()
+    sweep(scale, "skew_us", skews, &[ProtocolKind::Pocc], |b, skew| {
+        b.max_clock_skew(Duration::from_micros(skew.0))
+            .clients_per_partition(clients)
+            .mix(get_put(p))
+    })
 }
 
 fn ablation_sharding(scale: Scale) -> Vec<ScenarioPoint> {
@@ -833,148 +771,48 @@ fn ablation_sharding(scale: Scale) -> Vec<ScenarioPoint> {
     points
 }
 
-fn hot_key_skew(scale: Scale) -> Vec<ScenarioPoint> {
-    let thetas: Vec<f64> = match scale {
-        Scale::Smoke => vec![0.5, 1.2],
-        Scale::Quick | Scale::Full => vec![0.0, 0.5, 0.8, 0.99, 1.2],
+/// A zipf-exponent sweep at moderate load: uniform through super-zipfian. Under
+/// Adaptive, the hotter the head of the distribution, the more keys cross the churn
+/// threshold and the closer the protocol moves to Cure\*'s stable reads, while the long
+/// tail keeps POCC freshness.
+fn theta_sweep(scale: Scale, mix: WorkloadMix, protocols: &[ProtocolKind]) -> Vec<ScenarioPoint> {
+    let thetas: &[f64] = match scale {
+        Scale::Smoke => &[0.5, 1.2],
+        Scale::Quick | Scale::Full => &[0.0, 0.5, 0.8, 0.99, 1.2],
     };
-    let p = scale.max_partitions();
     let clients = moderate_clients(scale);
-    let mut points = Vec::new();
-    for &theta in &thetas {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, "theta", theta),
-                x: theta,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .zipf_theta(theta)
-                    .mix(get_put(p))
-                    .build(),
-            });
-        }
-    }
-    points
+    sweep(scale, "theta", thetas, protocols, |b, theta| {
+        b.clients_per_partition(clients).zipf_theta(theta).mix(mix)
+    })
 }
 
 fn large_values(scale: Scale) -> Vec<ScenarioPoint> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Smoke => vec![8, 1024],
-        Scale::Quick | Scale::Full => vec![8, 128, 1024, 8192],
+    let sizes: &[usize] = match scale {
+        Scale::Smoke => &[8, 1024],
+        Scale::Quick | Scale::Full => &[8, 128, 1024, 8192],
     };
     let clients = moderate_clients(scale);
-    sizes
-        .into_iter()
-        .map(|size| ScenarioPoint {
-            label: label(ProtocolKind::Pocc, "bytes", size),
-            x: size as f64,
-            // A write-heavier 4:1 mix so replicated payload bytes dominate the wire.
-            config: point(scale, ProtocolKind::Pocc)
-                .clients_per_partition(clients)
-                .value_size(size)
-                .mix(get_put(4))
-                .build(),
-        })
-        .collect()
-}
-
-fn read_heavy(scale: Scale) -> Vec<ScenarioPoint> {
-    mix_load_sweep(scale, WorkloadMix::read_heavy(), "clients")
-}
-
-fn write_heavy(scale: Scale) -> Vec<ScenarioPoint> {
-    mix_load_sweep(scale, WorkloadMix::write_heavy(), "clients")
-}
-
-fn mix_load_sweep(scale: Scale, mix: WorkloadMix, axis: &str) -> Vec<ScenarioPoint> {
-    let mut points = Vec::new();
-    for &clients in &client_sweep(scale) {
-        for protocol in BOTH {
-            points.push(ScenarioPoint {
-                label: label(protocol, axis, clients),
-                x: clients as f64,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .mix(mix)
-                    .build(),
-            });
-        }
-    }
-    points
+    // A write-heavier 4:1 mix so replicated payload bytes dominate the wire.
+    sweep(scale, "bytes", sizes, &[ProtocolKind::Pocc], |b, size| {
+        b.clients_per_partition(clients)
+            .value_size(size)
+            .mix(get_put(4))
+    })
 }
 
 fn tx_size_sweep(scale: Scale) -> Vec<ScenarioPoint> {
-    let sizes: Vec<usize> = match scale {
-        Scale::Smoke => vec![1, 2],
-        Scale::Quick => vec![1, 2, 4, 8],
-        Scale::Full => vec![1, 2, 4, 8, 16, 32],
+    let sizes: &[usize] = match scale {
+        Scale::Smoke => &[1, 2],
+        Scale::Quick => &[1, 2, 4, 8],
+        Scale::Full => &[1, 2, 4, 8, 16, 32],
     };
     let clients = match scale {
         Scale::Smoke => 6,
         Scale::Quick | Scale::Full => 48,
     };
-    sizes
-        .into_iter()
-        .map(|size| ScenarioPoint {
-            label: label(ProtocolKind::Pocc, "txsize", size),
-            x: size as f64,
-            config: point(scale, ProtocolKind::Pocc)
-                .clients_per_partition(clients)
-                .mix(tx_put(size))
-                .build(),
-        })
-        .collect()
-}
-
-/// The adaptive protocol head-to-head against both ends of the visibility spectrum it
-/// interpolates between, over the write-heavier 2:1 mix where remote churn (and thus the
-/// per-key fall-back) actually engages.
-fn adaptive_vs_pocc(scale: Scale) -> Vec<ScenarioPoint> {
-    let protocols = [
-        ProtocolKind::Pocc,
-        ProtocolKind::Adaptive,
-        ProtocolKind::Cure,
-    ];
-    let mut points = Vec::new();
-    for &clients in &client_sweep(scale) {
-        for protocol in protocols {
-            points.push(ScenarioPoint {
-                label: label(protocol, "clients", clients),
-                x: clients as f64,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .mix(get_put(2))
-                    .build(),
-            });
-        }
-    }
-    points
-}
-
-/// Adaptive under increasing key skew: the hotter the head of the zipf distribution, the
-/// more keys cross the churn threshold and the closer the protocol moves to Cure*'s
-/// stable reads — while the long tail keeps POCC freshness.
-fn adaptive_hot_key(scale: Scale) -> Vec<ScenarioPoint> {
-    let thetas: Vec<f64> = match scale {
-        Scale::Smoke => vec![0.5, 1.2],
-        Scale::Quick | Scale::Full => vec![0.0, 0.5, 0.8, 0.99, 1.2],
-    };
-    let clients = moderate_clients(scale);
-    let mut points = Vec::new();
-    for &theta in &thetas {
-        for protocol in [ProtocolKind::Pocc, ProtocolKind::Adaptive] {
-            points.push(ScenarioPoint {
-                label: label(protocol, "theta", theta),
-                x: theta,
-                config: point(scale, protocol)
-                    .clients_per_partition(clients)
-                    .zipf_theta(theta)
-                    .mix(get_put(2))
-                    .build(),
-            });
-        }
-    }
-    points
+    sweep(scale, "txsize", sizes, &[ProtocolKind::Pocc], |b, size| {
+        b.clients_per_partition(clients).mix(tx_put(size))
+    })
 }
 
 fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
@@ -1045,39 +883,30 @@ fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
 /// The chaos scenarios disturb only the measured window — every schedule is fully over
 /// by `warmup + duration` — and extend the drain so held, lagged and backlogged traffic
 /// delivers before the convergence check. All of them run the exact causal checker.
-fn chaos_point(scale: Scale, protocol: ProtocolKind, schedule: ChaosSchedule) -> SimConfig {
+fn chaos_point(
+    scale: Scale,
+    builder: SimConfigBuilder,
+    schedule: ChaosSchedule,
+) -> SimConfigBuilder {
     debug_assert!(schedule.ends_by(scale.warmup() + scale.duration()));
-    point(scale, protocol)
+    builder
         .clients_per_partition(moderate_clients(scale))
         .mix(get_put(3))
         .check_consistency(true)
         .drain(scale.drain() + Duration::from_millis(300))
         .chaos(schedule)
-        .build()
 }
 
 fn chaos_partition_storm(scale: Scale) -> Vec<ScenarioPoint> {
-    let (seeds, events): (Vec<u64>, usize) = match scale {
-        Scale::Smoke => (vec![1, 2], 3),
-        Scale::Quick => (vec![1, 2, 3], 6),
-        Scale::Full => (vec![1, 2, 3, 4], 10),
+    let (seeds, events): (&[u64], usize) = match scale {
+        Scale::Smoke => (&[1, 2], 3),
+        Scale::Quick => (&[1, 2, 3], 6),
+        Scale::Full => (&[1, 2, 3, 4], 10),
     };
-    let mut points = Vec::new();
-    for &seed in &seeds {
-        for protocol in BOTH {
-            let schedule = ChaosGen::new(seed, 3).sample(
-                scale.warmup(),
-                scale.warmup() + scale.duration(),
-                events,
-            );
-            points.push(ScenarioPoint {
-                label: label(protocol, "chaos_seed", seed),
-                x: seed as f64,
-                config: chaos_point(scale, protocol, schedule),
-            });
-        }
-    }
-    points
+    let (start, end) = (scale.warmup(), scale.warmup() + scale.duration());
+    sweep(scale, "chaos_seed", seeds, &BOTH, |b, seed| {
+        chaos_point(scale, b, ChaosGen::new(seed, 3).sample(start, end, events))
+    })
 }
 
 fn chaos_lag_drop(scale: Scale) -> Vec<ScenarioPoint> {
@@ -1109,56 +938,41 @@ fn chaos_lag_drop(scale: Scale) -> Vec<ScenarioPoint> {
         .map(|(i, protocol)| ScenarioPoint {
             label: label(protocol, "chaos", "scripted"),
             x: i as f64,
-            config: chaos_point(scale, protocol, schedule.clone()),
+            config: chaos_point(scale, point(scale, protocol), schedule.clone()).build(),
         })
         .collect()
 }
 
 fn chaos_restart(scale: Scale) -> Vec<ScenarioPoint> {
-    let outages_ms: Vec<u64> = match scale {
-        Scale::Smoke => vec![20, 60],
-        Scale::Quick | Scale::Full => vec![50, 150],
+    let outages_ms: &[u64] = match scale {
+        Scale::Smoke => &[20, 60],
+        Scale::Quick | Scale::Full => &[50, 150],
     };
-    let w = scale.warmup();
-    let d = scale.duration();
-    let mut points = Vec::new();
-    for &outage_ms in &outages_ms {
-        for protocol in [ProtocolKind::HaPocc, ProtocolKind::Adaptive] {
-            let schedule = ChaosSchedule::new().step(ChaosStep::Restart {
-                at: w + d / 4,
-                replica: ReplicaId(1),
-                outage: Duration::from_millis(outage_ms),
-            });
-            points.push(ScenarioPoint {
-                label: label(protocol, "outage_ms", outage_ms),
-                x: outage_ms as f64,
-                config: chaos_point(scale, protocol, schedule),
-            });
-        }
-    }
-    points
+    let at = scale.warmup() + scale.duration() / 4;
+    let protocols = [ProtocolKind::HaPocc, ProtocolKind::Adaptive];
+    sweep(scale, "outage_ms", outages_ms, &protocols, |b, ms| {
+        let restart = ChaosStep::Restart {
+            at,
+            replica: ReplicaId(1),
+            outage: Duration::from_millis(ms),
+        };
+        chaos_point(scale, b, ChaosSchedule::new().step(restart))
+    })
 }
 
 fn baseline(scale: Scale) -> Vec<ScenarioPoint> {
-    let clients = moderate_clients(scale);
-    BOTH.into_iter()
-        .map(|protocol| ScenarioPoint {
-            label: label(protocol, "clients", clients),
-            x: clients as f64,
-            // The seed-equivalent storage/replication configuration: one shard per
-            // partition store, no replication batching (as before the sharding PR),
-            // and the balanced default mix.
-            config: point(scale, protocol)
-                .deployment(Config {
-                    storage_shards: 1,
-                    replication_batching: false,
-                    ..deployment(scale.max_partitions())
-                })
-                .clients_per_partition(clients)
-                .mix(WorkloadMix::balanced())
-                .build(),
+    // The seed-equivalent configuration: one storage shard per partition, no replication
+    // batching, and the balanced default mix.
+    let clients = [moderate_clients(scale)];
+    sweep(scale, "clients", &clients, &BOTH, |b, clients| {
+        b.deployment(Config {
+            storage_shards: 1,
+            replication_batching: false,
+            ..deployment(scale.max_partitions())
         })
-        .collect()
+        .clients_per_partition(clients)
+        .mix(WorkloadMix::balanced())
+    })
 }
 
 #[cfg(test)]

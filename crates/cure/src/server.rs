@@ -62,7 +62,7 @@ impl<C: Clock> VisibilityPolicy<C> for CurePolicy {
                 }
             }
             ClientRequest::Put { key, value, dv } => {
-                // Identical to POCC's PUT, minus the optional dependency wait.
+                // Identical to POCC's PUT, minus the dependency wait.
                 core.serve_put(client, key, value, dv, &mut outputs);
                 core.unpark(&mut outputs);
             }
@@ -160,7 +160,9 @@ pocc_engine::delegate_protocol_server!(CureServer);
 mod tests {
     use super::*;
     use pocc_clock::ManualClock;
-    use pocc_proto::{expect_reply, ClientReply, ProtocolServer, ServerIntrospect, ServerMessage};
+    use pocc_proto::{
+        expect_reply, ClientReply, ProtocolServer, ServerIntrospect, ServerMessage, TxId,
+    };
     use pocc_storage::partition_for_key;
     use pocc_types::{Key, ReplicaId, Value, Version};
     use std::time::Duration;
@@ -625,6 +627,93 @@ mod tests {
         s.tick(); // GC runs with the fresh GSS
         assert_eq!(s.store().stats().versions, 1);
         assert!(s.metrics().gc_versions_removed >= 3);
+    }
+
+    #[test]
+    fn slices_that_gc_refuses_abort_their_transaction() {
+        let cfg = Config::builder()
+            .num_replicas(2)
+            .num_partitions(2)
+            .gc_interval(Duration::from_millis(10))
+            .build()
+            .unwrap();
+        let key = key_in(0, 2);
+        let peer = ServerId::new(0u16, 1u32);
+        let client = ClientId(1);
+        for parked in [false, true] {
+            for remote_origin in [false, true] {
+                let case = format!("parked={parked} remote_origin={remote_origin}");
+                let clock = ManualClock::new(Timestamp(30 * MS));
+                let mut s = server(0, 0, &cfg, &clock);
+                let version = Version::new(
+                    key,
+                    Value::from("r1"),
+                    ReplicaId(1),
+                    Timestamp(20 * MS),
+                    dv(&[0, 0]),
+                );
+                s.handle_server_message(
+                    ServerId::new(1u16, 0u32),
+                    ServerMessage::Replicate { version },
+                );
+                s.handle_server_message(
+                    peer,
+                    ServerMessage::StabilizationVector {
+                        vv: VersionVector::from_entries(vec![Timestamp(30 * MS); 2]),
+                    },
+                );
+                // VV[0] reaches 30 ms, the GSS [30, 20] ms, and a GC pass runs at it.
+                s.tick();
+
+                // Entry 1 predates the GC and hides the key's one version, so the slice
+                // cannot be answered; a VV of [30, 20] ms covers entry 0 at once, or only
+                // from 40 ms on.
+                let entry0 = if parked { 40 * MS } else { 30 * MS };
+                let snapshot = dv(&[entry0, 10 * MS]);
+                assert!(s.store().snapshot_may_predate_gc(key, &snapshot), "{case}");
+                let mut outputs = Vec::new();
+                if remote_origin {
+                    let keys = vec![key];
+                    let tx = TxId(7);
+                    let request = ServerMessage::SliceRequest {
+                        tx,
+                        client,
+                        keys,
+                        snapshot,
+                    };
+                    outputs = s.handle_server_message(peer, request);
+                } else {
+                    let core = s.engine.parts_mut().0;
+                    core.start_ro_tx(client, vec![key], snapshot, &mut outputs);
+                }
+                if parked {
+                    assert!(outputs.is_empty(), "{case}: {outputs:?}");
+                    assert_eq!(s.status().pending_slices, 1, "{case}");
+                    clock.set(Timestamp(40 * MS));
+                    outputs = s.tick();
+                }
+
+                assert_eq!(s.status().pending_slices, 0, "{case}");
+                assert_eq!(s.metrics().slices_served, 0, "{case}");
+                if remote_origin {
+                    let aborts = outputs.iter().filter(|o| {
+                        matches!(o, ServerOutput::Send {
+                            to,
+                            message: ServerMessage::SliceAbort { tx: TxId(7) },
+                        } if *to == peer)
+                    });
+                    assert_eq!(aborts.count(), 1, "{case}: {outputs:?}");
+                    assert_eq!(s.metrics().sessions_aborted, 0, "{case}");
+                } else {
+                    expect_reply!(
+                        extract_reply(&outputs, client),
+                        Some(ClientReply::SessionAborted { .. }) => {}
+                    );
+                    assert_eq!(s.metrics().sessions_aborted, 1, "{case}");
+                    assert_eq!(s.status().active_transactions, 0, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -340,7 +340,7 @@ impl<C: Clock> EngineCore<C> {
     // PUT
     // -----------------------------------------------------------------------------------
 
-    /// Serves a PUT whose (optional) dependency wait condition holds
+    /// Serves a PUT whose dependency wait condition, if its protocol has one, holds
     /// (Algorithm 2 lines 7–15): assigns the update time, advances the version vector,
     /// installs the version and ships it to every sibling replica.
     pub fn serve_put(
@@ -518,20 +518,7 @@ impl<C: Clock> EngineCore<C> {
         outputs: &mut Vec<ServerOutput>,
     ) {
         if self.vv.covers(&snapshot) {
-            match self.read_slice(&keys, &snapshot) {
-                Some(items) => {
-                    self.metrics.slices_served += 1;
-                    match origin {
-                        Some(origin) => {
-                            let msg = ServerMessage::SliceResponse { tx, items };
-                            let out = self.send(origin, msg);
-                            outputs.push(out);
-                        }
-                        None => self.complete_slice(tx, items, outputs),
-                    }
-                }
-                None => self.abort_unanswerable_slice(origin, tx, outputs),
-            }
+            self.answer_slice(origin, tx, &keys, &snapshot, outputs);
         } else {
             self.metrics.blocked_operations += 1;
             self.parked.push(Parked::Slice {
@@ -542,6 +529,30 @@ impl<C: Clock> EngineCore<C> {
                 snapshot,
                 since: self.clock.now(),
             });
+        }
+    }
+
+    /// Answers a slice whose snapshot is installed: the items go to the remote origin, or
+    /// complete the local coordinator's transaction; a slice GC has made unanswerable
+    /// aborts instead.
+    fn answer_slice(
+        &mut self,
+        origin: Option<ServerId>,
+        tx: TxId,
+        keys: &[Key],
+        snapshot: &DependencyVector,
+        outputs: &mut Vec<ServerOutput>,
+    ) {
+        let Some(items) = self.read_slice(keys, snapshot) else {
+            return self.abort_unanswerable_slice(origin, tx, outputs);
+        };
+        self.metrics.slices_served += 1;
+        match origin {
+            Some(origin) => {
+                let out = self.send(origin, ServerMessage::SliceResponse { tx, items });
+                outputs.push(out);
+            }
+            None => self.complete_slice(tx, items, outputs),
         }
     }
 
@@ -666,32 +677,15 @@ impl<C: Clock> EngineCore<C> {
                     dv,
                     ..
                 } => self.serve_put(client, key, value, dv, outputs),
+                // Serve directly: the wait condition has just been checked. GC may have
+                // run while the slice was parked, so the read can still refuse.
                 Parked::Slice {
                     origin,
                     tx,
-                    client,
                     keys,
                     snapshot,
                     ..
-                } => {
-                    let _ = client;
-                    // Serve directly: the wait condition has just been checked. GC may
-                    // have run while the slice was parked, so the read can still refuse.
-                    match self.read_slice(&keys, &snapshot) {
-                        Some(items) => {
-                            self.metrics.slices_served += 1;
-                            match origin {
-                                Some(origin) => {
-                                    let msg = ServerMessage::SliceResponse { tx, items };
-                                    let out = self.send(origin, msg);
-                                    outputs.push(out);
-                                }
-                                None => self.complete_slice(tx, items, outputs),
-                            }
-                        }
-                        None => self.abort_unanswerable_slice(origin, tx, outputs),
-                    }
-                }
+                } => self.answer_slice(origin, tx, &keys, &snapshot, outputs),
             }
         }
     }

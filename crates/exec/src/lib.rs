@@ -38,7 +38,7 @@
 
 mod server;
 
-pub use server::{OutputSink, ParallelServer, ServerClosed, Sink};
+pub use server::{OutputSink, ParallelServer, ServerClosed, Sink, GC_STEP};
 
 use pocc_clock::Clock;
 use pocc_engine::VisibilityPolicy;

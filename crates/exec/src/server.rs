@@ -50,7 +50,7 @@ const MAILBOX: usize = 1024;
 const BATCH: usize = 64;
 /// Listed chains one GC step trims under one spine acquisition (see
 /// [`ParallelServer::tick`]).
-const GC_STEP: usize = 256;
+pub const GC_STEP: usize = 256;
 
 /// The server has shut down and can no longer accept operations. Returned by
 /// [`ParallelServer::submit_client`] after [`ParallelServer::shutdown`] (a *full*

@@ -48,9 +48,9 @@ impl<C: Clock> VisibilityPolicy<C> for PoccPolicy {
                 }
             }
             ClientRequest::Put { key, value, dv } => {
-                // Lines 6–15, with the dependency wait configurable as in the paper's
-                // evaluation.
-                if !core.config.put_waits_for_dependencies || core.covers_remote_deps(&dv) {
+                // Lines 6–15: apply once the client's remote dependencies are covered,
+                // park otherwise.
+                if core.covers_remote_deps(&dv) {
                     core.serve_put(client, key, value, dv, &mut outputs);
                 } else {
                     core.park_put(client, key, value, dv);
@@ -392,31 +392,6 @@ mod tests {
                 .count(),
             2
         );
-    }
-
-    #[test]
-    fn put_does_not_block_when_dependency_wait_is_disabled() {
-        let cfg = Config::builder()
-            .num_replicas(3)
-            .num_partitions(1)
-            .put_waits_for_dependencies(false)
-            .build()
-            .unwrap();
-        let clock = ManualClock::new(Timestamp(10 * MS));
-        let mut s = server(0, 0, &cfg, &clock);
-        let outputs = s.handle_client_request(
-            ClientId(2),
-            ClientRequest::Put {
-                key: key_in(0, 1),
-                value: Value::from("w"),
-                dv: dv(&[0, 0, 30 * MS]),
-            },
-        );
-        assert!(matches!(
-            extract_reply(&outputs, ClientId(2)),
-            Some(ClientReply::Put { .. })
-        ));
-        assert_eq!(s.metrics().blocked_operations, 0);
     }
 
     #[test]

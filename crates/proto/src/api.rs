@@ -29,10 +29,9 @@ pub struct MetricsSnapshot {
     /// missing dependency. A GET blocks until the client's remote dependencies are
     /// installed locally: under POCC, Adaptive-POCC and optimistic HA-POCC, and under
     /// Cure\* too, whose snapshot GET waits for the session history to arrive. A PUT
-    /// blocks on its dependencies under POCC, Adaptive-POCC and optimistic HA-POCC when
-    /// `Config::put_waits_for_dependencies` is set, never under Cure\*. A transactional
-    /// slice blocks until its snapshot is installed, under every protocol. HA-POCC in
-    /// pessimistic mode blocks no GET or PUT.
+    /// blocks on its dependencies under POCC, Adaptive-POCC and optimistic HA-POCC, never
+    /// under Cure\*. A transactional slice blocks until its snapshot is installed, under
+    /// every protocol. HA-POCC in pessimistic mode blocks no GET or PUT.
     pub blocked_operations: u64,
     /// Total time spent blocked across all blocked operations.
     pub total_block_time: Duration,

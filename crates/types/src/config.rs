@@ -3,10 +3,10 @@
 //! [`Config`] holds what a server or the threaded runtime reads: topology (number of data
 //! centers and partitions), protocol timers (heartbeat interval `∆`, Cure's stabilization
 //! interval, garbage-collection interval, partition-detection timeout), network latencies,
-//! the PUT dependency wait, and the storage-sharding, worker-lane and replication-batching
-//! settings. Every field is varied by some scenario, workload or test; simulator-only costs
-//! and clock skew live in `pocc_sim::SimConfig`, and a tuning value nothing sweeps stays a
-//! constant next to its reader.
+//! and the storage-sharding, worker-lane and replication-batching settings. Every field is
+//! varied by some scenario, workload or test; simulator-only costs and clock skew live in
+//! `pocc_sim::SimConfig`, and a tuning value nothing sweeps stays a constant next to its
+//! reader.
 //!
 //! The defaults mirror the experimental test-bed of §V-A of the paper: 3 data centers,
 //! 32 partitions per data center, 1 ms heartbeat interval, 5 ms stabilization interval,
@@ -128,17 +128,14 @@ pub struct Config {
     pub partition_detection_timeout: Duration,
     /// One-way network latencies.
     pub latency: LatencyMatrix,
-    /// Whether the PUT handler waits for the client's full dependency vector before
-    /// applying the write (Algorithm 2 line 6). Optional for last-writer-wins but enabled
-    /// in the paper's evaluation to model generic convergent conflict handling.
-    pub put_waits_for_dependencies: bool,
     /// Number of key-hashed shards each server splits its partition's version storage
     /// into (intra-partition sharding; `1` reproduces the original unsharded store).
     pub storage_shards: usize,
     /// Number of worker lanes each server of the *threaded* runtime spreads its client
     /// load across (`1` runs the engine on the thread that delivers each request; the
-    /// simulator ignores this field). Lanes own disjoint sets of storage shards, so values that
-    /// divide `storage_shards` avoid cross-lane shard contention.
+    /// simulator ignores this field). Every lane runs under the server's one engine; a
+    /// client operation goes to lane `shard(key) % lanes`, which keeps each key's operations
+    /// in order.
     pub worker_lanes: usize,
     /// Whether servers coalesce replication and garbage-collection traffic per
     /// destination into one batch message per tick, instead of sending one message per
@@ -258,7 +255,6 @@ pub struct ConfigBuilder {
     gc_interval: Duration,
     partition_detection_timeout: Duration,
     latency: Option<LatencyMatrix>,
-    put_waits_for_dependencies: bool,
     storage_shards: usize,
     worker_lanes: usize,
     replication_batching: bool,
@@ -275,7 +271,6 @@ impl Default for ConfigBuilder {
             gc_interval: Duration::from_millis(100),
             partition_detection_timeout: Duration::from_secs(2),
             latency: None,
-            put_waits_for_dependencies: true,
             storage_shards: 8,
             worker_lanes: 1,
             replication_batching: false,
@@ -332,12 +327,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Enables or disables the PUT-side dependency wait (Algorithm 2 line 6).
-    pub fn put_waits_for_dependencies(mut self, yes: bool) -> Self {
-        self.put_waits_for_dependencies = yes;
-        self
-    }
-
     /// Sets the number of worker lanes per server of the threaded runtime.
     pub fn worker_lanes(mut self, n: usize) -> Self {
         self.worker_lanes = n;
@@ -378,7 +367,6 @@ impl ConfigBuilder {
             gc_interval: self.gc_interval,
             partition_detection_timeout: self.partition_detection_timeout,
             latency,
-            put_waits_for_dependencies: self.put_waits_for_dependencies,
             storage_shards: self.storage_shards,
             worker_lanes: self.worker_lanes,
             replication_batching: self.replication_batching,
@@ -399,7 +387,6 @@ mod tests {
         assert_eq!(c.num_partitions, 32);
         assert_eq!(c.heartbeat_interval, Duration::from_millis(1));
         assert_eq!(c.stabilization_interval, Duration::from_millis(5));
-        assert!(c.put_waits_for_dependencies);
         c.validate().unwrap();
     }
 
@@ -410,13 +397,11 @@ mod tests {
             .num_partitions(8)
             .heartbeat_interval(Duration::from_millis(2))
             .stabilization_interval(Duration::from_millis(10))
-            .put_waits_for_dependencies(false)
             .build()
             .unwrap();
         assert_eq!(c.num_replicas, 5);
         assert_eq!(c.num_partitions, 8);
         assert_eq!(c.heartbeat_interval, Duration::from_millis(2));
-        assert!(!c.put_waits_for_dependencies);
         // A uniform latency matrix is synthesised for non-3-DC deployments.
         assert_eq!(c.latency.num_replicas(), 5);
     }
