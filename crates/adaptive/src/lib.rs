@@ -26,9 +26,11 @@
 //! read-your-writes intact.) Churn scores halve every window, so a key that cools down
 //! becomes optimistic again. Both tuning values are constants: no scenario sweeps them.
 //!
-//! Like the other three protocols, the whole variant is one [`VisibilityPolicy`] over
-//! [`pocc_engine::ProtocolEngine`] — see the "Adding a protocol variant" how-to in
-//! `ARCHITECTURE.md`.
+//! Like the other three protocols, the whole variant is one [`VisibilityPolicy`],
+//! [`AdaptivePolicy`], and its server is an alias: [`AdaptiveServer<C>`](AdaptiveServer)
+//! is [`pocc_engine::ProtocolEngine`]`<C, AdaptivePolicy>`, whose `policy()` reports the
+//! keys currently classified as churny ([`AdaptivePolicy::churny_keys`]). See the
+//! "Adding a protocol variant" how-to in `ARCHITECTURE.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,8 +38,7 @@
 use pocc_clock::Clock;
 use pocc_engine::{EngineCore, ProtocolEngine, ReadMode, VisibilityPolicy};
 use pocc_proto::{ClientRequest, ServerOutput};
-use pocc_storage::ShardedStore;
-use pocc_types::{ClientId, Config, DependencyVector, Key, ServerId, Timestamp, VersionVector};
+use pocc_types::{ClientId, Config, Key, ServerId, Timestamp};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -62,6 +63,15 @@ pub struct AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
+    /// Number of keys currently classified as churny (reads fall back to the stable
+    /// snapshot).
+    pub fn churny_keys(&self) -> usize {
+        self.churn
+            .values()
+            .filter(|score| **score >= CHURN_THRESHOLD)
+            .count()
+    }
+
     /// Whether reads of `key` should fall back to stable-bounded visibility.
     fn is_churny(&self, key: Key) -> bool {
         self.churn
@@ -93,6 +103,11 @@ impl AdaptivePolicy {
 }
 
 impl<C: Clock> VisibilityPolicy<C> for AdaptivePolicy {
+    /// No key is churny yet, and the first churn window starts at time zero.
+    fn new(_config: &Config, _now: Timestamp) -> Self {
+        AdaptivePolicy::default()
+    }
+
     fn handle_client_request(
         &mut self,
         core: &mut EngineCore<C>,
@@ -173,47 +188,7 @@ impl<C: Clock> VisibilityPolicy<C> for AdaptivePolicy {
 /// An Adaptive-POCC server `p^m_n`: the fourth protocol variant, proving the
 /// engine/policy split pays for itself. Runs under the same simulator, threaded runtime
 /// and benchmark harness as the paper's three systems.
-pub struct AdaptiveServer<C> {
-    engine: ProtocolEngine<C, AdaptivePolicy>,
-}
-
-impl<C: Clock> AdaptiveServer<C> {
-    /// Creates an Adaptive server for `id` with the given deployment configuration and
-    /// clock.
-    pub fn new(id: ServerId, config: Config, clock: C) -> Self {
-        AdaptiveServer {
-            engine: ProtocolEngine::new(id, config, clock, AdaptivePolicy::default()),
-        }
-    }
-
-    /// The server's current version vector.
-    pub fn version_vector(&self) -> &VersionVector {
-        &self.engine.core().vv
-    }
-
-    /// The server's current view of the Globally Stable Snapshot.
-    pub fn gss(&self) -> &DependencyVector {
-        &self.engine.core().gss
-    }
-
-    /// Read access to the underlying store.
-    pub fn store(&self) -> &ShardedStore {
-        &self.engine.core().store
-    }
-
-    /// Number of keys currently classified as churny (reads fall back to the stable
-    /// snapshot).
-    pub fn churny_keys(&self) -> usize {
-        self.engine
-            .policy()
-            .churn
-            .values()
-            .filter(|score| **score >= CHURN_THRESHOLD)
-            .count()
-    }
-}
-
-pocc_engine::delegate_protocol_server!(AdaptiveServer);
+pub type AdaptiveServer<C> = ProtocolEngine<C, AdaptivePolicy>;
 
 #[cfg(test)]
 mod tests {
@@ -221,7 +196,7 @@ mod tests {
     use pocc_clock::ManualClock;
     use pocc_proto::{expect_reply, ClientReply, ProtocolServer, ServerIntrospect, ServerMessage};
     use pocc_storage::partition_for_key;
-    use pocc_types::{ReplicaId, Value, Version};
+    use pocc_types::{DependencyVector, ReplicaId, Value, Version};
 
     const MS: u64 = 1_000;
 
@@ -298,7 +273,7 @@ mod tests {
             }
         );
         assert_eq!(s.metrics().stable_fallback_gets, 0);
-        assert_eq!(s.churny_keys(), 0);
+        assert_eq!(s.policy().churny_keys(), 0);
     }
 
     #[test]
@@ -308,7 +283,7 @@ mod tests {
         let key = key_in(0, 1);
         // Three remote updates reach the churn threshold; none is GSS-stable yet.
         churn(&mut s, key);
-        assert_eq!(s.churny_keys(), 1);
+        assert_eq!(s.policy().churny_keys(), 1);
 
         // A dependency-free client reads: the stable-bounded path hides every unstable
         // remote version and reports "not found".
@@ -436,13 +411,17 @@ mod tests {
         let mut s = server(&clock);
         let key = key_in(0, 1);
         churn(&mut s, key);
-        assert_eq!(s.churny_keys(), 1);
+        assert_eq!(s.policy().churny_keys(), 1);
 
         // Two quiet 20 ms windows later the score has halved twice (3 -> 1 -> 0):
         // optimistic again.
         clock.set(Timestamp(30 * MS));
         s.tick();
-        assert_eq!(s.churny_keys(), 0, "score halves after one quiet window");
+        assert_eq!(
+            s.policy().churny_keys(),
+            0,
+            "score halves after one quiet window"
+        );
         clock.set(Timestamp(50 * MS));
         s.tick();
         let outputs = s.handle_client_request(
@@ -471,9 +450,17 @@ mod tests {
         let key = key_in(0, 1);
         replicate(&mut s, key, "r1", 7 * MS);
         replicate(&mut s, key, "r2", 8 * MS);
-        assert_eq!(s.churny_keys(), 0, "one below the threshold is calm");
+        assert_eq!(
+            s.policy().churny_keys(),
+            0,
+            "one below the threshold is calm"
+        );
         replicate(&mut s, key, "r3", 9 * MS);
-        assert_eq!(s.churny_keys(), 1, "exactly at the threshold is churny");
+        assert_eq!(
+            s.policy().churny_keys(),
+            1,
+            "exactly at the threshold is churny"
+        );
     }
 
     #[test]
@@ -487,16 +474,20 @@ mod tests {
         replicate(&mut s, key, "r1", 1);
         replicate(&mut s, key, "r2", 2);
         replicate(&mut s, key, "r3", 3);
-        assert_eq!(s.churny_keys(), 1);
+        assert_eq!(s.policy().churny_keys(), 1);
 
         clock.set(Timestamp(20 * MS - 1));
         s.tick();
-        assert_eq!(s.churny_keys(), 1, "one tick short of the window: no decay");
+        assert_eq!(
+            s.policy().churny_keys(),
+            1,
+            "one tick short of the window: no decay"
+        );
 
         clock.set(Timestamp(20 * MS));
         s.tick();
         assert_eq!(
-            s.churny_keys(),
+            s.policy().churny_keys(),
             0,
             "exactly one window elapsed: score halves"
         );
@@ -511,23 +502,23 @@ mod tests {
         let mut s = server(&clock);
         let key = key_in(0, 1);
         churn(&mut s, key);
-        assert_eq!(s.churny_keys(), 1);
+        assert_eq!(s.policy().churny_keys(), 1);
 
         // Two quiet windows in one tick: 3 >> 2 == 0, the key is dropped from the map.
         clock.set(Timestamp(50 * MS));
         s.tick();
-        assert_eq!(s.churny_keys(), 0);
+        assert_eq!(s.policy().churny_keys(), 0);
 
         replicate(&mut s, key, "r4", 45 * MS);
         replicate(&mut s, key, "r5", 46 * MS);
         assert_eq!(
-            s.churny_keys(),
+            s.policy().churny_keys(),
             0,
             "scoring restarted from zero, not from 1"
         );
         replicate(&mut s, key, "r6", 47 * MS);
         assert_eq!(
-            s.churny_keys(),
+            s.policy().churny_keys(),
             1,
             "three fresh updates cross the threshold again"
         );
@@ -542,12 +533,12 @@ mod tests {
         let mut s = server(&clock);
         let key = key_in(0, 1);
         churn(&mut s, key);
-        assert_eq!(s.churny_keys(), 1);
+        assert_eq!(s.policy().churny_keys(), 1);
 
         // 20 ms window * 40 elapsed windows = 800 ms gap.
         clock.set(Timestamp(810 * MS));
         s.tick();
-        assert_eq!(s.churny_keys(), 0, "a long gap clears every score");
+        assert_eq!(s.policy().churny_keys(), 0, "a long gap clears every score");
         let outputs = s.handle_client_request(
             ClientId(1),
             ClientRequest::Get {

@@ -3,64 +3,24 @@
 #[cfg(test)]
 use crate::Clock;
 use crate::{ManualClock, MonotonicClock, SkewedClock};
-use pocc_types::{ServerId, Timestamp};
+use pocc_types::Timestamp;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
-/// How per-server clock skew is generated.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SkewModel {
-    /// All clocks are perfectly synchronised.
-    None,
-    /// Each server gets a constant offset drawn uniformly from `[-max, +max]`.
-    UniformOffset {
-        /// Maximum absolute offset.
-        max: Duration,
-    },
-    /// Each server gets a constant offset drawn uniformly from `[-max, +max]` and a drift
-    /// rate drawn uniformly from `[-max_ppm, +max_ppm]` parts per million.
-    OffsetAndDrift {
-        /// Maximum absolute offset.
-        max: Duration,
-        /// Maximum absolute drift in parts per million.
-        max_ppm: i64,
-    },
-}
-
-impl SkewModel {
-    /// Draws `(offset_micros, drift_ppm)` for one server.
-    fn sample(&self, rng: &mut StdRng) -> (i64, i64) {
-        match *self {
-            SkewModel::None => (0, 0),
-            SkewModel::UniformOffset { max } => {
-                let m = max.as_micros() as i64;
-                (if m == 0 { 0 } else { rng.gen_range(-m..=m) }, 0)
-            }
-            SkewModel::OffsetAndDrift { max, max_ppm } => {
-                let m = max.as_micros() as i64;
-                let off = if m == 0 { 0 } else { rng.gen_range(-m..=m) };
-                let drift = if max_ppm == 0 {
-                    0
-                } else {
-                    rng.gen_range(-max_ppm..=max_ppm)
-                };
-                (off, drift)
-            }
-        }
-    }
-}
-
 /// Builds the clocks of a simulated deployment: one [`ManualClock`] driven by the
 /// simulator, viewed by each server through a skewed, monotonic lens.
 ///
-/// The factory is deterministic: the same seed and skew model always produce the same
-/// per-server offsets, which keeps simulation runs reproducible.
+/// Each server's offset is drawn uniformly from `[-max_offset, +max_offset]`; a zero
+/// maximum draws nothing and leaves every clock on the base. The factory is
+/// deterministic: the same seed and maximum always produce the same per-server offsets,
+/// which keeps simulation runs reproducible.
 pub struct ClockFactory {
     /// The shared base clock, set by the simulator to the current simulation time.
     base: ManualClock,
     rng: StdRng,
-    model: SkewModel,
+    /// The largest absolute offset, in microseconds.
+    max_offset_micros: i64,
 }
 
 /// The clock handed to one simulated server: skewed view of the shared base clock,
@@ -68,12 +28,13 @@ pub struct ClockFactory {
 pub type ServerClock = MonotonicClock<SkewedClock<ManualClock>>;
 
 impl ClockFactory {
-    /// Creates a factory with the given skew model and RNG seed.
-    pub fn new(model: SkewModel, seed: u64) -> Self {
+    /// Creates a factory whose clocks are skewed by at most `max_offset` either way,
+    /// drawn from an RNG seeded with `seed`.
+    pub fn new(max_offset: Duration, seed: u64) -> Self {
         ClockFactory {
             base: ManualClock::at_zero(),
             rng: StdRng::seed_from_u64(seed),
-            model,
+            max_offset_micros: max_offset.as_micros() as i64,
         }
     }
 
@@ -83,11 +44,16 @@ impl ClockFactory {
         self.base.clone()
     }
 
-    /// Builds the clock for one server. The `server` argument is only used for error
-    /// messages and debugging; skew is drawn from the factory RNG in call order.
-    pub fn clock_for(&mut self, _server: ServerId) -> ServerClock {
-        let (offset, drift) = self.model.sample(&mut self.rng);
-        MonotonicClock::new(SkewedClock::new(self.base.clone(), offset, drift))
+    /// Builds the next server's clock; offsets are drawn from the factory RNG in call
+    /// order.
+    pub fn clock_for(&mut self) -> ServerClock {
+        let m = self.max_offset_micros;
+        let offset = if m == 0 {
+            0
+        } else {
+            self.rng.gen_range(-m..=m)
+        };
+        MonotonicClock::new(SkewedClock::new(self.base.clone(), offset))
     }
 
     /// Sets the shared simulation time.
@@ -99,17 +65,12 @@ impl ClockFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_types::ServerId;
-
-    fn server(i: u32) -> ServerId {
-        ServerId::new(0u16, i)
-    }
 
     #[test]
     fn no_skew_means_all_clocks_agree() {
-        let mut f = ClockFactory::new(SkewModel::None, 1);
-        let a = f.clock_for(server(0));
-        let b = f.clock_for(server(1));
+        let mut f = ClockFactory::new(Duration::ZERO, 1);
+        let a = f.clock_for();
+        let b = f.clock_for();
         f.set_time(Timestamp(1_000));
         assert_eq!(a.now(), Timestamp(1_000));
         assert_eq!(b.now(), Timestamp(1_000));
@@ -118,8 +79,8 @@ mod tests {
     #[test]
     fn uniform_offset_stays_within_bounds() {
         let max = Duration::from_micros(500);
-        let mut f = ClockFactory::new(SkewModel::UniformOffset { max }, 7);
-        let clocks: Vec<_> = (0..32).map(|i| f.clock_for(server(i))).collect();
+        let mut f = ClockFactory::new(max, 7);
+        let clocks: Vec<_> = (0..32).map(|_| f.clock_for()).collect();
         f.set_time(Timestamp::from_secs(1));
         for c in &clocks {
             let t = c.now().as_micros() as i64;
@@ -129,14 +90,11 @@ mod tests {
 
     #[test]
     fn same_seed_gives_same_skew() {
-        let model = SkewModel::OffsetAndDrift {
-            max: Duration::from_micros(300),
-            max_ppm: 50,
-        };
-        let mut f1 = ClockFactory::new(model, 42);
-        let mut f2 = ClockFactory::new(model, 42);
-        let a1 = f1.clock_for(server(0));
-        let a2 = f2.clock_for(server(0));
+        let max = Duration::from_micros(300);
+        let mut f1 = ClockFactory::new(max, 42);
+        let mut f2 = ClockFactory::new(max, 42);
+        let a1 = f1.clock_for();
+        let a2 = f2.clock_for();
         f1.set_time(Timestamp::from_secs(3));
         f2.set_time(Timestamp::from_secs(3));
         assert_eq!(a1.now(), a2.now());
@@ -144,13 +102,11 @@ mod tests {
 
     #[test]
     fn different_seeds_generally_differ() {
-        let model = SkewModel::UniformOffset {
-            max: Duration::from_millis(10),
-        };
-        let mut f1 = ClockFactory::new(model, 1);
-        let mut f2 = ClockFactory::new(model, 2);
-        let a1 = f1.clock_for(server(0));
-        let a2 = f2.clock_for(server(0));
+        let max = Duration::from_millis(10);
+        let mut f1 = ClockFactory::new(max, 1);
+        let mut f2 = ClockFactory::new(max, 2);
+        let a1 = f1.clock_for();
+        let a2 = f2.clock_for();
         f1.set_time(Timestamp::from_secs(1));
         f2.set_time(Timestamp::from_secs(1));
         // With 10 ms of range a collision is vanishingly unlikely.
@@ -159,13 +115,8 @@ mod tests {
 
     #[test]
     fn server_clocks_are_monotonic_even_with_negative_skew() {
-        let mut f = ClockFactory::new(
-            SkewModel::UniformOffset {
-                max: Duration::from_millis(1),
-            },
-            9,
-        );
-        let c = f.clock_for(server(0));
+        let mut f = ClockFactory::new(Duration::from_millis(1), 9);
+        let c = f.clock_for();
         f.set_time(Timestamp::from_millis(10));
         let a = c.now();
         // Simulated time moves backwards (should not happen, but the clock must cope).
@@ -176,15 +127,13 @@ mod tests {
 
     #[test]
     fn zero_bounds_are_accepted() {
-        let mut f = ClockFactory::new(
-            SkewModel::OffsetAndDrift {
-                max: Duration::ZERO,
-                max_ppm: 0,
-            },
-            3,
-        );
-        let c = f.clock_for(server(0));
-        f.set_time(Timestamp(123));
-        assert_eq!(c.now(), Timestamp(123));
+        // A zero maximum draws nothing from the RNG, so the seed cannot matter.
+        let mut f1 = ClockFactory::new(Duration::ZERO, 3);
+        let mut f2 = ClockFactory::new(Duration::ZERO, 4);
+        let (a, b) = (f1.clock_for(), f2.clock_for());
+        f1.set_time(Timestamp(123));
+        f2.set_time(Timestamp(123));
+        assert_eq!(a.now(), Timestamp(123));
+        assert_eq!(b.now(), Timestamp(123));
     }
 }

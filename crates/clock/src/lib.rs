@@ -11,13 +11,13 @@
 //! * [`SystemClock`] — the real wall clock, used by the threaded runtime,
 //! * [`ManualClock`] — an explicitly driven clock for unit tests and the discrete-event
 //!   simulator,
-//! * [`SkewedClock`] — a decorator adding a constant offset and a drift rate to any clock,
-//!   modelling imperfect NTP synchronisation,
+//! * [`SkewedClock`] — a decorator adding a constant offset to any clock, modelling
+//!   imperfect NTP synchronisation,
 //! * [`MonotonicClock`] — a decorator enforcing strictly increasing timestamps, exactly
 //!   like the `Clock^m_n` used in Algorithm 2 (two PUTs at the same server never get the
 //!   same update time),
-//! * [`ClockFactory`]/[`SkewModel`] — helpers to build a fleet of per-server clocks with
-//!   bounded random skew from a seed, as the simulator does.
+//! * [`ClockFactory`] — builds a fleet of per-server clocks with bounded random offsets
+//!   from a seed, as the simulator does.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +28,7 @@ mod monotonic;
 mod skewed;
 mod system;
 
-pub use factory::{ClockFactory, SkewModel};
+pub use factory::ClockFactory;
 pub use manual::ManualClock;
 pub use monotonic::MonotonicClock;
 pub use skewed::SkewedClock;

@@ -1,63 +1,34 @@
-//! A clock decorator that adds a constant offset and a linear drift.
+//! A clock decorator that adds a constant offset.
 
 use crate::Clock;
 use pocc_types::Timestamp;
-use std::time::Duration;
 
-/// Wraps another clock and skews its readings by `offset + drift_ppm * elapsed`.
+/// Wraps another clock and shifts its readings by a constant offset.
 ///
 /// This models a server whose NTP-disciplined clock is a little ahead of or behind true
-/// time and drifts slowly between synchronisation rounds. POCC tolerates arbitrary skew
-/// without violating safety; skew only shows up as extra waiting in the PUT handler
-/// (Algorithm 2 line 7) and as spurious GET blocking, which the ablation benchmark
-/// `ablation_intervals` quantifies.
+/// time. POCC tolerates arbitrary skew without violating safety; skew only shows up as
+/// extra waiting in the PUT handler (Algorithm 2 line 7) and as spurious GET blocking,
+/// which the benchmark scenario `ablation_clock_skew` quantifies.
 #[derive(Clone, Debug)]
 pub struct SkewedClock<C> {
     inner: C,
     /// Offset added to every reading. Positive means the clock runs ahead of `inner`.
     offset_micros: i64,
-    /// Drift in parts-per-million of elapsed inner time.
-    drift_ppm: i64,
 }
 
 impl<C: Clock> SkewedClock<C> {
-    /// Creates a skewed view of `inner` with a fixed `offset` (may be negative) and a
-    /// linear `drift_ppm` (microseconds gained per second of inner time, roughly).
-    pub fn new(inner: C, offset: i64, drift_ppm: i64) -> Self {
+    /// Creates a view of `inner` shifted by `offset_micros` (negative runs behind).
+    pub fn new(inner: C, offset_micros: i64) -> Self {
         SkewedClock {
             inner,
-            offset_micros: offset,
-            drift_ppm,
+            offset_micros,
         }
-    }
-
-    /// Creates a skewed view with only a constant offset.
-    pub fn with_offset(inner: C, offset: Duration, ahead: bool) -> Self {
-        let off = offset.as_micros() as i64;
-        SkewedClock::new(inner, if ahead { off } else { -off }, 0)
-    }
-
-    /// The constant offset in microseconds (positive = ahead).
-    pub fn offset_micros(&self) -> i64 {
-        self.offset_micros
-    }
-
-    /// The drift rate in parts per million.
-    pub fn drift_ppm(&self) -> i64 {
-        self.drift_ppm
-    }
-
-    /// A reference to the wrapped clock.
-    pub fn inner(&self) -> &C {
-        &self.inner
     }
 }
 
 impl<C: Clock> Clock for SkewedClock<C> {
     fn now(&self) -> Timestamp {
-        let base = self.inner.now().as_micros() as i64;
-        let drift = base / 1_000_000 * self.drift_ppm;
-        let skewed = base + self.offset_micros + drift;
+        let skewed = self.inner.now().as_micros() as i64 + self.offset_micros;
         Timestamp::from_micros(skewed.max(0) as u64)
     }
 }
@@ -70,34 +41,16 @@ mod tests {
     #[test]
     fn positive_offset_runs_ahead() {
         let base = ManualClock::new(Timestamp(1_000));
-        let skewed = SkewedClock::with_offset(base, Duration::from_micros(200), true);
+        let skewed = SkewedClock::new(base, 200);
         assert_eq!(skewed.now(), Timestamp(1_200));
-        assert_eq!(skewed.offset_micros(), 200);
     }
 
     #[test]
     fn negative_offset_runs_behind_and_saturates_at_zero() {
         let base = ManualClock::new(Timestamp(100));
-        let skewed = SkewedClock::with_offset(base.clone(), Duration::from_micros(300), false);
+        let skewed = SkewedClock::new(base.clone(), -300);
         assert_eq!(skewed.now(), Timestamp::ZERO);
         base.set(Timestamp(1_000));
         assert_eq!(skewed.now(), Timestamp(700));
-    }
-
-    #[test]
-    fn drift_accumulates_with_elapsed_time() {
-        let base = ManualClock::new(Timestamp::from_secs(10));
-        let skewed = SkewedClock::new(base.clone(), 0, 100); // 100 ppm
-        assert_eq!(skewed.now(), Timestamp(10_000_000 + 10 * 100));
-        base.set(Timestamp::from_secs(20));
-        assert_eq!(skewed.now(), Timestamp(20_000_000 + 20 * 100));
-        assert_eq!(skewed.drift_ppm(), 100);
-    }
-
-    #[test]
-    fn inner_accessor_returns_wrapped_clock() {
-        let base = ManualClock::new(Timestamp(5));
-        let skewed = SkewedClock::new(base, 1, 0);
-        assert_eq!(skewed.inner().now(), Timestamp(5));
     }
 }

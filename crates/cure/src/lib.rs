@@ -10,7 +10,9 @@
 //!
 //! The paper evaluates against *Cure\**: a re-implementation of Cure extended with plain
 //! GET/PUT operations so that it can run the same workloads as POCC, exchanging exactly the
-//! same client metadata. This crate is that baseline. The differences from
+//! same client metadata. This crate is that baseline: [`CurePolicy`], run by the same
+//! protocol engine as POCC ([`CureServer<C>`](CureServer) is an alias of
+//! `pocc_engine::ProtocolEngine<C, CurePolicy>`). The differences from
 //! [`pocc_protocol::PoccServer`] are precisely the ones the paper names (§V):
 //!
 //! * a GET never blocks, but returns the freshest *stable* version — it may have to walk
@@ -28,7 +30,7 @@
 
 mod server;
 
-pub use server::{CurePolicy, CureServer, CureStatus};
+pub use server::{CurePolicy, CureServer};
 
 /// Cure\* reuses the POCC client unchanged: both systems exchange the same client-side
 /// dependency metadata, which is what makes the comparison fair (§V).

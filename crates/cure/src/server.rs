@@ -3,23 +3,7 @@
 use pocc_clock::Clock;
 use pocc_engine::{EngineCore, ProtocolEngine, ReadMode, SliceUnmergedMode, VisibilityPolicy};
 use pocc_proto::{ClientRequest, ServerOutput};
-use pocc_storage::ShardedStore;
-use pocc_types::{ClientId, Config, DependencyVector, ServerId, Timestamp, VersionVector};
-
-/// An observability snapshot of a Cure\* server.
-#[derive(Clone, Debug)]
-pub struct CureStatus {
-    /// The server's version vector.
-    pub version_vector: VersionVector,
-    /// The server's current view of the Globally Stable Snapshot.
-    pub gss: DependencyVector,
-    /// Number of parked transactional slice reads.
-    pub pending_slices: usize,
-    /// Read-only transactions currently being coordinated.
-    pub active_transactions: usize,
-    /// Storage statistics.
-    pub store: pocc_storage::StoreStats,
-}
+use pocc_types::{ClientId, Config, Timestamp};
 
 /// The pessimistic visibility policy (Cure\*, §V): a GET returns the freshest version in
 /// the snapshot `GSS ∨ RDV ∨ local` — it never waits for a version to become *stable*
@@ -32,6 +16,10 @@ pub struct CureStatus {
 pub struct CurePolicy;
 
 impl<C: Clock> VisibilityPolicy<C> for CurePolicy {
+    fn new(_config: &Config, _now: Timestamp) -> Self {
+        CurePolicy
+    }
+
     fn slice_unmerged_mode(&self) -> SliceUnmergedMode {
         SliceUnmergedMode::AgainstGss
     }
@@ -111,50 +99,10 @@ impl<C: Clock> VisibilityPolicy<C> for CurePolicy {
 
 /// A Cure\* server `p^m_n`.
 ///
-/// Implements the same [`pocc_proto::ProtocolServer`] interface as
-/// [`pocc_protocol::PoccServer`], so the simulator and the threaded runtime can run
-/// either protocol over identical workloads, deployments and network conditions.
-pub struct CureServer<C> {
-    engine: ProtocolEngine<C, CurePolicy>,
-}
-
-impl<C: Clock> CureServer<C> {
-    /// Creates a Cure\* server for `id` with the given deployment configuration and clock.
-    pub fn new(id: ServerId, config: Config, clock: C) -> Self {
-        CureServer {
-            engine: ProtocolEngine::new(id, config, clock, CurePolicy),
-        }
-    }
-
-    /// The server's current version vector.
-    pub fn version_vector(&self) -> &VersionVector {
-        &self.engine.core().vv
-    }
-
-    /// The server's current view of the Globally Stable Snapshot.
-    pub fn gss(&self) -> &DependencyVector {
-        &self.engine.core().gss
-    }
-
-    /// Read access to the underlying store.
-    pub fn store(&self) -> &ShardedStore {
-        &self.engine.core().store
-    }
-
-    /// An observability snapshot of the server's state.
-    pub fn status(&self) -> CureStatus {
-        let core = self.engine.core();
-        CureStatus {
-            version_vector: core.vv.clone(),
-            gss: core.gss.clone(),
-            pending_slices: core.pending_len(),
-            active_transactions: core.active_transactions(),
-            store: core.store.stats(),
-        }
-    }
-}
-
-pocc_engine::delegate_protocol_server!(CureServer);
+/// The same [`ProtocolEngine`] as [`pocc_protocol::PoccServer`] with a different policy,
+/// so the simulator and the threaded runtime can run either protocol over identical
+/// workloads, deployments and network conditions.
+pub type CureServer<C> = ProtocolEngine<C, CurePolicy>;
 
 #[cfg(test)]
 mod tests {
@@ -164,7 +112,7 @@ mod tests {
         expect_reply, ClientReply, ProtocolServer, ServerIntrospect, ServerMessage, TxId,
     };
     use pocc_storage::partition_for_key;
-    use pocc_types::{Key, ReplicaId, Value, Version};
+    use pocc_types::{DependencyVector, Key, ReplicaId, ServerId, Value, Version, VersionVector};
     use std::time::Duration;
 
     const MS: u64 = 1_000;
@@ -378,7 +326,7 @@ mod tests {
                 assert_eq!(resp.value.unwrap().as_slice(), b"seen-by-client");
             }
         );
-        assert_eq!(s.gss(), &dv(&[0, 0, 0]), "nothing stabilized");
+        assert_eq!(s.core().gss, dv(&[0, 0, 0]), "nothing stabilized");
     }
 
     #[test]
@@ -436,7 +384,7 @@ mod tests {
             },
         );
         // Only one of two peers known: the GSS must not advance yet.
-        assert_eq!(s.gss(), &dv(&[0, 0, 0]));
+        assert_eq!(s.core().gss, dv(&[0, 0, 0]));
 
         s.handle_server_message(
             ServerId::new(0u16, 2u32),
@@ -449,7 +397,7 @@ mod tests {
             },
         );
         // Own VV = [10ms, 0, 0]; peers as above. Minimum = [7ms, 0, 0].
-        assert_eq!(s.gss(), &dv(&[7 * MS, 0, 0]));
+        assert_eq!(s.core().gss, dv(&[7 * MS, 0, 0]));
 
         // A peer regressing (stale message) never moves the GSS backwards.
         s.handle_server_message(
@@ -458,7 +406,7 @@ mod tests {
                 vv: VersionVector::from_entries(vec![Timestamp(MS), Timestamp(MS), Timestamp(MS)]),
             },
         );
-        assert!(s.gss().get(ReplicaId(0)) >= Timestamp(7 * MS));
+        assert!(s.core().gss.get(ReplicaId(0)) >= Timestamp(7 * MS));
     }
 
     #[test]
@@ -487,7 +435,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(s.gss(), &dv(&[10 * MS, 9 * MS, 8 * MS]));
+        assert_eq!(s.core().gss, dv(&[10 * MS, 9 * MS, 8 * MS]));
     }
 
     #[test]
@@ -620,12 +568,12 @@ mod tests {
                 },
             );
         }
-        assert_eq!(s.store().stats().versions, 4);
+        assert_eq!(s.core().store.stats().versions, 4);
         clock.set(Timestamp(40 * MS));
         s.tick(); // stabilization advances the GSS (single partition: from own VV)
         clock.set(Timestamp(60 * MS));
         s.tick(); // GC runs with the fresh GSS
-        assert_eq!(s.store().stats().versions, 1);
+        assert_eq!(s.core().store.stats().versions, 1);
         assert!(s.metrics().gc_versions_removed >= 3);
     }
 
@@ -670,7 +618,10 @@ mod tests {
                 // from 40 ms on.
                 let entry0 = if parked { 40 * MS } else { 30 * MS };
                 let snapshot = dv(&[entry0, 10 * MS]);
-                assert!(s.store().snapshot_may_predate_gc(key, &snapshot), "{case}");
+                assert!(
+                    s.core().store.snapshot_may_predate_gc(key, &snapshot),
+                    "{case}"
+                );
                 let mut outputs = Vec::new();
                 if remote_origin {
                     let keys = vec![key];
@@ -683,17 +634,17 @@ mod tests {
                     };
                     outputs = s.handle_server_message(peer, request);
                 } else {
-                    let core = s.engine.parts_mut().0;
+                    let core = s.parts_mut().0;
                     core.start_ro_tx(client, vec![key], snapshot, &mut outputs);
                 }
                 if parked {
                     assert!(outputs.is_empty(), "{case}: {outputs:?}");
-                    assert_eq!(s.status().pending_slices, 1, "{case}");
+                    assert_eq!(s.core().pending_len(), 1, "{case}");
                     clock.set(Timestamp(40 * MS));
                     outputs = s.tick();
                 }
 
-                assert_eq!(s.status().pending_slices, 0, "{case}");
+                assert_eq!(s.core().pending_len(), 0, "{case}");
                 assert_eq!(s.metrics().slices_served, 0, "{case}");
                 if remote_origin {
                     let aborts = outputs.iter().filter(|o| {
@@ -710,7 +661,7 @@ mod tests {
                         Some(ClientReply::SessionAborted { .. }) => {}
                     );
                     assert_eq!(s.metrics().sessions_aborted, 1, "{case}");
-                    assert_eq!(s.status().active_transactions, 0, "{case}");
+                    assert_eq!(s.core().active_transactions(), 0, "{case}");
                 }
             }
         }

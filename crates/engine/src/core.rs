@@ -8,8 +8,8 @@ use pocc_proto::{
 };
 use pocc_storage::{partition_for_key, ShardedStore};
 use pocc_types::{
-    ClientId, Config, DependencyVector, Key, PartitionId, ReplicaId, ServerId, Timestamp, Value,
-    Version, VersionVector,
+    ClientId, Config, DependencyVector, Key, PartitionId, ServerId, Timestamp, Value, Version,
+    VersionVector,
 };
 use std::collections::HashMap;
 
@@ -130,16 +130,6 @@ impl<C: Clock> EngineCore<C> {
             config,
             clock,
         }
-    }
-
-    /// The replica (data center) this server belongs to.
-    pub fn replica(&self) -> ReplicaId {
-        self.id.replica
-    }
-
-    /// The partition this server is responsible for.
-    pub fn partition(&self) -> PartitionId {
-        self.id.partition
     }
 
     /// Read-only views of the currently parked operations, in arrival order.

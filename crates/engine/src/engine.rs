@@ -6,7 +6,7 @@ use pocc_clock::Clock;
 use pocc_proto::{
     ClientRequest, MetricsSnapshot, ProtocolServer, ServerIntrospect, ServerMessage, ServerOutput,
 };
-use pocc_types::{ClientId, Key, ReplicaId, ServerId, Timestamp};
+use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Timestamp};
 
 /// The protocol-defining decisions layered over the shared [`EngineCore`].
 ///
@@ -15,9 +15,13 @@ use pocc_types::{ClientId, Key, ReplicaId, ServerId, Timestamp};
 /// stabilization vector refreshes the GSS, a GC vector is recorded for the exchange);
 /// a policy decides **which version a read may return**, what periodic stabilization
 /// traffic to emit, and how to react to peer-health signals. The paper's three systems —
-/// and any future variant — differ only in these four hooks; see the "Adding a protocol
-/// variant" section of `ARCHITECTURE.md`.
+/// and any future variant — differ only in these four hooks and the policy's
+/// constructor; see the "Adding a protocol variant" section of `ARCHITECTURE.md`.
 pub trait VisibilityPolicy<C: Clock>: Send {
+    /// Builds the policy of a server of `config` whose clock reads `now` at
+    /// construction.
+    fn new(config: &Config, now: Timestamp) -> Self;
+
     /// How [`EngineCore::read_slice`] classifies unmerged transactional items under this
     /// protocol. Consulted once, at engine construction.
     fn slice_unmerged_mode(&self) -> SliceUnmergedMode {
@@ -54,18 +58,19 @@ pub trait VisibilityPolicy<C: Clock>: Send {
 /// A protocol server assembled from the shared [`EngineCore`] and a [`VisibilityPolicy`].
 ///
 /// `ProtocolEngine` implements [`ProtocolServer`], so any policy plugs directly into the
-/// deterministic simulator, the threaded runtime and the benchmark harness. The concrete
-/// protocol crates wrap it in a named type (`PoccServer`, `CureServer`, …) via
-/// [`delegate_protocol_server!`](crate::delegate_protocol_server).
+/// deterministic simulator, the threaded runtime and the benchmark harness. It is the
+/// only server type: the protocol crates name theirs as aliases
+/// (`PoccServer<C> = ProtocolEngine<C, PoccPolicy>`, …).
 pub struct ProtocolEngine<C, P> {
     core: EngineCore<C>,
     policy: P,
 }
 
 impl<C: Clock, P: VisibilityPolicy<C>> ProtocolEngine<C, P> {
-    /// Creates an engine for `id` with the given deployment configuration, clock and
-    /// policy.
-    pub fn new(id: ServerId, config: pocc_types::Config, clock: C, policy: P) -> Self {
+    /// Creates an engine for `id` with the given deployment configuration and clock,
+    /// running the policy [`VisibilityPolicy::new`] builds.
+    pub fn new(id: ServerId, config: Config, clock: C) -> Self {
+        let policy = P::new(&config, clock.now());
         let core = EngineCore::new(id, config, clock, policy.slice_unmerged_mode());
         ProtocolEngine { core, policy }
     }
@@ -84,22 +89,6 @@ impl<C: Clock, P: VisibilityPolicy<C>> ProtocolEngine<C, P> {
     /// switches need both).
     pub fn parts_mut(&mut self) -> (&mut EngineCore<C>, &mut P) {
         (&mut self.core, &mut self.policy)
-    }
-
-    /// Runs one tick (batcher flush, heartbeats, the policy's periodic work) into
-    /// `outputs`, but leaves a GC pass the tick begins pending, and returns whether one
-    /// is pending. A threaded server runs the pass with [`EngineCore::gc_step`] and
-    /// serves operations between steps. Finishing it later cannot change the tick's
-    /// outputs: a pass emits nothing, and nothing a policy does after beginning one in
-    /// `on_tick` reads a chain.
-    pub fn tick_leaving_gc(&mut self, outputs: &mut Vec<ServerOutput>) -> bool {
-        // Ship the traffic coalesced since the last tick first, so heartbeats emitted
-        // below cannot overtake buffered replication on the FIFO channels.
-        self.core.flush_batcher(outputs);
-        let now = self.core.clock.now();
-        self.core.heartbeat_tick(now, outputs);
-        self.policy.on_tick(&mut self.core, now, outputs);
-        self.core.store.gc_pending()
     }
 
     /// Absorbs the bookkeeping half of one replicated remote version: replication
@@ -203,14 +192,18 @@ impl<C: Clock, P: VisibilityPolicy<C>> ProtocolServer for ProtocolEngine<C, P> {
         outputs
     }
 
-    /// A tick whose GC pass, if it begins one, runs whole before the tick returns:
-    /// [`ProtocolEngine::tick_leaving_gc`] and then one unbounded GC step.
-    fn tick(&mut self) -> Vec<ServerOutput> {
-        let mut outputs = Vec::new();
-        if self.tick_leaving_gc(&mut outputs) {
-            self.core.gc_step(usize::MAX);
-        }
-        outputs
+    fn tick_leaving_gc(&mut self, outputs: &mut Vec<ServerOutput>) -> bool {
+        // Ship the traffic coalesced since the last tick first, so heartbeats emitted
+        // below cannot overtake buffered replication on the FIFO channels.
+        self.core.flush_batcher(outputs);
+        let now = self.core.clock.now();
+        self.core.heartbeat_tick(now, outputs);
+        self.policy.on_tick(&mut self.core, now, outputs);
+        self.core.store.gc_pending()
+    }
+
+    fn gc_step(&mut self, budget: usize) -> bool {
+        self.core.gc_step(budget)
     }
 
     fn take_extra_work(&mut self) -> u64 {
@@ -234,123 +227,4 @@ impl<C: Clock, P: VisibilityPolicy<C>> ServerIntrospect for ProtocolEngine<C, P>
     fn shard_stats(&self) -> Vec<pocc_storage::StoreStats> {
         self.core.store.shard_stats()
     }
-}
-
-/// Boxed policies are policies too, so an execution layer can pick one of the four
-/// protocols at runtime and still drive a single `ProtocolEngine<C, Box<dyn
-/// VisibilityPolicy<C>>>` type.
-impl<C: Clock> VisibilityPolicy<C> for Box<dyn VisibilityPolicy<C>> {
-    fn slice_unmerged_mode(&self) -> SliceUnmergedMode {
-        (**self).slice_unmerged_mode()
-    }
-
-    fn handle_client_request(
-        &mut self,
-        core: &mut EngineCore<C>,
-        client: ClientId,
-        request: ClientRequest,
-    ) -> Vec<ServerOutput> {
-        (**self).handle_client_request(core, client, request)
-    }
-
-    fn on_replicate(&mut self, core: &mut EngineCore<C>, from: ServerId, key: Key) {
-        (**self).on_replicate(core, from, key)
-    }
-
-    fn on_tick(
-        &mut self,
-        core: &mut EngineCore<C>,
-        now: Timestamp,
-        outputs: &mut Vec<ServerOutput>,
-    ) {
-        (**self).on_tick(core, now, outputs)
-    }
-}
-
-/// Implements [`ProtocolServer`] and [`ServerIntrospect`] for a named server wrapper
-/// around a [`ProtocolEngine`] stored in a field called `engine`.
-///
-/// ```ignore
-/// pub struct MyServer<C> {
-///     engine: ProtocolEngine<C, MyPolicy>,
-/// }
-/// pocc_engine::delegate_protocol_server!(MyServer);
-/// ```
-#[macro_export]
-macro_rules! delegate_protocol_server {
-    ($server:ident) => {
-        impl<C: $crate::reexports::Clock> $crate::reexports::ProtocolServer for $server<C> {
-            fn server_id(&self) -> $crate::reexports::ServerId {
-                $crate::reexports::ProtocolServer::server_id(&self.engine)
-            }
-
-            fn handle_client_request(
-                &mut self,
-                client: $crate::reexports::ClientId,
-                request: $crate::reexports::ClientRequest,
-            ) -> Vec<$crate::reexports::ServerOutput> {
-                $crate::reexports::ProtocolServer::handle_client_request(
-                    &mut self.engine,
-                    client,
-                    request,
-                )
-            }
-
-            fn handle_server_message(
-                &mut self,
-                from: $crate::reexports::ServerId,
-                message: $crate::reexports::ServerMessage,
-            ) -> Vec<$crate::reexports::ServerOutput> {
-                $crate::reexports::ProtocolServer::handle_server_message(
-                    &mut self.engine,
-                    from,
-                    message,
-                )
-            }
-
-            fn tick(&mut self) -> Vec<$crate::reexports::ServerOutput> {
-                $crate::reexports::ProtocolServer::tick(&mut self.engine)
-            }
-
-            fn take_extra_work(&mut self) -> u64 {
-                $crate::reexports::ProtocolServer::take_extra_work(&mut self.engine)
-            }
-        }
-
-        impl<C: $crate::reexports::Clock> $crate::reexports::ServerIntrospect for $server<C> {
-            fn metrics(&self) -> $crate::reexports::MetricsSnapshot {
-                $crate::reexports::ServerIntrospect::metrics(&self.engine)
-            }
-
-            fn digest(
-                &self,
-            ) -> Vec<(
-                $crate::reexports::Key,
-                $crate::reexports::Timestamp,
-                $crate::reexports::ReplicaId,
-            )> {
-                $crate::reexports::ServerIntrospect::digest(&self.engine)
-            }
-
-            fn store_stats(&self) -> $crate::reexports::StoreStats {
-                $crate::reexports::ServerIntrospect::store_stats(&self.engine)
-            }
-
-            fn shard_stats(&self) -> Vec<$crate::reexports::StoreStats> {
-                $crate::reexports::ServerIntrospect::shard_stats(&self.engine)
-            }
-        }
-    };
-}
-
-/// Paths used by [`delegate_protocol_server!`]; not part of the public API surface.
-#[doc(hidden)]
-pub mod reexports {
-    pub use pocc_clock::Clock;
-    pub use pocc_proto::{
-        ClientRequest, MetricsSnapshot, ProtocolServer, ServerIntrospect, ServerMessage,
-        ServerOutput,
-    };
-    pub use pocc_storage::StoreStats;
-    pub use pocc_types::{ClientId, Key, ReplicaId, ServerId, Timestamp};
 }

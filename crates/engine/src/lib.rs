@@ -11,18 +11,21 @@
 //!   bookkeeping, parked-operation management, read-only transaction coordination and
 //!   metrics accounting. [`ProtocolEngine`] handles every server-to-server message with
 //!   it, stabilization and GC vectors included.
-//! * [`VisibilityPolicy`] is the per-protocol decision surface, four hooks: read
-//!   visibility and wait behaviour per client request (freshest vs freshest-stable vs
-//!   snapshot-bounded, and each RO-TX's snapshot), the unmerged-item rule of slice reads,
-//!   an observation of each replicated version, and the periodic work of a tick
-//!   (stabilization rounds, GC, timeouts, peer-health detection).
+//! * [`VisibilityPolicy`] is the per-protocol decision surface, a constructor and four
+//!   hooks: read visibility and wait behaviour per client request (freshest vs
+//!   freshest-stable vs snapshot-bounded, and each RO-TX's snapshot), the unmerged-item
+//!   rule of slice reads, an observation of each replicated version, and the periodic
+//!   work of a tick (stabilization rounds, GC, timeouts, peer-health detection).
 //! * [`ProtocolEngine`] glues a policy onto the core and implements
 //!   [`pocc_proto::ProtocolServer`], so every policy runs unchanged under the
 //!   deterministic simulator, the threaded runtime and the benchmark harness.
+//!   `ProtocolEngine::new(id, config, clock)` builds the policy itself.
 //!
 //! `pocc-protocol`, `pocc-cure`, `pocc-ha` and `pocc-adaptive` are thin policy
-//! implementations over this crate. Adding a variant means writing a policy, not a
-//! server — see the "Adding a protocol variant" how-to in `ARCHITECTURE.md`.
+//! implementations over this crate; each names its server as an alias of
+//! `ProtocolEngine` (`PoccServer<C> = ProtocolEngine<C, PoccPolicy>`, …). Adding a
+//! variant means writing a policy, not a server — see the "Adding a protocol variant"
+//! how-to in `ARCHITECTURE.md`.
 //!
 //! # Example: the smallest possible policy
 //!
@@ -38,6 +41,10 @@
 //! struct AlwaysFresh;
 //!
 //! impl<C: Clock> VisibilityPolicy<C> for AlwaysFresh {
+//!     fn new(_config: &Config, _now: Timestamp) -> Self {
+//!         AlwaysFresh
+//!     }
+//!
 //!     fn handle_client_request(
 //!         &mut self,
 //!         core: &mut EngineCore<C>,
@@ -73,7 +80,8 @@
 //!
 //! let config = Config::builder().num_replicas(1).num_partitions(1).build().unwrap();
 //! let clock = ManualClock::new(Timestamp::from_millis(1));
-//! let mut server = ProtocolEngine::new(ServerId::new(0u16, 0u32), config, clock, AlwaysFresh);
+//! let mut server: ProtocolEngine<_, AlwaysFresh> =
+//!     ProtocolEngine::new(ServerId::new(0u16, 0u32), config, clock);
 //! let outputs = server.handle_client_request(
 //!     ClientId(1),
 //!     ClientRequest::Put {
@@ -95,6 +103,3 @@ mod pending;
 pub use crate::core::{EngineCore, SliceUnmergedMode};
 pub use crate::engine::{ProtocolEngine, VisibilityPolicy};
 pub use crate::pending::{BlockReason, PendingOp, ReadMode};
-
-#[doc(hidden)]
-pub use crate::engine::reexports;

@@ -15,12 +15,15 @@
 //!   each with a bounded mailbox (actor shape; a full mailbox applies backpressure to the
 //!   submitting thread). A lane takes up to 64 queued operations, runs them through the
 //!   engine under one spine acquisition, and flushes its [`Sink`] before it blocks again.
-//! * **Spine.** The unmodified [`pocc_engine::ProtocolEngine`] lives behind a single
-//!   mutex, the *spine*. Lane batches, server-to-server messages, ticks and probes all
-//!   run the engine under it, and every output is emitted before the lock is released,
-//!   so messages leave on each FIFO link in engine order: a heartbeat never promises a
-//!   timestamp while a smaller-timestamped write to the same sibling is still unsent.
-//! * **GC in steps.** A tick that begins a garbage-collection pass runs it in steps of
+//! * **Spine.** The unmodified protocol engine — the `Box<dyn InstrumentedServer>` that
+//!   [`ProtocolKind::server`] builds, the same value the simulator runs — lives behind a
+//!   single mutex, the *spine*. Lane batches, server-to-server messages, ticks and
+//!   probes all run the engine under it, and every output is emitted before the lock is
+//!   released, so messages leave on each FIFO link in engine order: a heartbeat never
+//!   promises a timestamp while a smaller-timestamped write to the same sibling is still
+//!   unsent.
+//! * **GC in steps.** A tick that begins a garbage-collection pass
+//!   (`ProtocolServer::tick_leaving_gc`) runs it in `ProtocolServer::gc_step`s of
 //!   256 listed chains, releasing the spine and yielding the processor between steps,
 //!   so no lane waits for a whole pass; the pass is over when the tick returns.
 //! * **One lane runs in place.** At `worker_lanes = 1` there is no lane thread: every
@@ -41,10 +44,9 @@ mod server;
 pub use server::{OutputSink, ParallelServer, ServerClosed, Sink, GC_STEP};
 
 use pocc_clock::Clock;
-use pocc_engine::VisibilityPolicy;
 use pocc_proto::InstrumentedServer;
 use pocc_protocol::Client;
-use pocc_types::{ClientId, Config, ServerId, Timestamp};
+use pocc_types::{ClientId, Config, ServerId};
 
 /// Which of the four protocol variants a server runs. The four are one engine with four
 /// visibility policies, so this enum lives in the lowest crate that links all of them.
@@ -115,10 +117,10 @@ impl ProtocolKind {
         }
     }
 
-    /// Builds the serial (single-threaded, sans-IO) server for `id`, with the protocol's
-    /// concrete policy type — the one place the four server types are named. The
-    /// simulator and the hand-pumped reference cluster run these; the threaded runtime
-    /// runs a [`ParallelServer`] instead.
+    /// Builds the sans-IO server for `id`: the protocol engine running this protocol's
+    /// visibility policy — the one place the four policies are named. The simulator and
+    /// the hand-pumped reference cluster run it directly; a [`ParallelServer`] runs it
+    /// behind its spine.
     pub fn server<C: Clock + 'static>(
         self,
         id: ServerId,
@@ -134,17 +136,6 @@ impl ProtocolKind {
             }
         }
     }
-
-    /// Builds the protocol's visibility policy, boxed so one engine type serves all four
-    /// variants behind a [`ParallelServer`].
-    pub fn policy<C: Clock>(self, config: &Config, now: Timestamp) -> Box<dyn VisibilityPolicy<C>> {
-        match self {
-            ProtocolKind::Pocc => Box::new(pocc_protocol::PoccPolicy),
-            ProtocolKind::Cure => Box::new(pocc_cure::CurePolicy),
-            ProtocolKind::HaPocc => Box::new(pocc_ha::HaPolicy::new(config, now)),
-            ProtocolKind::Adaptive => Box::new(pocc_adaptive::AdaptivePolicy::default()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +143,7 @@ mod tests {
     use super::*;
     use pocc_clock::ManualClock;
     use pocc_proto::{ClientRequest, MetricsSnapshot, ServerIntrospect, ServerOutput};
-    use pocc_types::{ClientId, DependencyVector, Key, ReplicaId, Value};
+    use pocc_types::{ClientId, DependencyVector, Key, ReplicaId, Timestamp, Value};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -185,23 +176,29 @@ mod tests {
         assert!("all".parse::<ProtocolKind>().is_err());
     }
 
-    /// `server` (concrete policy, serial) and `policy` (boxed, behind a one-lane
-    /// [`ParallelServer`]) must build the same protocol: the same 24 writes and one tick
-    /// leave the same store and the same counters.
+    /// A protocol's serial server, driven by hand, and the same server behind a
+    /// [`ParallelServer`] (in place at one lane, on lane threads at two) agree: the same
+    /// 24 writes at the same clock readings and one tick leave the same store and the
+    /// same counters, replication ones included, in a 2-replica deployment.
     #[test]
     fn server_and_policy_agree_for_every_protocol() {
         let id = ServerId::new(ReplicaId(0), 0u32);
-        let config = Config::builder()
-            .num_replicas(2)
-            .num_partitions(1)
-            .build()
-            .expect("valid config");
         let put = |i: u64| ClientRequest::Put {
             key: Key(i % 8),
             value: Value::from(i),
             dv: DependencyVector::zero(2),
         };
-        for protocol in ProtocolKind::ALL {
+        for (lanes, protocol) in [1, 2]
+            .into_iter()
+            .flat_map(|lanes| ProtocolKind::ALL.map(|protocol| (lanes, protocol)))
+        {
+            let config = Config::builder()
+                .num_replicas(2)
+                .num_partitions(1)
+                .worker_lanes(lanes)
+                .build()
+                .expect("valid config");
+            let context = format!("{protocol} lanes={lanes}");
             let clock = ManualClock::new(Timestamp::from(Duration::from_millis(10)));
             let mut serial = protocol.server(id, config.clone(), clock.clone());
             for i in 0..24u64 {
@@ -226,7 +223,7 @@ mod tests {
             clock.advance(Duration::from_millis(2));
             parallel.tick();
 
-            assert_eq!(serial.digest(), parallel.digest(), "{protocol}");
+            assert_eq!(serial.digest(), parallel.digest(), "{context}");
             // The contention block only exists on the threaded side.
             let metrics = MetricsSnapshot {
                 lane_fast_path_hits: 0,
@@ -235,9 +232,9 @@ mod tests {
                 drain_spins: 0,
                 ..parallel.metrics()
             };
-            assert_eq!(serial.metrics(), metrics, "{protocol}");
-            assert_eq!(metrics.puts_served, 24, "{protocol}");
-            assert_eq!(metrics.replicate_sent, 24, "{protocol}");
+            assert_eq!(serial.metrics(), metrics, "{context}");
+            assert_eq!(metrics.puts_served, 24, "{context}");
+            assert_eq!(metrics.replicate_sent, 24, "{context}");
         }
     }
 }

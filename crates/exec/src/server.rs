@@ -4,10 +4,9 @@ use crate::ProtocolKind;
 use crossbeam::channel::{bounded, Receiver, SyncSender};
 use parking_lot::Mutex;
 use pocc_clock::Clock;
-use pocc_engine::{ProtocolEngine, VisibilityPolicy};
 use pocc_proto::{
-    ClientReply, ClientRequest, MetricsSnapshot, ProtocolServer, ServerIntrospect, ServerMessage,
-    ServerOutput,
+    ClientReply, ClientRequest, InstrumentedServer, MetricsSnapshot, ServerIntrospect,
+    ServerMessage, ServerOutput,
 };
 use pocc_storage::{partition_for_key, shard_for_key, StoreStats};
 use pocc_types::{ClientId, Config, Key, ReplicaId, ServerId, Timestamp};
@@ -41,9 +40,6 @@ impl<F: Fn(ServerOutput) + Send + Sync> Sink for F {
 /// The shared handle a [`ParallelServer`] delivers its outputs through.
 pub type OutputSink = Arc<dyn Sink>;
 
-/// One engine driving all four protocols through a boxed policy.
-type Engine<C> = ProtocolEngine<C, Box<dyn VisibilityPolicy<C>>>;
-
 /// Mailbox capacity per lane; a full mailbox blocks the submitter (backpressure).
 const MAILBOX: usize = 1024;
 /// Maximum operations a lane runs under one spine acquisition.
@@ -68,8 +64,8 @@ impl std::error::Error for ServerClosed {}
 
 /// What the lanes and the driving thread share: the engine behind the spine mutex, the
 /// contention counters of [`MetricsSnapshot`] and the sink.
-struct Shared<C> {
-    spine: Mutex<Engine<C>>,
+struct Shared {
+    spine: Mutex<Box<dyn InstrumentedServer>>,
     /// Times the spine was locked.
     spine_acquisitions: AtomicU64,
     /// Client operations the lanes ran on the engine.
@@ -77,15 +73,18 @@ struct Shared<C> {
     sink: OutputSink,
 }
 
-impl<C: Clock> Shared<C> {
+impl Shared {
     /// Runs `f` against the engine under the spine and emits the outputs it collects
     /// before the lock is released, so messages leave on the FIFO links in engine order:
     /// a heartbeat can never overtake a smaller-timestamped write to the same sibling.
-    fn with_engine<R>(&self, f: impl FnOnce(&mut Engine<C>, &mut Vec<ServerOutput>) -> R) -> R {
+    fn with_engine<R>(
+        &self,
+        f: impl FnOnce(&mut dyn InstrumentedServer, &mut Vec<ServerOutput>) -> R,
+    ) -> R {
         let mut engine = self.spine.lock();
         self.spine_acquisitions.fetch_add(1, Ordering::Relaxed);
         let mut outputs = Vec::new();
-        let r = f(&mut engine, &mut outputs);
+        let r = f(&mut **engine, &mut outputs);
         for output in outputs {
             self.sink.emit(output);
         }
@@ -95,7 +94,7 @@ impl<C: Clock> Shared<C> {
 
 /// A lane's body. It ends once [`ParallelServer::shutdown`] has hung up its mailbox and
 /// everything queued before that has been served.
-fn lane_loop<C: Clock + 'static>(shared: Arc<Shared<C>>, rx: Receiver<(ClientId, ClientRequest)>) {
+fn lane_loop(shared: Arc<Shared>, rx: Receiver<(ClientId, ClientRequest)>) {
     let mut batch = Vec::with_capacity(BATCH);
     while let Ok(op) = rx.recv() {
         batch.push(op);
@@ -119,8 +118,8 @@ struct Lane {
     handle: JoinHandle<()>,
 }
 
-/// A protocol server: one [`ProtocolEngine`] behind a mutex (the *spine*), fed by worker
-/// lanes; see the crate docs.
+/// A protocol server: the engine [`ProtocolKind::server`] builds, behind a mutex (the
+/// *spine*), fed by worker lanes; see the crate docs.
 ///
 /// Replies and server-to-server messages flow through the [`OutputSink`] passed to
 /// [`ParallelServer::start`]. With more than one lane, [`ParallelServer::submit_client`]
@@ -129,21 +128,21 @@ struct Lane {
 /// one lane there are no lane threads: every call runs on the calling thread. Each
 /// [`ServerIntrospect`] call takes the spine once, so several calls observe one engine
 /// state only on a quiescent server.
-pub struct ParallelServer<C> {
+pub struct ParallelServer {
     id: ServerId,
     num_partitions: usize,
     storage_shards: usize,
-    shared: Arc<Shared<C>>,
+    shared: Arc<Shared>,
     /// Empty at one lane, where the engine runs on the calling thread.
     lanes: Vec<Lane>,
     /// Set by [`ParallelServer::shutdown`], which also empties `lanes`.
     closed: bool,
 }
 
-impl<C: Clock + 'static> ParallelServer<C> {
+impl ParallelServer {
     /// Starts a server for `id` running `protocol`: `config.worker_lanes` lane threads,
     /// or none at one lane.
-    pub fn start(
+    pub fn start<C: Clock + 'static>(
         id: ServerId,
         config: Config,
         protocol: ProtocolKind,
@@ -156,9 +155,8 @@ impl<C: Clock + 'static> ParallelServer<C> {
             0
         };
         let (num_partitions, storage_shards) = (config.num_partitions, config.storage_shards);
-        let policy = protocol.policy::<C>(&config, clock.now());
         let shared = Arc::new(Shared {
-            spine: Mutex::new(ProtocolEngine::new(id, config, clock, policy)),
+            spine: Mutex::new(protocol.server(id, config, clock)),
             spine_acquisitions: AtomicU64::new(0),
             lane_ops: AtomicU64::new(0),
             sink,
@@ -254,14 +252,10 @@ impl<C: Clock + 'static> ParallelServer<C> {
             .with_engine(|engine, outputs| engine.tick_leaving_gc(outputs));
         while gc_pending {
             std::thread::yield_now();
-            gc_pending = !self
-                .shared
-                .with_engine(|engine, _| engine.parts_mut().0.gc_step(GC_STEP));
+            gc_pending = !self.shared.with_engine(|engine, _| engine.gc_step(GC_STEP));
         }
     }
-}
 
-impl<C> ParallelServer<C> {
     /// Stops every lane and joins the threads; later submissions report
     /// [`ServerClosed`]. Called automatically on drop.
     pub fn shutdown(&mut self) {
@@ -273,13 +267,13 @@ impl<C> ParallelServer<C> {
     }
 }
 
-impl<C> Drop for ParallelServer<C> {
+impl Drop for ParallelServer {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-impl<C: Clock + 'static> ServerIntrospect for ParallelServer<C> {
+impl ServerIntrospect for ParallelServer {
     fn metrics(&self) -> MetricsSnapshot {
         let mut m = self
             .shared
@@ -322,23 +316,14 @@ mod tests {
             .expect("valid config")
     }
 
-    fn start(
-        protocol: ProtocolKind,
-        lanes: usize,
-    ) -> (
-        ParallelServer<MonotonicClock<SystemClock>>,
-        Receiver<ServerOutput>,
-    ) {
+    fn start(protocol: ProtocolKind, lanes: usize) -> (ParallelServer, Receiver<ServerOutput>) {
         start_with_config(protocol, single_server_config(lanes))
     }
 
     fn start_with_config(
         protocol: ProtocolKind,
         config: Config,
-    ) -> (
-        ParallelServer<MonotonicClock<SystemClock>>,
-        Receiver<ServerOutput>,
-    ) {
+    ) -> (ParallelServer, Receiver<ServerOutput>) {
         let (tx, rx) = unbounded();
         let sink: OutputSink = Arc::new(move |out| {
             let _ = tx.send(out);
@@ -645,7 +630,7 @@ mod tests {
     /// them takes several steps.
     const GC_CHAINS: u64 = 1_000;
 
-    fn spine_acquisitions<C>(server: &ParallelServer<C>) -> u64 {
+    fn spine_acquisitions(server: &ParallelServer) -> u64 {
         server.shared.spine_acquisitions.load(Ordering::Relaxed)
     }
 

@@ -25,16 +25,17 @@
 //! 3. **Recover** — when replication traffic from every data center resumes, the server
 //!    promotes itself back to optimistic mode.
 //!
-//! The module also provides [`HaSession`], a client-side helper that re-initialises the
-//! session after a `SessionAborted` reply, mirroring the client side of the recovery
-//! procedure (the re-initialised session loses its dependency history, which is the
+//! All three phases live in one [`VisibilityPolicy`](pocc_engine::VisibilityPolicy),
+//! [`HaPolicy`]; [`HaPoccServer`] is the shared engine running it. Its mode and the
+//! manual switches are reached through `ProtocolEngine::policy` and
+//! `ProtocolEngine::parts_mut`. The client side of the recovery needs no helper: a
+//! `SessionAborted` reply marks a `pocc_protocol::Client` aborted, and
+//! `Client::reinitialize` starts the new session without its dependency history (the
 //! data-visibility cost the paper discusses).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod server;
-mod session;
 
 pub use server::{HaPoccServer, HaPolicy, Mode};
-pub use session::HaSession;

@@ -5,8 +5,7 @@ use pocc_clock::Clock;
 use pocc_engine::{EngineCore, ProtocolEngine, VisibilityPolicy};
 use pocc_proto::{ClientReply, ClientRequest, ServerOutput};
 use pocc_protocol::PoccPolicy;
-use pocc_storage::ShardedStore;
-use pocc_types::{ClientId, Config, DependencyVector, Key, ServerId, Timestamp, VersionVector};
+use pocc_types::{ClientId, Config, DependencyVector, Key, Timestamp, VersionVector};
 use std::collections::HashSet;
 
 /// The operating mode of an HA-POCC server.
@@ -55,20 +54,20 @@ pub struct HaPolicy {
 }
 
 impl HaPolicy {
-    /// Creates the policy in optimistic mode, with every timeout armed at `now`.
-    pub fn new(config: &Config, now: Timestamp) -> Self {
-        HaPolicy {
-            pocc: PoccPolicy,
-            mode: Mode::Optimistic,
-            mode_switches: 0,
-            last_remote_advance: vec![now; config.num_replicas],
-            prev_vv: VersionVector::zero(config.num_replicas),
-            aborted_seen: 0,
-            optimistic_clients: HashSet::new(),
-        }
+    /// The current operating mode.
+    pub fn mode(&self) -> Mode {
+        self.mode
     }
 
-    fn enter_pessimistic(&mut self, now: Timestamp) {
+    /// How many times the server switched between optimistic and pessimistic mode.
+    pub fn mode_switches(&self) -> u64 {
+        self.mode_switches
+    }
+
+    /// Switches to pessimistic mode at `now`, unless already there. The partition
+    /// detector calls this; so may tests and operators who know a partition is coming,
+    /// e.g. planned maintenance.
+    pub fn enter_pessimistic(&mut self, now: Timestamp) {
         if self.mode.is_pessimistic() {
             return;
         }
@@ -76,7 +75,8 @@ impl HaPolicy {
         self.mode_switches += 1;
     }
 
-    fn enter_optimistic(&mut self) {
+    /// Switches back to optimistic mode, unless already there.
+    pub fn enter_optimistic(&mut self) {
         if !self.mode.is_pessimistic() {
             return;
         }
@@ -210,6 +210,19 @@ impl HaPolicy {
 }
 
 impl<C: Clock> VisibilityPolicy<C> for HaPolicy {
+    /// Starts in optimistic mode, with every timeout armed at `now`.
+    fn new(config: &Config, now: Timestamp) -> Self {
+        HaPolicy {
+            pocc: PoccPolicy,
+            mode: Mode::Optimistic,
+            mode_switches: 0,
+            last_remote_advance: vec![now; config.num_replicas],
+            prev_vv: VersionVector::zero(config.num_replicas),
+            aborted_seen: 0,
+            optimistic_clients: HashSet::new(),
+        }
+    }
+
     fn handle_client_request(
         &mut self,
         core: &mut EngineCore<C>,
@@ -277,60 +290,7 @@ impl<C: Clock> VisibilityPolicy<C> for HaPolicy {
 /// A POCC server augmented with the availability-recovery machinery of §III-B:
 /// an infrequent stabilization protocol, a partition detector, a pessimistic fall-back
 /// mode and automatic promotion back to optimistic operation.
-pub struct HaPoccServer<C> {
-    engine: ProtocolEngine<C, HaPolicy>,
-}
-
-impl<C: Clock> HaPoccServer<C> {
-    /// Creates an HA-POCC server for `id`.
-    pub fn new(id: ServerId, config: Config, clock: C) -> Self {
-        let now = clock.now();
-        let policy = HaPolicy::new(&config, now);
-        HaPoccServer {
-            engine: ProtocolEngine::new(id, config, clock, policy),
-        }
-    }
-
-    /// The current operating mode.
-    pub fn mode(&self) -> Mode {
-        self.engine.policy().mode
-    }
-
-    /// How many times the server switched between optimistic and pessimistic mode.
-    pub fn mode_switches(&self) -> u64 {
-        self.engine.policy().mode_switches
-    }
-
-    /// The server's current view of the Globally Stable Snapshot.
-    pub fn gss(&self) -> &DependencyVector {
-        &self.engine.core().gss
-    }
-
-    /// The server's current version vector.
-    pub fn version_vector(&self) -> &VersionVector {
-        &self.engine.core().vv
-    }
-
-    /// Read access to the underlying store.
-    pub fn store(&self) -> &ShardedStore {
-        &self.engine.core().store
-    }
-
-    /// Forces the server into pessimistic mode (used by tests and by operators who know a
-    /// partition is coming, e.g. planned maintenance).
-    pub fn force_pessimistic(&mut self) {
-        let (core, policy) = self.engine.parts_mut();
-        policy.enter_pessimistic(core.clock.now());
-    }
-
-    /// Forces the server back into optimistic mode.
-    pub fn force_optimistic(&mut self) {
-        let (_, policy) = self.engine.parts_mut();
-        policy.enter_optimistic();
-    }
-}
-
-pocc_engine::delegate_protocol_server!(HaPoccServer);
+pub type HaPoccServer<C> = ProtocolEngine<C, HaPolicy>;
 
 #[cfg(test)]
 mod tests {
@@ -338,7 +298,7 @@ mod tests {
     use pocc_clock::ManualClock;
     use pocc_proto::{expect_reply, ProtocolServer, ServerIntrospect, ServerMessage};
     use pocc_storage::partition_for_key;
-    use pocc_types::{ReplicaId, Value, Version};
+    use pocc_types::{ReplicaId, ServerId, Value, Version};
     use std::time::Duration;
 
     const MS: u64 = 1_000;
@@ -364,6 +324,12 @@ mod tests {
         DependencyVector::from_entries(entries.iter().map(|&e| Timestamp(e)).collect())
     }
 
+    /// Switches `s` to pessimistic mode at its clock's reading.
+    fn enter_pessimistic(s: &mut HaPoccServer<ManualClock>) {
+        let (core, policy) = s.parts_mut();
+        policy.enter_pessimistic(core.clock.now());
+    }
+
     fn extract_reply(outputs: &[ServerOutput], client: ClientId) -> Option<ClientReply> {
         outputs.iter().find_map(|o| match o {
             ServerOutput::Reply { client: c, reply } if *c == client => Some(reply.clone()),
@@ -375,7 +341,7 @@ mod tests {
     fn optimistic_mode_delegates_to_the_inner_server() {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = HaPoccServer::new(ServerId::new(0u16, 0u32), config(), clock.clone());
-        assert_eq!(s.mode(), Mode::Optimistic);
+        assert_eq!(s.policy().mode(), Mode::Optimistic);
         let key = key_in(0, 1);
         let outputs = s.handle_client_request(
             ClientId(1),
@@ -421,7 +387,7 @@ mod tests {
                 );
             }
             s.tick();
-            assert_eq!(s.mode(), Mode::Optimistic);
+            assert_eq!(s.policy().mode(), Mode::Optimistic);
         }
 
         // Replica 2 goes silent for longer than the detection timeout.
@@ -438,10 +404,10 @@ mod tests {
         clock.set(Timestamp(400 * MS));
         s.tick();
         assert!(
-            s.mode().is_pessimistic(),
+            s.policy().mode().is_pessimistic(),
             "silence must trigger the fall-back"
         );
-        assert_eq!(s.mode_switches(), 1);
+        assert_eq!(s.policy().mode_switches(), 1);
 
         // The partition heals: traffic from replica 2 resumes, and after the settle period
         // the server promotes itself back to optimistic mode.
@@ -456,8 +422,8 @@ mod tests {
             }
             s.tick();
         }
-        assert_eq!(s.mode(), Mode::Optimistic);
-        assert_eq!(s.mode_switches(), 2);
+        assert_eq!(s.policy().mode(), Mode::Optimistic);
+        assert_eq!(s.policy().mode_switches(), 2);
     }
 
     #[test]
@@ -479,7 +445,7 @@ mod tests {
                 ),
             },
         );
-        s.force_pessimistic();
+        enter_pessimistic(&mut s);
 
         // A client that depends on the missing item would block under plain POCC; the
         // pessimistic fall-back cannot honour that dependency either, so it closes the
@@ -519,7 +485,7 @@ mod tests {
     fn pessimistic_put_does_not_wait_for_dependencies() {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = HaPoccServer::new(ServerId::new(0u16, 0u32), config(), clock.clone());
-        s.force_pessimistic();
+        enter_pessimistic(&mut s);
         let outputs = s.handle_client_request(
             ClientId(1),
             ClientRequest::Put {
@@ -535,7 +501,7 @@ mod tests {
         assert_eq!(s.metrics().currently_blocked, 0);
 
         // Back in optimistic mode the configured wait applies again.
-        s.force_optimistic();
+        s.parts_mut().1.enter_optimistic();
         let outputs = s.handle_client_request(
             ClientId(2),
             ClientRequest::Put {
@@ -565,7 +531,7 @@ mod tests {
                 dv: dv(&[0, 0, 0]),
             },
         );
-        s.force_pessimistic();
+        enter_pessimistic(&mut s);
         // The writer's optimistic-era session is closed on first contact after the switch;
         // the client re-initialises (dropping its dependencies) and retries.
         let outputs = s.handle_client_request(
@@ -663,14 +629,14 @@ mod tests {
                 ]),
             },
         );
-        assert_eq!(s.gss(), &dv(&[8 * MS, 0, 0]));
+        assert_eq!(s.core().gss, dv(&[8 * MS, 0, 0]));
     }
 
     #[test]
     fn pessimistic_get_reads_the_clients_own_write_above_the_gss() {
         let clock = ManualClock::new(Timestamp(10 * MS));
         let mut s = HaPoccServer::new(ServerId::new(0u16, 0u32), config(), clock.clone());
-        s.force_pessimistic();
+        enter_pessimistic(&mut s);
         let key = key_in(0, 1);
         // The write depends on a remote update the GSS does not cover yet.
         let outputs = s.handle_client_request(
@@ -729,7 +695,7 @@ mod tests {
             two_partition_config(),
             clock.clone(),
         );
-        s.force_pessimistic();
+        enter_pessimistic(&mut s);
         let outputs = s.handle_client_request(
             ClientId(1),
             ClientRequest::RoTx {
@@ -758,7 +724,7 @@ mod tests {
             two_partition_config(),
             clock.clone(),
         );
-        s.force_pessimistic();
+        enter_pessimistic(&mut s);
         // One stabilization round (plus heartbeats and a GC exchange), then a transaction
         // that sends a slice request to the other partition.
         let mut outputs = s.tick();

@@ -4,10 +4,14 @@
 //! server state machines of Algorithms 1 and 2 of *"Optimistic Causal Consistency for
 //! Geo-Replicated Key-Value Stores"* (ICDCS 2017).
 //!
-//! The crate is *sans-IO*: [`PoccServer`] consumes client requests and server messages and
-//! returns [`pocc_proto::ServerOutput`]s; it never touches the network or sleeps. The same
-//! state machine is driven by the deterministic simulator (`pocc-sim`), by the threaded
-//! runtime (`pocc-runtime`) and by the unit tests in this crate.
+//! The server is [`PoccPolicy`], the optimistic visibility policy, run by the shared
+//! protocol engine: [`PoccServer<C>`](PoccServer) is an alias of
+//! `pocc_engine::ProtocolEngine<C, PoccPolicy>`, whose `core()` exposes the version
+//! vector and the store. It is *sans-IO*: it consumes client requests and server
+//! messages and returns [`pocc_proto::ServerOutput`]s; it never touches the network or
+//! sleeps. The same state machine is driven by the deterministic simulator
+//! (`pocc-sim`), by the threaded runtime (`pocc-runtime`) and by the unit tests in this
+//! crate.
 //!
 //! # The optimistic protocol in one paragraph
 //!
@@ -68,7 +72,6 @@ mod client;
 mod server;
 
 pub use client::Client;
-pub use server::{PoccPolicy, PoccServer, ServerStatus};
+pub use server::{PoccPolicy, PoccServer};
 
-pub use pocc_engine::{BlockReason, PendingOp};
 pub use pocc_proto::{ProtocolClient, ProtocolServer};

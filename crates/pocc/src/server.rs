@@ -2,23 +2,9 @@
 //! protocol engine.
 
 use pocc_clock::Clock;
-use pocc_engine::{EngineCore, PendingOp, ProtocolEngine, ReadMode, VisibilityPolicy};
+use pocc_engine::{EngineCore, ProtocolEngine, ReadMode, VisibilityPolicy};
 use pocc_proto::{ClientRequest, ServerOutput};
-use pocc_storage::ShardedStore;
-use pocc_types::{ClientId, Config, PartitionId, ReplicaId, ServerId, Timestamp, VersionVector};
-
-/// An observability snapshot of a POCC server's internal state.
-#[derive(Clone, Debug)]
-pub struct ServerStatus {
-    /// The server's version vector.
-    pub version_vector: VersionVector,
-    /// Currently parked operations.
-    pub pending: Vec<PendingOp>,
-    /// Read-only transactions currently being coordinated.
-    pub active_transactions: usize,
-    /// Storage statistics.
-    pub store: pocc_storage::StoreStats,
-}
+use pocc_types::{ClientId, Config, Timestamp};
 
 /// The optimistic visibility policy (Algorithm 2): a GET returns the *freshest* version
 /// the server has received — stable or not — and parks when the client's dependencies
@@ -29,6 +15,10 @@ pub struct ServerStatus {
 pub struct PoccPolicy;
 
 impl<C: Clock> VisibilityPolicy<C> for PoccPolicy {
+    fn new(_config: &Config, _now: Timestamp) -> Self {
+        PoccPolicy
+    }
+
     fn handle_client_request(
         &mut self,
         core: &mut EngineCore<C>,
@@ -90,51 +80,7 @@ impl<C: Clock> VisibilityPolicy<C> for PoccPolicy {
 /// The server is a sans-IO state machine: feed it client requests, server messages and
 /// periodic ticks; it returns the replies and messages to deliver. See the crate-level
 /// documentation for an end-to-end example.
-pub struct PoccServer<C> {
-    engine: ProtocolEngine<C, PoccPolicy>,
-}
-
-impl<C: Clock> PoccServer<C> {
-    /// Creates a POCC server for `id` with the given deployment configuration and clock.
-    pub fn new(id: ServerId, config: Config, clock: C) -> Self {
-        PoccServer {
-            engine: ProtocolEngine::new(id, config, clock, PoccPolicy),
-        }
-    }
-
-    /// The replica (data center) this server belongs to.
-    pub fn replica(&self) -> ReplicaId {
-        self.engine.core().replica()
-    }
-
-    /// The partition this server is responsible for.
-    pub fn partition(&self) -> PartitionId {
-        self.engine.core().partition()
-    }
-
-    /// The server's current version vector.
-    pub fn version_vector(&self) -> &VersionVector {
-        &self.engine.core().vv
-    }
-
-    /// Read access to the underlying store (used by tests and the convergence checker).
-    pub fn store(&self) -> &ShardedStore {
-        &self.engine.core().store
-    }
-
-    /// An observability snapshot of the server's state.
-    pub fn status(&self) -> ServerStatus {
-        let core = self.engine.core();
-        ServerStatus {
-            version_vector: core.vv.clone(),
-            pending: core.pending_ops(),
-            active_transactions: core.active_transactions(),
-            store: core.store.stats(),
-        }
-    }
-}
-
-pocc_engine::delegate_protocol_server!(PoccServer);
+pub type PoccServer<C> = ProtocolEngine<C, PoccPolicy>;
 
 #[cfg(test)]
 mod tests {
@@ -146,7 +92,7 @@ mod tests {
         TxId,
     };
     use pocc_storage::partition_for_key;
-    use pocc_types::{DependencyVector, Key, Value, Version};
+    use pocc_types::{DependencyVector, Key, ReplicaId, ServerId, Value, Version};
     use std::time::Duration;
 
     const MS: u64 = 1_000;
@@ -220,7 +166,7 @@ mod tests {
             Some(ClientReply::Put { update_time }) => update_time,
         );
         assert_eq!(ut, Timestamp(10 * MS));
-        assert_eq!(s.version_vector().get(ReplicaId(0)), ut);
+        assert_eq!(s.core().vv.get(ReplicaId(0)), ut);
 
         let outputs = s.handle_client_request(
             c,
@@ -285,7 +231,7 @@ mod tests {
         assert!(outputs.is_empty(), "the GET must be parked");
         assert_eq!(s.metrics().blocked_operations, 1);
         assert_eq!(s.metrics().currently_blocked, 1);
-        assert_eq!(s.status().pending.len(), 1);
+        assert_eq!(s.core().pending_ops().len(), 1);
 
         // A heartbeat from replica 1 with a lower clock does not unblock it.
         clock.set(Timestamp(15 * MS));
@@ -435,8 +381,11 @@ mod tests {
             ServerMessage::Replicate { version },
         );
         assert!(outputs.is_empty());
-        assert_eq!(s.version_vector().get(ReplicaId(2)), Timestamp(9 * MS));
-        assert_eq!(s.store().latest(key).unwrap().value.as_slice(), b"remote");
+        assert_eq!(s.core().vv.get(ReplicaId(2)), Timestamp(9 * MS));
+        assert_eq!(
+            s.core().store.latest(key).unwrap().value.as_slice(),
+            b"remote"
+        );
         assert_eq!(s.metrics().replicate_received, 1);
     }
 
@@ -496,7 +445,7 @@ mod tests {
             })
             .collect();
         assert_eq!(heartbeats.len(), 2);
-        assert_eq!(s.version_vector().get(ReplicaId(0)), Timestamp(10 * MS));
+        assert_eq!(s.core().vv.get(ReplicaId(0)), Timestamp(10 * MS));
 
         // Within the same heartbeat interval no further heartbeat is sent.
         clock.set(Timestamp(10 * MS + 500));
@@ -824,7 +773,7 @@ mod tests {
                 },
             );
         }
-        assert_eq!(s.store().stats().versions, 5);
+        assert_eq!(s.core().store.stats().versions, 5);
 
         // First tick initiates the GC exchange and sends the contribution to the peer.
         clock.set(Timestamp(30 * MS));
@@ -847,7 +796,7 @@ mod tests {
         clock.set(Timestamp(50 * MS));
         s.tick();
         // Only the newest version survives (it is the first one covered by the GC vector).
-        assert_eq!(s.store().stats().versions, 1);
+        assert_eq!(s.core().store.stats().versions, 1);
         assert!(s.metrics().gc_versions_removed >= 4);
     }
 
@@ -935,11 +884,11 @@ mod tests {
         // the messages had arrived individually.
         receiver.handle_server_message(sender.server_id(), batch);
         assert_eq!(receiver.metrics().replicate_received, 2);
-        assert_eq!(receiver.store().latest(key).unwrap().value.as_slice(), b"b");
         assert_eq!(
-            receiver.version_vector().get(ReplicaId(0)),
-            Timestamp(11 * MS)
+            receiver.core().store.latest(key).unwrap().value.as_slice(),
+            b"b"
         );
+        assert_eq!(receiver.core().vv.get(ReplicaId(0)), Timestamp(11 * MS));
         assert_eq!(sender.digest(), receiver.digest());
     }
 
@@ -979,7 +928,7 @@ mod tests {
         };
         client.process_reply(&reply).unwrap();
         assert!(y_ut > x_ut);
-        let stored_y = s.store().latest(key).unwrap();
+        let stored_y = s.core().store.latest(key).unwrap();
         assert!(stored_y.deps.get(ReplicaId(0)) >= x_ut);
     }
 }

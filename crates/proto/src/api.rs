@@ -283,7 +283,29 @@ pub trait ProtocolServer: Send {
     /// Periodic maintenance: heartbeat emission, stabilization rounds, garbage collection,
     /// partition-detection timeouts, re-evaluation of clock-dependent waits. The driver
     /// calls this at least once per heartbeat interval.
-    fn tick(&mut self) -> Vec<ServerOutput>;
+    ///
+    /// A GC pass the tick begins runs whole before the tick returns:
+    /// [`ProtocolServer::tick_leaving_gc`] and then one unbounded
+    /// [`ProtocolServer::gc_step`].
+    fn tick(&mut self) -> Vec<ServerOutput> {
+        let mut outputs = Vec::new();
+        if self.tick_leaving_gc(&mut outputs) {
+            self.gc_step(usize::MAX);
+        }
+        outputs
+    }
+
+    /// Runs one tick into `outputs`, but leaves a garbage-collection pass the tick begins
+    /// pending, and returns whether one is pending. A threaded server runs the pass with
+    /// [`ProtocolServer::gc_step`] and serves operations between steps. Finishing it
+    /// later cannot change the tick's outputs: a pass emits nothing, and nothing the
+    /// tick does after beginning one reads a version chain.
+    fn tick_leaving_gc(&mut self, outputs: &mut Vec<ServerOutput>) -> bool;
+
+    /// Runs the pending garbage-collection pass over at most `budget` version chains and
+    /// returns whether the pass is done; with no pass pending it does nothing and returns
+    /// `true`. GC emits no outputs.
+    fn gc_step(&mut self, budget: usize) -> bool;
 
     /// Returns and resets the number of *extra work units* performed since the last call:
     /// version-chain elements traversed beyond the head and vector merges performed by

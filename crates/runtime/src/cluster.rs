@@ -17,7 +17,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A cluster server, as the runtime runs it.
-type Server = ParallelServer<MonotonicClock<SystemClock>>;
+type Server = ParallelServer;
 
 /// The servers the event sink runs events on and probes read, registered once every
 /// server has started. Weak, because each server's own sink holds the transport, and so

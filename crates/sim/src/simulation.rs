@@ -6,7 +6,7 @@ use crate::consistency::ConsistencyChecker;
 use crate::event::{Event, EventQueue};
 use crate::metrics::LatencyStats;
 use crate::report::SimReport;
-use pocc_clock::{ClockFactory, ManualClock, SkewModel};
+use pocc_clock::{ClockFactory, ManualClock};
 use pocc_net::{LatencyModel, SimNetwork};
 use pocc_proto::{
     ClientReply, ClientRequest, Envelope, InstrumentedServer, MetricsSnapshot, ProtocolClient,
@@ -100,21 +100,12 @@ impl Simulation {
     /// Builds a simulation from its configuration.
     pub fn new(cfg: SimConfig) -> Self {
         let deployment = cfg.deployment.clone();
-        let mut factory = ClockFactory::new(
-            if cfg.max_clock_skew.is_zero() {
-                SkewModel::None
-            } else {
-                SkewModel::UniformOffset {
-                    max: cfg.max_clock_skew,
-                }
-            },
-            cfg.seed ^ 0xC10C,
-        );
+        let mut factory = ClockFactory::new(cfg.max_clock_skew, cfg.seed ^ 0xC10C);
         let base_clock = factory.base();
 
         let mut servers = HashMap::new();
         for id in deployment.servers() {
-            let clock = factory.clock_for(id);
+            let clock = factory.clock_for();
             let server = cfg.protocol.server(id, deployment.clone(), clock);
             servers.insert(
                 id,

@@ -83,7 +83,7 @@ pub use pocc_adaptive::AdaptiveServer;
 pub use pocc_cure::CureServer;
 pub use pocc_engine::{EngineCore, ProtocolEngine, VisibilityPolicy};
 pub use pocc_exec::{ParallelServer, ProtocolKind};
-pub use pocc_ha::{HaPoccServer, HaSession};
+pub use pocc_ha::HaPoccServer;
 pub use pocc_proto::{InstrumentedServer, ProtocolClient, ProtocolServer, ServerIntrospect};
 pub use pocc_protocol::{Client, PoccServer};
 pub use pocc_runtime::{Cluster, ClusterBuilder, ClusterClient, ServerProbe, TransportKind};

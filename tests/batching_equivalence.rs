@@ -72,7 +72,7 @@ fn run_cluster(batching: bool) -> HashMap<ServerId, ServerState> {
 
     cluster
         .servers()
-        .map(|(id, s)| (id, (s.digest(), s.version_vector().clone())))
+        .map(|(id, s)| (id, (s.digest(), s.core().vv.clone())))
         .collect()
 }
 
