@@ -43,7 +43,7 @@ pub mod json;
 pub mod loadgen;
 pub mod scenarios;
 
-use pocc_sim::{ProtocolKind, SimConfig, SimConfigBuilder};
+use pocc_sim::{ProtocolKind, SimConfig};
 use pocc_workload::WorkloadMix;
 use std::time::Duration;
 
@@ -148,21 +148,23 @@ pub fn deployment(partitions: usize) -> pocc_types::Config {
 /// service time is chosen so that the scaled-down deployment saturates within the client
 /// counts the sweeps use (the full scale uses a faster per-op cost, matching the larger
 /// fleet).
-pub fn point(scale: Scale, protocol: ProtocolKind) -> SimConfigBuilder {
-    SimConfig::builder()
-        .protocol(protocol)
-        .deployment(deployment(scale.max_partitions()))
-        .op_service_time(match scale {
+pub fn point(scale: Scale, protocol: ProtocolKind) -> SimConfig {
+    SimConfig {
+        protocol,
+        deployment: deployment(scale.max_partitions()),
+        op_service_time: match scale {
             Scale::Smoke | Scale::Quick => Duration::from_micros(100),
             Scale::Full => Duration::from_micros(40),
-        })
-        .keys_per_partition(scale.keys_per_partition())
-        .zipf_theta(0.99)
-        .think_time(scale.think_time())
-        .warmup(scale.warmup())
-        .duration(scale.duration())
-        .drain(scale.drain())
-        .seed(42)
+        },
+        keys_per_partition: scale.keys_per_partition(),
+        zipf_theta: 0.99,
+        think_time: scale.think_time(),
+        warmup: scale.warmup(),
+        duration: scale.duration(),
+        drain: scale.drain(),
+        seed: 42,
+        ..SimConfig::default()
+    }
 }
 
 /// Convenience: the GET:PUT mix of §V-B with `n` GETs per PUT.
@@ -222,10 +224,11 @@ mod tests {
 
     #[test]
     fn point_builder_produces_paper_like_defaults() {
-        let cfg = point(Scale::Quick, ProtocolKind::Pocc)
-            .clients_per_partition(2)
-            .mix(get_put(4))
-            .build();
+        let cfg = SimConfig {
+            clients_per_partition: 2,
+            mix: get_put(4),
+            ..point(Scale::Quick, ProtocolKind::Pocc)
+        };
         assert_eq!(cfg.deployment.num_replicas, 3);
         assert_eq!(cfg.deployment.num_partitions, 8);
         assert_eq!(cfg.think_time, Duration::from_millis(25));
@@ -234,16 +237,18 @@ mod tests {
 
     #[test]
     fn quick_point_runs_end_to_end() {
-        let config = point(Scale::Quick, ProtocolKind::Pocc)
-            .partitions(2)
-            .clients_per_partition(1)
-            .keys_per_partition(100)
-            .warmup(Duration::from_millis(50))
-            .duration(Duration::from_millis(200))
-            .drain(Duration::from_millis(100))
-            .mix(get_put(4))
-            .build();
+        let config = SimConfig {
+            deployment: deployment(2),
+            clients_per_partition: 1,
+            keys_per_partition: 100,
+            warmup: Duration::from_millis(50),
+            duration: Duration::from_millis(200),
+            drain: Duration::from_millis(100),
+            mix: get_put(4),
+            ..point(Scale::Quick, ProtocolKind::Pocc)
+        };
         let report = pocc_sim::Simulation::new(config).run();
         assert!(report.operations_completed > 0);
+        assert_eq!(report.partitions, 2);
     }
 }

@@ -580,24 +580,23 @@ pub fn run(options: &LoadOptions) -> ScenarioReport {
     };
 
     // The config block of the JSON point documents the run's actual dimensions.
-    let config = SimConfig::builder()
-        .protocol(options.protocol)
-        .deployment(deployment)
-        .clients_per_partition(
-            options
-                .conns
-                .div_ceil(options.partitions * options.replicas),
-        )
-        .mix(crate::get_put(options.gets_per_put as usize))
-        .zipf_theta(0.0)
-        .keys_per_partition(options.keys_per_partition)
-        .value_size(options.value_size)
-        .think_time(Duration::ZERO)
-        .warmup(options.warmup)
-        .duration(options.duration)
-        .drain(Duration::ZERO)
-        .seed(SEED)
-        .build();
+    let config = SimConfig {
+        protocol: options.protocol,
+        deployment,
+        clients_per_partition: options
+            .conns
+            .div_ceil(options.partitions * options.replicas),
+        mix: crate::get_put(options.gets_per_put as usize),
+        zipf_theta: 0.0,
+        keys_per_partition: options.keys_per_partition,
+        value_size: options.value_size,
+        think_time: Duration::ZERO,
+        warmup: options.warmup,
+        duration: options.duration,
+        drain: Duration::ZERO,
+        seed: SEED,
+        ..SimConfig::default()
+    };
 
     let label = format!(
         "{}-{}-{}x{}",

@@ -19,8 +19,7 @@
 use crate::json::{Json, SCHEMA_VERSION};
 use crate::{deployment, get_put, point, tx_put, Scale};
 use pocc_sim::{
-    ChaosGen, ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, SimConfigBuilder, SimReport,
-    Simulation,
+    ChaosGen, ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, SimReport, Simulation,
 };
 use pocc_types::{Config, ReplicaId};
 use pocc_workload::WorkloadMix;
@@ -202,11 +201,11 @@ fn point_to_json(point: &PointResult) -> Json {
         (
             "blocking".into(),
             Json::Obj(vec![
-                ("probability".into(), Json::num(r.blocking_probability())),
+                ("probability".into(), Json::num(m.blocking_probability())),
                 ("blocked_operations".into(), Json::u64(m.blocked_operations)),
                 (
                     "avg_block_time_us".into(),
-                    Json::u64(r.avg_block_time().as_micros() as u64),
+                    Json::u64(m.avg_block_time().as_micros() as u64),
                 ),
                 (
                     "clock_wait_time_us".into(),
@@ -217,15 +216,15 @@ fn point_to_json(point: &PointResult) -> Json {
         (
             "staleness".into(),
             Json::Obj(vec![
-                ("old_get_fraction".into(), Json::num(r.old_get_fraction())),
+                ("old_get_fraction".into(), Json::num(m.old_get_fraction())),
                 (
                     "unmerged_get_fraction".into(),
-                    Json::num(r.unmerged_get_fraction()),
+                    Json::num(m.unmerged_get_fraction()),
                 ),
-                ("old_tx_fraction".into(), Json::num(r.old_tx_fraction())),
+                ("old_tx_fraction".into(), Json::num(m.old_tx_fraction())),
                 (
                     "unmerged_tx_fraction".into(),
-                    Json::num(r.unmerged_tx_fraction()),
+                    Json::num(m.unmerged_tx_fraction()),
                 ),
                 (
                     "stable_fallback_gets".into(),
@@ -570,7 +569,7 @@ fn sweep<V: Swept>(
     axis: &str,
     values: &[V],
     protocols: &[ProtocolKind],
-    config: impl Fn(SimConfigBuilder, V) -> SimConfigBuilder,
+    config: impl Fn(SimConfig, V) -> SimConfig,
 ) -> Vec<ScenarioPoint> {
     let mut points = Vec::new();
     for &value in values {
@@ -578,7 +577,7 @@ fn sweep<V: Swept>(
             points.push(ScenarioPoint {
                 label: label(protocol, axis, value),
                 x: value.x(),
-                config: config(point(scale, protocol), value).build(),
+                config: config(point(scale, protocol), value),
             });
         }
     }
@@ -609,10 +608,11 @@ fn fig1a(scale: Scale) -> Vec<ScenarioPoint> {
         Scale::Full => &[2, 4, 8, 16, 24, 32],
     };
     let clients = saturating_clients(scale);
-    sweep(scale, "partitions", partitions, &BOTH, |b, p| {
-        b.deployment(deployment(p))
-            .clients_per_partition(clients)
-            .mix(get_put(p))
+    sweep(scale, "partitions", partitions, &BOTH, |b, p| SimConfig {
+        deployment: deployment(p),
+        clients_per_partition: clients,
+        mix: get_put(p),
+        ..b
     })
 }
 
@@ -624,8 +624,10 @@ fn load_sweep(scale: Scale, mix: WorkloadMix, protocols: &[ProtocolKind]) -> Vec
         Scale::Quick => &[32, 64, 128, 192, 256, 320],
         Scale::Full => &[32, 64, 128, 192, 256, 320, 384],
     };
-    sweep(scale, "clients", clients, protocols, |b, c| {
-        b.clients_per_partition(c).mix(mix)
+    sweep(scale, "clients", clients, protocols, |b, c| SimConfig {
+        clients_per_partition: c,
+        mix,
+        ..b
     })
 }
 
@@ -654,8 +656,10 @@ fn fig1c(scale: Scale) -> Vec<ScenarioPoint> {
         Scale::Full => &[32, 16, 8, 4, 2, 1],
     };
     let clients = saturating_clients(scale);
-    sweep(scale, "getput", ratios, &BOTH, |b, ratio| {
-        b.clients_per_partition(clients).mix(get_put(ratio))
+    sweep(scale, "getput", ratios, &BOTH, |b, ratio| SimConfig {
+        clients_per_partition: clients,
+        mix: get_put(ratio),
+        ..b
     })
 }
 
@@ -670,8 +674,10 @@ fn fig3a(scale: Scale) -> Vec<ScenarioPoint> {
         Scale::Quick => 96,
         Scale::Full => 64,
     };
-    sweep(scale, "txsize", sizes, &BOTH, |b, p| {
-        b.clients_per_partition(clients).mix(tx_put(p))
+    sweep(scale, "txsize", sizes, &BOTH, |b, p| SimConfig {
+        clients_per_partition: clients,
+        mix: tx_put(p),
+        ..b
     })
 }
 
@@ -684,8 +690,10 @@ fn fig3b(scale: Scale, protocols: &[ProtocolKind]) -> Vec<ScenarioPoint> {
         Scale::Full => &[40, 80, 120, 160, 200],
     };
     let tx_size = (scale.max_partitions() / 2).max(1);
-    sweep(scale, "clients", clients, protocols, |b, c| {
-        b.clients_per_partition(c).mix(tx_put(tx_size))
+    sweep(scale, "clients", clients, protocols, |b, c| SimConfig {
+        clients_per_partition: c,
+        mix: tx_put(tx_size),
+        ..b
     })
 }
 
@@ -697,12 +705,15 @@ fn ablation_stabilization(scale: Scale) -> Vec<ScenarioPoint> {
     let p = scale.max_partitions();
     let clients = moderate_clients(scale);
     sweep(scale, "stab_ms", stabs, &[ProtocolKind::Cure], |b, ms| {
-        b.deployment(Config {
-            stabilization_interval: Duration::from_millis(ms),
-            ..deployment(p)
-        })
-        .clients_per_partition(clients)
-        .mix(get_put(p))
+        SimConfig {
+            deployment: Config {
+                stabilization_interval: Duration::from_millis(ms),
+                ..deployment(p)
+            },
+            clients_per_partition: clients,
+            mix: get_put(p),
+            ..b
+        }
     })
 }
 
@@ -714,12 +725,15 @@ fn ablation_heartbeat(scale: Scale) -> Vec<ScenarioPoint> {
     let p = scale.max_partitions();
     let clients = moderate_clients(scale);
     sweep(scale, "hb_us", hbs, &[ProtocolKind::Pocc], |b, hb| {
-        b.deployment(Config {
-            heartbeat_interval: Duration::from_micros(hb.0),
-            ..deployment(p)
-        })
-        .clients_per_partition(clients)
-        .mix(get_put(p))
+        SimConfig {
+            deployment: Config {
+                heartbeat_interval: Duration::from_micros(hb.0),
+                ..deployment(p)
+            },
+            clients_per_partition: clients,
+            mix: get_put(p),
+            ..b
+        }
     })
 }
 
@@ -731,9 +745,12 @@ fn ablation_clock_skew(scale: Scale) -> Vec<ScenarioPoint> {
     let p = scale.max_partitions();
     let clients = moderate_clients(scale);
     sweep(scale, "skew_us", skews, &[ProtocolKind::Pocc], |b, skew| {
-        b.max_clock_skew(Duration::from_micros(skew.0))
-            .clients_per_partition(clients)
-            .mix(get_put(p))
+        SimConfig {
+            max_clock_skew: Duration::from_micros(skew.0),
+            clients_per_partition: clients,
+            mix: get_put(p),
+            ..b
+        }
     })
 }
 
@@ -756,15 +773,16 @@ fn ablation_sharding(scale: Scale) -> Vec<ScenarioPoint> {
             points.push(ScenarioPoint {
                 label: format!("POCC/shards={shards}/batching={batching}"),
                 x: shards as f64,
-                config: point(scale, ProtocolKind::Pocc)
-                    .deployment(Config {
+                config: SimConfig {
+                    deployment: Config {
                         storage_shards: shards,
                         replication_batching: batching,
                         ..deployment(scale.max_partitions())
-                    })
-                    .clients_per_partition(clients)
-                    .mix(get_put(2))
-                    .build(),
+                    },
+                    clients_per_partition: clients,
+                    mix: get_put(2),
+                    ..point(scale, ProtocolKind::Pocc)
+                },
             });
         }
     }
@@ -781,8 +799,11 @@ fn theta_sweep(scale: Scale, mix: WorkloadMix, protocols: &[ProtocolKind]) -> Ve
         Scale::Quick | Scale::Full => &[0.0, 0.5, 0.8, 0.99, 1.2],
     };
     let clients = moderate_clients(scale);
-    sweep(scale, "theta", thetas, protocols, |b, theta| {
-        b.clients_per_partition(clients).zipf_theta(theta).mix(mix)
+    sweep(scale, "theta", thetas, protocols, |b, theta| SimConfig {
+        clients_per_partition: clients,
+        zipf_theta: theta,
+        mix,
+        ..b
     })
 }
 
@@ -794,9 +815,12 @@ fn large_values(scale: Scale) -> Vec<ScenarioPoint> {
     let clients = moderate_clients(scale);
     // A write-heavier 4:1 mix so replicated payload bytes dominate the wire.
     sweep(scale, "bytes", sizes, &[ProtocolKind::Pocc], |b, size| {
-        b.clients_per_partition(clients)
-            .value_size(size)
-            .mix(get_put(4))
+        SimConfig {
+            clients_per_partition: clients,
+            value_size: size,
+            mix: get_put(4),
+            ..b
+        }
     })
 }
 
@@ -811,7 +835,11 @@ fn tx_size_sweep(scale: Scale) -> Vec<ScenarioPoint> {
         Scale::Quick | Scale::Full => 48,
     };
     sweep(scale, "txsize", sizes, &[ProtocolKind::Pocc], |b, size| {
-        b.clients_per_partition(clients).mix(tx_put(size))
+        SimConfig {
+            clients_per_partition: clients,
+            mix: tx_put(size),
+            ..b
+        }
     })
 }
 
@@ -824,25 +852,29 @@ fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
     let clients = moderate_clients(scale);
     // The partition opens a quarter into the measured window and heals `dur` later; the
     // extended drain gives held WAN traffic time to deliver so the run still converges.
-    let partitioned = |builder: SimConfigBuilder, dur: Duration| {
-        let builder = builder
-            .clients_per_partition(clients)
-            .drain(scale.drain() + Duration::from_millis(300));
-        if dur.is_zero() {
-            return builder;
-        }
+    let partitioned = |base: SimConfig, dur: Duration| {
         let at = scale.warmup() + scale.duration() / 4;
-        builder
-            .chaos_step(ChaosStep::Partition {
-                at,
-                a: ReplicaId(0),
-                b: ReplicaId(1),
-            })
-            .chaos_step(ChaosStep::Heal {
-                at: at + dur,
-                a: ReplicaId(0),
-                b: ReplicaId(1),
-            })
+        let chaos = if dur.is_zero() {
+            ChaosSchedule::new()
+        } else {
+            ChaosSchedule::new()
+                .step(ChaosStep::Partition {
+                    at,
+                    a: ReplicaId(0),
+                    b: ReplicaId(1),
+                })
+                .step(ChaosStep::Heal {
+                    at: at + dur,
+                    a: ReplicaId(0),
+                    b: ReplicaId(1),
+                })
+        };
+        SimConfig {
+            clients_per_partition: clients,
+            drain: scale.drain() + Duration::from_millis(300),
+            chaos,
+            ..base
+        }
     };
     let mut points: Vec<ScenarioPoint> = durations_ms
         .into_iter()
@@ -850,10 +882,12 @@ fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
             label: label(ProtocolKind::HaPocc, "partition_ms", dur_ms),
             x: dur_ms as f64,
             config: partitioned(
-                point(scale, ProtocolKind::HaPocc).mix(get_put(p)),
+                SimConfig {
+                    mix: get_put(p),
+                    ..point(scale, ProtocolKind::HaPocc)
+                },
                 Duration::from_millis(dur_ms),
-            )
-            .build(),
+            ),
         })
         .collect();
     // The default detection timeout outlasts every partition above, so none of those
@@ -869,13 +903,14 @@ fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
         label: label(ProtocolKind::HaPocc, "tx_partition_ms", dur.as_millis()),
         x: dur.as_millis() as f64,
         config: partitioned(
-            point(scale, ProtocolKind::HaPocc)
-                .deployment(deployment)
-                .mix(tx_put(p))
-                .check_consistency(true),
+            SimConfig {
+                deployment,
+                mix: tx_put(p),
+                check_consistency: true,
+                ..point(scale, ProtocolKind::HaPocc)
+            },
             dur,
-        )
-        .build(),
+        ),
     });
     points
 }
@@ -883,18 +918,16 @@ fn partition_heal(scale: Scale) -> Vec<ScenarioPoint> {
 /// The chaos scenarios disturb only the measured window — every schedule is fully over
 /// by `warmup + duration` — and extend the drain so held, lagged and backlogged traffic
 /// delivers before the convergence check. All of them run the exact causal checker.
-fn chaos_point(
-    scale: Scale,
-    builder: SimConfigBuilder,
-    schedule: ChaosSchedule,
-) -> SimConfigBuilder {
-    debug_assert!(schedule.ends_by(scale.warmup() + scale.duration()));
-    builder
-        .clients_per_partition(moderate_clients(scale))
-        .mix(get_put(3))
-        .check_consistency(true)
-        .drain(scale.drain() + Duration::from_millis(300))
-        .chaos(schedule)
+fn chaos_point(scale: Scale, base: SimConfig, chaos: ChaosSchedule) -> SimConfig {
+    debug_assert!(chaos.ends_by(scale.warmup() + scale.duration()));
+    SimConfig {
+        clients_per_partition: moderate_clients(scale),
+        mix: get_put(3),
+        check_consistency: true,
+        drain: scale.drain() + Duration::from_millis(300),
+        chaos,
+        ..base
+    }
 }
 
 fn chaos_partition_storm(scale: Scale) -> Vec<ScenarioPoint> {
@@ -938,7 +971,7 @@ fn chaos_lag_drop(scale: Scale) -> Vec<ScenarioPoint> {
         .map(|(i, protocol)| ScenarioPoint {
             label: label(protocol, "chaos", "scripted"),
             x: i as f64,
-            config: chaos_point(scale, point(scale, protocol), schedule.clone()).build(),
+            config: chaos_point(scale, point(scale, protocol), schedule.clone()),
         })
         .collect()
 }
@@ -964,14 +997,15 @@ fn baseline(scale: Scale) -> Vec<ScenarioPoint> {
     // The seed-equivalent configuration: one storage shard per partition, no replication
     // batching, and the balanced default mix.
     let clients = [moderate_clients(scale)];
-    sweep(scale, "clients", &clients, &BOTH, |b, clients| {
-        b.deployment(Config {
+    sweep(scale, "clients", &clients, &BOTH, |b, clients| SimConfig {
+        deployment: Config {
             storage_shards: 1,
             replication_batching: false,
             ..deployment(scale.max_partitions())
-        })
-        .clients_per_partition(clients)
-        .mix(WorkloadMix::balanced())
+        },
+        clients_per_partition: clients,
+        mix: WorkloadMix::balanced(),
+        ..b
     })
 }
 

@@ -1,6 +1,6 @@
 //! The shared server state and machinery every protocol variant builds on.
 
-use crate::pending::{Parked, PendingOp, ReadMode};
+use crate::pending::{Parked, ReadMode};
 use pocc_clock::Clock;
 use pocc_proto::{
     ClientReply, GetResponse, MessageBatcher, MetricsSnapshot, ServerMessage, ServerOutput, TxId,
@@ -132,13 +132,7 @@ impl<C: Clock> EngineCore<C> {
         }
     }
 
-    /// Read-only views of the currently parked operations, in arrival order.
-    pub fn pending_ops(&self) -> Vec<PendingOp> {
-        self.parked.iter().map(Parked::view).collect()
-    }
-
-    /// Number of currently parked operations (allocation-free; use
-    /// [`EngineCore::pending_ops`] for the detailed views).
+    /// Number of currently parked operations.
     pub fn pending_len(&self) -> usize {
         self.parked.len()
     }
@@ -730,15 +724,6 @@ impl<C: Clock> EngineCore<C> {
                 },
             ));
         }
-    }
-
-    /// Silently drops expired *client-facing* parked operations, keeping operations held
-    /// on behalf of remote coordinators indefinitely (Cure\*'s timeout policy: the
-    /// transaction-level abort already closed the client session).
-    pub fn drop_expired_client_parked(&mut self, now: Timestamp) {
-        let timeout = self.config.partition_detection_timeout;
-        self.parked
-            .retain(|op| now.saturating_since(op.since()) < timeout || !op.is_client_facing());
     }
 
     // -----------------------------------------------------------------------------------

@@ -102,4 +102,4 @@ mod pending;
 
 pub use crate::core::{EngineCore, SliceUnmergedMode};
 pub use crate::engine::{ProtocolEngine, VisibilityPolicy};
-pub use crate::pending::{BlockReason, PendingOp, ReadMode};
+pub use crate::pending::ReadMode;

@@ -5,15 +5,14 @@
 //! server *parks* the request and serves it as soon as the missing replication traffic or
 //! heartbeat arrives (§III-A, "client-assisted lazy dependency resolution").
 //!
-//! This module holds the internal representation of parked operations and the public,
-//! read-only view exposed for observability and for the partition detector of HA-POCC.
+//! This module holds the internal representation of parked operations.
 
 use pocc_proto::TxId;
 use pocc_types::{ClientId, DependencyVector, Key, ServerId, Timestamp, Value};
 
-/// Why an operation is parked.
+/// Why an operation is parked, as the partition-timeout abort message names it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BlockReason {
+pub(crate) enum BlockReason {
     /// A GET is waiting for the server's version vector to cover the client's read
     /// dependency vector (Algorithm 2 line 2).
     MissingReadDependency,
@@ -34,17 +33,6 @@ impl std::fmt::Display for BlockReason {
         };
         f.write_str(s)
     }
-}
-
-/// A read-only view of one parked operation, for observability.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PendingOp {
-    /// The client on whose behalf the operation runs.
-    pub client: ClientId,
-    /// Why the operation is blocked.
-    pub reason: BlockReason,
-    /// When the operation was parked (server clock).
-    pub since: Timestamp,
 }
 
 /// How a parked GET is served once its wait condition holds.
@@ -110,15 +98,6 @@ impl Parked {
         }
     }
 
-    /// The public view of this parked operation.
-    pub(crate) fn view(&self) -> PendingOp {
-        PendingOp {
-            client: self.client(),
-            reason: self.reason(),
-            since: self.since(),
-        }
-    }
-
     /// Why the operation is parked.
     pub(crate) fn reason(&self) -> BlockReason {
         match self {
@@ -169,16 +148,11 @@ mod tests {
             snapshot: DependencyVector::zero(3),
             since: Timestamp(30),
         };
-        assert_eq!(
-            get.view(),
-            PendingOp {
-                client: ClientId(1),
-                reason: BlockReason::MissingReadDependency,
-                since: Timestamp(10)
-            }
-        );
-        assert_eq!(put.view().reason, BlockReason::MissingWriteDependency);
-        assert_eq!(slice.view().reason, BlockReason::SnapshotNotInstalled);
+        assert_eq!(get.reason(), BlockReason::MissingReadDependency);
+        assert_eq!(get.client(), ClientId(1));
+        assert_eq!(get.since(), Timestamp(10));
+        assert_eq!(put.reason(), BlockReason::MissingWriteDependency);
+        assert_eq!(slice.reason(), BlockReason::SnapshotNotInstalled);
         assert_eq!(slice.since(), Timestamp(30));
         assert_eq!(slice.client(), ClientId(3));
     }

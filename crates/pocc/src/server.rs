@@ -231,7 +231,7 @@ mod tests {
         assert!(outputs.is_empty(), "the GET must be parked");
         assert_eq!(s.metrics().blocked_operations, 1);
         assert_eq!(s.metrics().currently_blocked, 1);
-        assert_eq!(s.core().pending_ops().len(), 1);
+        assert_eq!(s.core().pending_len(), 1);
 
         // A heartbeat from replica 1 with a lower clock does not unblock it.
         clock.set(Timestamp(15 * MS));

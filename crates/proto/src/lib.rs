@@ -81,7 +81,7 @@ pub use api::{
 };
 pub use batch::MessageBatcher;
 pub use messages::{ClientReply, ClientRequest, GetResponse, ServerMessage, TxId, TxItem};
-pub use output::{ClientEvent, Envelope, ServerOutput};
+pub use output::{Envelope, ServerOutput};
 
 /// Test helper: matches a reply (typically the `Option<ClientReply>` extracted from a
 /// server's outputs) against the expected pattern, evaluating to the arm's value, and

@@ -1,29 +1,7 @@
 //! Sans-IO outputs produced by the protocol state machines.
 
-use crate::{ClientReply, ClientRequest, ServerMessage};
+use crate::{ClientReply, ServerMessage};
 use pocc_types::{ClientId, ServerId, Timestamp};
-
-/// An input event a server can receive, tagged with its origin.
-///
-/// The simulator and the threaded runtime translate network deliveries into
-/// `ClientEvent`s and feed them to the protocol state machines.
-#[derive(Clone, PartialEq, Debug)]
-pub enum ClientEvent {
-    /// A request from a client connected (or forwarded) to this server.
-    Request {
-        /// The issuing client.
-        client: ClientId,
-        /// The request.
-        request: ClientRequest,
-    },
-    /// A message from another server.
-    Server {
-        /// The sending server.
-        from: ServerId,
-        /// The message.
-        message: ServerMessage,
-    },
-}
 
 /// An action requested by a protocol state machine. The driving layer (simulator or
 /// runtime) is responsible for actually delivering replies and messages.
@@ -100,7 +78,6 @@ impl Envelope {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_types::{DependencyVector, Key};
 
     #[test]
     fn output_helpers_classify_destinations() {
@@ -145,20 +122,5 @@ mod tests {
         );
         assert!(!local.crosses_dc());
         assert!(wan.crosses_dc());
-    }
-
-    #[test]
-    fn client_event_carries_request() {
-        let ev = ClientEvent::Request {
-            client: ClientId(1),
-            request: ClientRequest::Get {
-                key: Key(9),
-                rdv: DependencyVector::zero(3),
-            },
-        };
-        match ev {
-            ClientEvent::Request { client, .. } => assert_eq!(client, ClientId(1)),
-            _ => panic!("expected a request event"),
-        }
     }
 }

@@ -240,7 +240,7 @@ impl ChaosGen {
 /// A chaos disturbance applied at runtime (the lowered form of window-style
 /// [`ChaosStep`]s; partitions and heals reuse the simulator's existing fault events).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ChaosAction {
+pub(crate) enum ChaosAction {
     /// Start a lag spike between two data centers.
     BeginLag {
         /// One side of the laggy pair.

@@ -8,7 +8,7 @@ use std::collections::BinaryHeap;
 
 /// An event scheduled in simulated time.
 #[derive(Clone, Debug)]
-pub enum Event {
+pub(crate) enum Event {
     /// A client wakes up (think time elapsed) and issues its next operation.
     ClientWake {
         /// Index of the client in the simulation's client table.

@@ -18,15 +18,17 @@
 //!
 //! ```
 //! use pocc_sim::{ProtocolKind, SimConfig, Simulation};
+//! use pocc_types::Config;
 //! use std::time::Duration;
 //!
-//! let config = SimConfig::builder()
-//!     .protocol(ProtocolKind::Pocc)
-//!     .partitions(4)
-//!     .clients_per_partition(2)
-//!     .duration(Duration::from_millis(400))
-//!     .seed(7)
-//!     .build();
+//! let config = SimConfig {
+//!     protocol: ProtocolKind::Pocc,
+//!     deployment: Config::builder().num_partitions(4).build().unwrap(),
+//!     clients_per_partition: 2,
+//!     duration: Duration::from_millis(400),
+//!     seed: 7,
+//!     ..SimConfig::default()
+//! };
 //! let report = Simulation::new(config).run();
 //! assert!(report.operations_completed > 0);
 //! assert_eq!(report.consistency_violations, 0);
@@ -45,10 +47,9 @@ pub mod reference;
 mod report;
 mod simulation;
 
-pub use chaos::{ChaosAction, ChaosGen, ChaosSchedule, ChaosStep};
-pub use config::{SimConfig, SimConfigBuilder};
+pub use chaos::{ChaosGen, ChaosSchedule, ChaosStep};
+pub use config::SimConfig;
 pub use consistency::ConsistencyChecker;
-pub use event::Event;
 pub use metrics::LatencyStats;
 pub use pocc_exec::ProtocolKind;
 pub use report::SimReport;

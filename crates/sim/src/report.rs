@@ -65,36 +65,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Probability that an operation blocked on a missing dependency (POCC; Figures 2a, 3c).
-    pub fn blocking_probability(&self) -> f64 {
-        self.server_metrics.blocking_probability()
-    }
-
-    /// Mean time a blocked operation spent blocked (Figures 2a, 3c).
-    pub fn avg_block_time(&self) -> Duration {
-        self.server_metrics.avg_block_time()
-    }
-
-    /// Fraction of GETs that returned an old (non-freshest) version (Figure 2b).
-    pub fn old_get_fraction(&self) -> f64 {
-        self.server_metrics.old_get_fraction()
-    }
-
-    /// Fraction of GETs that observed an unmerged item (Figure 2b).
-    pub fn unmerged_get_fraction(&self) -> f64 {
-        self.server_metrics.unmerged_get_fraction()
-    }
-
-    /// Fraction of transactional reads that returned an old version (Figure 3d).
-    pub fn old_tx_fraction(&self) -> f64 {
-        self.server_metrics.old_tx_fraction()
-    }
-
-    /// Fraction of transactional reads for which some version was unmerged (Figure 3d).
-    pub fn unmerged_tx_fraction(&self) -> f64 {
-        self.server_metrics.unmerged_tx_fraction()
-    }
-
     /// A one-line human-readable summary, used by the examples.
     pub fn summary(&self) -> String {
         format!(
@@ -104,8 +74,8 @@ impl SimReport {
             self.operations_completed,
             self.measured_window,
             self.latency_all.mean(),
-            self.blocking_probability(),
-            self.old_get_fraction() * 100.0,
+            self.server_metrics.blocking_probability(),
+            self.server_metrics.old_get_fraction() * 100.0,
         )
     }
 }
@@ -145,14 +115,6 @@ mod tests {
             consistency_violations: 0,
             converged: true,
         }
-    }
-
-    #[test]
-    fn derived_fractions_delegate_to_the_metrics() {
-        let r = report();
-        assert!((r.blocking_probability() - 0.01).abs() < 1e-12);
-        assert!((r.old_get_fraction() - 0.1).abs() < 1e-12);
-        assert_eq!(r.avg_block_time(), Duration::ZERO);
     }
 
     #[test]

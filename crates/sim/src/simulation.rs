@@ -25,6 +25,9 @@ use std::time::Duration;
 /// message, or tick.
 const REPLICATION_SERVICE_TIME: Duration = Duration::from_micros(10);
 
+/// Random jitter added to every network latency, as a fraction of the base latency.
+const NETWORK_JITTER: f64 = 0.05;
+
 /// Extra CPU time per version-chain element traversed when searching for a visible
 /// version (Cure\* pays this; POCC GETs do not traverse the chain).
 const CHAIN_TRAVERSAL_COST: Duration = Duration::from_micros(2);
@@ -146,7 +149,7 @@ impl Simulation {
 
         let network = SimNetwork::new(LatencyModel::with_jitter(
             deployment.latency.clone(),
-            cfg.network_jitter,
+            NETWORK_JITTER,
             cfg.seed ^ 0x9E7,
         ));
 
@@ -621,23 +624,32 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{ChaosGen, ChaosSchedule};
     use pocc_exec::ProtocolKind;
-    use pocc_types::ReplicaId;
+    use pocc_types::{Config, ReplicaId};
     use pocc_workload::WorkloadMix;
 
-    fn quick_config(protocol: ProtocolKind) -> SimConfig {
-        SimConfig::builder()
-            .protocol(protocol)
-            .partitions(2)
-            .clients_per_partition(2)
-            .keys_per_partition(100)
-            .warmup(Duration::from_millis(100))
-            .duration(Duration::from_millis(400))
-            .drain(Duration::from_millis(400))
-            .think_time(Duration::from_millis(5))
-            .check_consistency(true)
-            .seed(11)
+    fn deployment(partitions: usize) -> Config {
+        Config::builder()
+            .num_partitions(partitions)
             .build()
+            .unwrap()
+    }
+
+    fn quick_config(protocol: ProtocolKind) -> SimConfig {
+        SimConfig {
+            protocol,
+            deployment: deployment(2),
+            clients_per_partition: 2,
+            keys_per_partition: 100,
+            warmup: Duration::from_millis(100),
+            duration: Duration::from_millis(400),
+            drain: Duration::from_millis(400),
+            think_time: Duration::from_millis(5),
+            check_consistency: true,
+            seed: 11,
+            ..SimConfig::default()
+        }
     }
 
     #[test]
@@ -693,21 +705,14 @@ mod tests {
 
     #[test]
     fn transactional_workload_completes_transactions() {
-        let cfg = SimConfig::builder()
-            .protocol(ProtocolKind::Pocc)
-            .partitions(4)
-            .clients_per_partition(2)
-            .keys_per_partition(100)
-            .mix(WorkloadMix::TxPut {
+        let cfg = SimConfig {
+            deployment: deployment(4),
+            mix: WorkloadMix::TxPut {
                 partitions_per_tx: 3,
-            })
-            .warmup(Duration::from_millis(100))
-            .duration(Duration::from_millis(400))
-            .drain(Duration::from_millis(400))
-            .think_time(Duration::from_millis(5))
-            .check_consistency(true)
-            .seed(3)
-            .build();
+            },
+            seed: 3,
+            ..quick_config(ProtocolKind::Pocc)
+        };
         let report = Simulation::new(cfg).run();
         assert!(report.rotx_completed > 10);
         assert!(report.puts_completed > 10);
@@ -721,52 +726,44 @@ mod tests {
         // window ends at 500ms, the drain at 900ms).
         let r = ReplicaId;
         let ms = Duration::from_millis;
-        let cfg = SimConfig::builder()
-            .protocol(ProtocolKind::Pocc)
-            .partitions(2)
-            .clients_per_partition(2)
-            .keys_per_partition(100)
-            .warmup(Duration::from_millis(100))
-            .duration(Duration::from_millis(400))
-            .drain(Duration::from_millis(400))
-            .think_time(Duration::from_millis(5))
-            .check_consistency(true)
-            .seed(11)
-            .chaos_step(ChaosStep::LagSpike {
-                at: ms(120),
-                until: ms(200),
-                a: r(0),
-                b: r(1),
-                extra: ms(25),
-            })
-            .chaos_step(ChaosStep::DropWindow {
-                at: ms(150),
-                until: ms(260),
-                a: r(1),
-                b: r(2),
-            })
-            .chaos_step(ChaosStep::DupWindow {
-                at: ms(200),
-                until: ms(320),
-                a: r(0),
-                b: r(2),
-            })
-            .chaos_step(ChaosStep::Partition {
-                at: ms(250),
-                a: r(0),
-                b: r(1),
-            })
-            .chaos_step(ChaosStep::Heal {
-                at: ms(380),
-                a: r(0),
-                b: r(1),
-            })
-            .chaos_step(ChaosStep::Restart {
-                at: ms(300),
-                replica: r(2),
-                outage: ms(40),
-            })
-            .build();
+        let cfg = SimConfig {
+            chaos: ChaosSchedule::new()
+                .step(ChaosStep::LagSpike {
+                    at: ms(120),
+                    until: ms(200),
+                    a: r(0),
+                    b: r(1),
+                    extra: ms(25),
+                })
+                .step(ChaosStep::DropWindow {
+                    at: ms(150),
+                    until: ms(260),
+                    a: r(1),
+                    b: r(2),
+                })
+                .step(ChaosStep::DupWindow {
+                    at: ms(200),
+                    until: ms(320),
+                    a: r(0),
+                    b: r(2),
+                })
+                .step(ChaosStep::Partition {
+                    at: ms(250),
+                    a: r(0),
+                    b: r(1),
+                })
+                .step(ChaosStep::Heal {
+                    at: ms(380),
+                    a: r(0),
+                    b: r(1),
+                })
+                .step(ChaosStep::Restart {
+                    at: ms(300),
+                    replica: r(2),
+                    outage: ms(40),
+                }),
+            ..quick_config(ProtocolKind::Pocc)
+        };
         assert!(cfg.chaos.ends_by(ms(500)));
         let report = Simulation::new(cfg).run();
         assert!(report.operations_completed > 0, "{}", report.summary());
@@ -785,12 +782,13 @@ mod tests {
     #[test]
     fn chaos_runs_are_deterministic_per_seed() {
         let chaotic = |seed: u64| {
-            let mut gen = crate::chaos::ChaosGen::new(seed, 3);
-            let schedule = gen.sample(Duration::from_millis(100), Duration::from_millis(500), 5);
-            let mut cfg = quick_config(ProtocolKind::Adaptive);
-            cfg.seed = seed;
-            cfg.chaos = schedule;
-            Simulation::new(cfg).run()
+            let mut gen = ChaosGen::new(seed, 3);
+            Simulation::new(SimConfig {
+                seed,
+                chaos: gen.sample(Duration::from_millis(100), Duration::from_millis(500), 5),
+                ..quick_config(ProtocolKind::Adaptive)
+            })
+            .run()
         };
         let a = chaotic(21);
         let b = chaotic(21);
@@ -802,12 +800,14 @@ mod tests {
 
     #[test]
     fn restart_outage_stalls_a_replica_but_recovers() {
-        let mut cfg = quick_config(ProtocolKind::Pocc);
-        cfg.chaos = crate::chaos::ChaosSchedule::new().step(ChaosStep::Restart {
-            at: Duration::from_millis(200),
-            replica: ReplicaId(1),
-            outage: Duration::from_millis(80),
-        });
+        let cfg = SimConfig {
+            chaos: ChaosSchedule::new().step(ChaosStep::Restart {
+                at: Duration::from_millis(200),
+                replica: ReplicaId(1),
+                outage: Duration::from_millis(80),
+            }),
+            ..quick_config(ProtocolKind::Pocc)
+        };
         let with_restart = Simulation::new(cfg).run();
         let baseline = Simulation::new(quick_config(ProtocolKind::Pocc)).run();
         assert!(with_restart.converged);
@@ -836,9 +836,11 @@ mod tests {
 
     #[test]
     fn different_seeds_change_the_trace() {
-        let mut cfg = quick_config(ProtocolKind::Pocc);
-        cfg.seed = 12345;
-        let a = Simulation::new(cfg).run();
+        let a = Simulation::new(SimConfig {
+            seed: 12345,
+            ..quick_config(ProtocolKind::Pocc)
+        })
+        .run();
         let b = Simulation::new(quick_config(ProtocolKind::Pocc)).run();
         assert_ne!(a.network.messages_sent, b.network.messages_sent);
     }

@@ -481,4 +481,36 @@ mod tests {
         assert_eq!(c.servers().count(), 12);
         assert_eq!(c.num_servers(), 12);
     }
+
+    #[test]
+    fn every_field_has_an_architecture_row() {
+        // The destructuring lists every field without `..`, so a new field does not
+        // compile until it is named here and so checked for its row.
+        macro_rules! fields {
+            ($($field:ident),*) => {{
+                let Config { $($field: _),* } = Config::default();
+                [$(stringify!($field)),*]
+            }};
+        }
+        let fields = fields!(
+            num_replicas,
+            num_partitions,
+            heartbeat_interval,
+            stabilization_interval,
+            ha_stabilization_interval,
+            gc_interval,
+            partition_detection_timeout,
+            latency,
+            storage_shards,
+            worker_lanes,
+            replication_batching
+        );
+        let architecture = include_str!("../../../ARCHITECTURE.md");
+        for field in fields {
+            assert!(
+                architecture.contains(&format!("| `{field}` |")),
+                "ARCHITECTURE.md has no `Config` row for `{field}`"
+            );
+        }
+    }
 }

@@ -14,36 +14,37 @@
 //! cargo run --release --example partition_failover
 //! ```
 
-use pocc::sim::{ChaosStep, ProtocolKind, SimConfig, Simulation};
-use pocc::types::ReplicaId;
+use pocc::sim::{ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, Simulation};
+use pocc::types::{Config, ReplicaId};
 use pocc::workload::WorkloadMix;
 use std::time::Duration;
 
 fn run(protocol: ProtocolKind) -> pocc::sim::SimReport {
-    let config = SimConfig::builder()
-        .protocol(protocol)
-        .replicas(3)
-        .partitions(4)
-        .clients_per_partition(8)
-        .mix(WorkloadMix::GetPut { gets_per_put: 4 })
-        .keys_per_partition(2_000)
-        .think_time(Duration::from_millis(10))
-        .warmup(Duration::from_millis(300))
-        .duration(Duration::from_secs(3))
-        .drain(Duration::from_secs(1))
-        .seed(7)
+    let config = SimConfig {
+        protocol,
+        deployment: Config::builder().num_partitions(4).build().unwrap(),
+        clients_per_partition: 8,
+        mix: WorkloadMix::GetPut { gets_per_put: 4 },
+        keys_per_partition: 2_000,
+        think_time: Duration::from_millis(10),
+        warmup: Duration::from_millis(300),
+        duration: Duration::from_secs(3),
+        drain: Duration::from_secs(1),
+        seed: 7,
         // DC0 <-> DC1 is partitioned for one second in the middle of the run.
-        .chaos_step(ChaosStep::Partition {
-            at: Duration::from_millis(1_000),
-            a: ReplicaId(0),
-            b: ReplicaId(1),
-        })
-        .chaos_step(ChaosStep::Heal {
-            at: Duration::from_millis(2_000),
-            a: ReplicaId(0),
-            b: ReplicaId(1),
-        })
-        .build();
+        chaos: ChaosSchedule::new()
+            .step(ChaosStep::Partition {
+                at: Duration::from_millis(1_000),
+                a: ReplicaId(0),
+                b: ReplicaId(1),
+            })
+            .step(ChaosStep::Heal {
+                at: Duration::from_millis(2_000),
+                a: ReplicaId(0),
+                b: ReplicaId(1),
+            }),
+        ..SimConfig::default()
+    };
     Simulation::new(config).run()
 }
 
@@ -75,8 +76,8 @@ fn main() {
     println!(
         "{:<38} {:>12.2e} {:>12.2e}",
         "blocking probability",
-        pocc.blocking_probability(),
-        ha.blocking_probability()
+        pocc.server_metrics.blocking_probability(),
+        ha.server_metrics.blocking_probability()
     );
     println!(
         "{:<38} {:>12} {:>12}",

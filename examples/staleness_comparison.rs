@@ -10,23 +10,24 @@
 //! ```
 
 use pocc::sim::{ProtocolKind, SimConfig, Simulation};
+use pocc::types::Config;
 use pocc::workload::WorkloadMix;
 use std::time::Duration;
 
 fn run(protocol: ProtocolKind) -> pocc::sim::SimReport {
-    let config = SimConfig::builder()
-        .protocol(protocol)
-        .replicas(3)
-        .partitions(8)
-        .clients_per_partition(24)
-        .mix(WorkloadMix::GetPut { gets_per_put: 8 })
-        .keys_per_partition(10_000)
-        .think_time(Duration::from_millis(10))
-        .warmup(Duration::from_millis(500))
-        .duration(Duration::from_secs(2))
-        .drain(Duration::from_millis(300))
-        .seed(42)
-        .build();
+    let config = SimConfig {
+        protocol,
+        deployment: Config::builder().num_partitions(8).build().unwrap(),
+        clients_per_partition: 24,
+        mix: WorkloadMix::GetPut { gets_per_put: 8 },
+        keys_per_partition: 10_000,
+        think_time: Duration::from_millis(10),
+        warmup: Duration::from_millis(500),
+        duration: Duration::from_secs(2),
+        drain: Duration::from_millis(300),
+        seed: 42,
+        ..SimConfig::default()
+    };
     Simulation::new(config).run()
 }
 
@@ -50,26 +51,26 @@ fn main() {
     println!(
         "{:<34} {:>14.2e} {:>14.2e}",
         "blocking probability",
-        pocc.blocking_probability(),
-        cure.blocking_probability()
+        pocc.server_metrics.blocking_probability(),
+        cure.server_metrics.blocking_probability()
     );
     println!(
         "{:<34} {:>14?} {:>14?}",
         "avg blocking time",
-        pocc.avg_block_time(),
-        cure.avg_block_time()
+        pocc.server_metrics.avg_block_time(),
+        cure.server_metrics.avg_block_time()
     );
     println!(
         "{:<34} {:>13.3}% {:>13.3}%",
         "GETs returning stale (old) data",
-        pocc.old_get_fraction() * 100.0,
-        cure.old_get_fraction() * 100.0
+        pocc.server_metrics.old_get_fraction() * 100.0,
+        cure.server_metrics.old_get_fraction() * 100.0
     );
     println!(
         "{:<34} {:>13.3}% {:>13.3}%",
         "GETs observing unmerged items",
-        pocc.unmerged_get_fraction() * 100.0,
-        cure.unmerged_get_fraction() * 100.0
+        pocc.server_metrics.unmerged_get_fraction() * 100.0,
+        cure.server_metrics.unmerged_get_fraction() * 100.0
     );
     println!(
         "{:<34} {:>14} {:>14}",

@@ -44,16 +44,16 @@
 //!
 //! ```
 //! use pocc::sim::{ProtocolKind, SimConfig, Simulation};
+//! use pocc::types::Config;
 //! use std::time::Duration;
 //!
-//! let report = Simulation::new(
-//!     SimConfig::builder()
-//!         .protocol(ProtocolKind::Pocc)
-//!         .partitions(4)
-//!         .clients_per_partition(2)
-//!         .duration(Duration::from_millis(300))
-//!         .build(),
-//! )
+//! let report = Simulation::new(SimConfig {
+//!     protocol: ProtocolKind::Pocc,
+//!     deployment: Config::builder().num_partitions(4).build().unwrap(),
+//!     clients_per_partition: 2,
+//!     duration: Duration::from_millis(300),
+//!     ..SimConfig::default()
+//! })
 //! .run();
 //! println!("{}", report.summary());
 //! ```
@@ -91,13 +91,13 @@ pub use pocc_sim::{SimConfig, SimReport, Simulation};
 pub use pocc_types::{Config, Key, ReplicaId, Timestamp, Value};
 
 /// One-stop imports for applications, examples and benchmarks: the cluster builder and
-/// client handles, protocol selection, configuration builders,
+/// client handles, protocol selection, the deployment configuration and its builder,
 /// the simulator entry points and the common value types.
 pub mod prelude {
     pub use pocc_exec::{OutputSink, ParallelServer, ProtocolKind};
     pub use pocc_proto::{InstrumentedServer, ProtocolClient, ProtocolServer, ServerIntrospect};
     pub use pocc_runtime::{Cluster, ClusterBuilder, ClusterClient, ServerProbe, TransportKind};
-    pub use pocc_sim::{SimConfig, SimConfigBuilder, SimReport, Simulation};
+    pub use pocc_sim::{SimConfig, SimReport, Simulation};
     pub use pocc_types::{
         ClientId, Config, ConfigBuilder, DependencyVector, Key, LatencyMatrix, PartitionId,
         ReplicaId, ServerId, Timestamp, Value, VersionVector,

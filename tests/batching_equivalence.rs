@@ -100,21 +100,20 @@ fn batched_cluster_reaches_identical_state_as_unbatched() {
 }
 
 fn checked_sim(protocol: ProtocolKind, batching: bool) -> pocc::sim::SimReport {
-    Simulation::new(
-        SimConfig::builder()
-            .protocol(protocol)
-            .deployment(deployment(batching))
-            .clients_per_partition(2)
-            .keys_per_partition(200)
-            .mix(WorkloadMix::GetPut { gets_per_put: 3 })
-            .think_time(Duration::from_millis(5))
-            .warmup(Duration::from_millis(100))
-            .duration(Duration::from_millis(600))
-            .drain(Duration::from_millis(300))
-            .check_consistency(true)
-            .seed(7)
-            .build(),
-    )
+    Simulation::new(SimConfig {
+        protocol,
+        deployment: deployment(batching),
+        clients_per_partition: 2,
+        keys_per_partition: 200,
+        mix: WorkloadMix::GetPut { gets_per_put: 3 },
+        think_time: Duration::from_millis(5),
+        warmup: Duration::from_millis(100),
+        duration: Duration::from_millis(600),
+        drain: Duration::from_millis(300),
+        check_consistency: true,
+        seed: 7,
+        ..SimConfig::default()
+    })
     .run()
 }
 

@@ -13,7 +13,7 @@
 //! and independent of the bench harness.
 
 use pocc::sim::{ChaosGen, ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, Simulation};
-use pocc::types::ReplicaId;
+use pocc::types::{Config, ReplicaId};
 use pocc::workload::WorkloadMix;
 use std::time::Duration;
 
@@ -21,20 +21,22 @@ const WARMUP: Duration = Duration::from_millis(100);
 const DURATION: Duration = Duration::from_millis(500);
 const DRAIN: Duration = Duration::from_millis(500);
 
-fn base(protocol: ProtocolKind, seed: u64) -> pocc::sim::SimConfigBuilder {
-    SimConfig::builder()
-        .protocol(protocol)
-        .replicas(3)
-        .partitions(2)
-        .clients_per_partition(3)
-        .keys_per_partition(100)
-        .mix(WorkloadMix::GetPut { gets_per_put: 3 })
-        .think_time(Duration::from_millis(5))
-        .warmup(WARMUP)
-        .duration(DURATION)
-        .drain(DRAIN)
-        .check_consistency(true)
-        .seed(seed)
+fn base(protocol: ProtocolKind, seed: u64, chaos: ChaosSchedule) -> SimConfig {
+    SimConfig {
+        protocol,
+        deployment: Config::builder().num_partitions(2).build().unwrap(),
+        clients_per_partition: 3,
+        keys_per_partition: 100,
+        mix: WorkloadMix::GetPut { gets_per_put: 3 },
+        think_time: Duration::from_millis(5),
+        warmup: WARMUP,
+        duration: DURATION,
+        drain: DRAIN,
+        check_consistency: true,
+        seed,
+        chaos,
+        ..SimConfig::default()
+    }
 }
 
 fn assert_clean(label: &str, report: &pocc::sim::SimReport) {
@@ -84,7 +86,7 @@ fn scripted_mixed_schedule_is_checker_clean_on_every_protocol() {
         });
     assert!(schedule.ends_by(WARMUP + DURATION));
     for protocol in ProtocolKind::ALL {
-        let report = Simulation::new(base(protocol, 7).chaos(schedule.clone()).build()).run();
+        let report = Simulation::new(base(protocol, 7, schedule.clone())).run();
         assert_clean(&format!("{protocol:?}/scripted"), &report);
     }
 }
@@ -104,7 +106,7 @@ fn generated_storms_are_checker_clean_and_reproducible() {
             "seed {seed}"
         );
         for protocol in [ProtocolKind::Pocc, ProtocolKind::Cure] {
-            let config = base(protocol, seed).chaos(schedule.clone()).build();
+            let config = base(protocol, seed, schedule.clone());
             let report = Simulation::new(config.clone()).run();
             assert_clean(&format!("{protocol:?}/storm{seed}"), &report);
             // Chaos runs replay byte-identically, so they stay regression-testable.
@@ -125,7 +127,7 @@ fn whole_dc_restart_retains_state_and_recovers() {
         outage: Duration::from_millis(80),
     });
     for protocol in [ProtocolKind::HaPocc, ProtocolKind::Adaptive] {
-        let report = Simulation::new(base(protocol, 13).chaos(schedule.clone()).build()).run();
+        let report = Simulation::new(base(protocol, 13, schedule.clone())).run();
         assert_clean(&format!("{protocol:?}/restart"), &report);
     }
 }

@@ -281,6 +281,9 @@ pub fn run_cluster_under_load(
             })
             .collect();
 
+        // Set even when the scripted loop panics, so the writers stop and the scope
+        // reports the panic instead of joining them forever.
+        let stop_writers = SetOnDrop(&scripted);
         #[allow(clippy::needless_range_loop)] // `step` is the round-robin outer index
         for step in 0..scripts[0].len() {
             for (i, client) in clients.iter_mut().enumerate() {
@@ -297,7 +300,7 @@ pub fn run_cluster_under_load(
                 record(&mut checker, client.id(), client.replica(), op, &reply);
             }
         }
-        scripted.store(true, Ordering::Relaxed);
+        drop(stop_writers);
         writers.into_iter().map(|w| w.join().unwrap()).sum()
     });
 
@@ -350,6 +353,15 @@ pub fn run_cluster_under_load(
         final_values,
         metrics,
         violations: checker.violations().len(),
+    }
+}
+
+/// Sets its flag when dropped, by a normal exit or by unwinding.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 

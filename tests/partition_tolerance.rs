@@ -1,6 +1,6 @@
 //! Behaviour under injected network partitions (the availability trade-off of §III-B).
 
-use pocc::sim::{ChaosStep, ProtocolKind, SimConfig, Simulation};
+use pocc::sim::{ChaosSchedule, ChaosStep, ProtocolKind, SimConfig, Simulation};
 use pocc::types::ReplicaId;
 use pocc::workload::WorkloadMix;
 use std::time::Duration;
@@ -16,31 +16,34 @@ fn partitioned_run(protocol: ProtocolKind, mix: WorkloadMix, heal: bool) -> pocc
         .partition_detection_timeout(Duration::from_millis(400))
         .build()
         .unwrap();
-    let mut builder = SimConfig::builder()
-        .protocol(protocol)
-        .deployment(deployment)
-        .clients_per_partition(4)
-        .keys_per_partition(200)
-        .mix(mix)
-        .think_time(Duration::from_millis(5))
-        .warmup(Duration::from_millis(100))
-        .duration(Duration::from_secs(3))
-        .drain(Duration::from_secs(1))
-        .check_consistency(true)
-        .seed(77)
-        .chaos_step(ChaosStep::Partition {
-            at: Duration::from_millis(800),
-            a: ReplicaId(0),
-            b: ReplicaId(1),
-        });
+    let mut chaos = ChaosSchedule::new().step(ChaosStep::Partition {
+        at: Duration::from_millis(800),
+        a: ReplicaId(0),
+        b: ReplicaId(1),
+    });
     if heal {
-        builder = builder.chaos_step(ChaosStep::Heal {
+        chaos = chaos.step(ChaosStep::Heal {
             at: Duration::from_millis(2_000),
             a: ReplicaId(0),
             b: ReplicaId(1),
         });
     }
-    Simulation::new(builder.build()).run()
+    Simulation::new(SimConfig {
+        protocol,
+        deployment,
+        clients_per_partition: 4,
+        keys_per_partition: 200,
+        mix,
+        think_time: Duration::from_millis(5),
+        warmup: Duration::from_millis(100),
+        duration: Duration::from_secs(3),
+        drain: Duration::from_secs(1),
+        check_consistency: true,
+        seed: 77,
+        chaos,
+        ..SimConfig::default()
+    })
+    .run()
 }
 
 #[test]

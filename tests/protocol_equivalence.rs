@@ -96,21 +96,20 @@ fn all_protocols_build_identical_replicated_state() {
 }
 
 fn checked_sim(protocol: ProtocolKind, batching: bool) -> pocc::sim::SimReport {
-    Simulation::new(
-        SimConfig::builder()
-            .protocol(protocol)
-            .deployment(deployment(batching))
-            .clients_per_partition(2)
-            .keys_per_partition(50)
-            .mix(WorkloadMix::GetPut { gets_per_put: 2 })
-            .think_time(Duration::from_millis(5))
-            .warmup(Duration::from_millis(100))
-            .duration(Duration::from_millis(600))
-            .drain(Duration::from_millis(300))
-            .check_consistency(true)
-            .seed(19)
-            .build(),
-    )
+    Simulation::new(SimConfig {
+        protocol,
+        deployment: deployment(batching),
+        clients_per_partition: 2,
+        keys_per_partition: 50,
+        mix: WorkloadMix::GetPut { gets_per_put: 2 },
+        think_time: Duration::from_millis(5),
+        warmup: Duration::from_millis(100),
+        duration: Duration::from_millis(600),
+        drain: Duration::from_millis(300),
+        check_consistency: true,
+        seed: 19,
+        ..SimConfig::default()
+    })
     .run()
 }
 
