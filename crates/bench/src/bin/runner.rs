@@ -10,7 +10,7 @@
 //! malformed report fails the run instead of poisoning downstream tooling.
 
 use pocc_bench::digest::DigestCorpus;
-use pocc_bench::scenarios::{self, PointResult};
+use pocc_bench::scenarios::{self, PointResult, Runs};
 use pocc_bench::{fmt_ms, fmt_tput, json, Scale};
 use std::process::ExitCode;
 
@@ -143,6 +143,8 @@ fn main() -> ExitCode {
     }
 
     let mut corpus = DigestCorpus::new(args.scale.name());
+    let mut runs = Runs::default();
+    let mut points = 0;
     for scenario in &selected {
         println!(
             "=== {} ({} scale) — {}",
@@ -150,7 +152,8 @@ fn main() -> ExitCode {
             args.scale.name(),
             scenario.title
         );
-        let report = scenario.run(args.scale, print_point);
+        let report = scenario.run(args.scale, &mut runs, print_point);
+        points += report.points.len();
         corpus.add_report(&report);
         let doc = report.to_json();
         if let Err(err) = json::validate_report(&doc) {
@@ -167,6 +170,10 @@ fn main() -> ExitCode {
         }
         println!("    -> {path} (schema v{} OK)\n", json::SCHEMA_VERSION);
     }
+    println!(
+        "{points} points, {} simulated (figures that plot the same run share it)",
+        runs.simulated()
+    );
     if let Some(path) = &args.digests {
         if let Err(err) = std::fs::write(path, corpus.to_json().to_pretty()) {
             eprintln!("error: cannot write {path}: {err}");

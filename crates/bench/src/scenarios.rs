@@ -14,7 +14,8 @@
 //!   compared against fresh runs by CI.
 //!
 //! Running a scenario yields a [`ScenarioReport`], which serialises to the versioned
-//! `BENCH_<name>.json` schema (see [`crate::json`]).
+//! `BENCH_<name>.json` schema (see [`crate::json`]). Scenarios run through one [`Runs`]
+//! simulate a point that several of them plot once.
 
 use crate::json::{Json, SCHEMA_VERSION};
 use crate::{deployment, get_put, point, tx_put, Scale};
@@ -76,18 +77,47 @@ pub struct ScenarioReport {
     pub points: Vec<PointResult>,
 }
 
+/// The points simulated so far, with their reports. A simulation is a pure function of
+/// its [`SimConfig`], so a point several figures plot (Fig. 2a and 2b read Fig. 1b's
+/// runs, Fig. 3c and 3d Fig. 3b's) is simulated once and its report handed to each.
+#[derive(Default)]
+pub struct Runs(Vec<(SimConfig, SimReport)>);
+
+impl Runs {
+    /// The report of `config`'s run, simulated on first request.
+    pub fn report(&mut self, config: &SimConfig) -> SimReport {
+        if let Some((_, report)) = self.0.iter().find(|(c, _)| c == config) {
+            return report.clone();
+        }
+        let report = Simulation::new(config.clone()).run();
+        self.0.push((config.clone(), report.clone()));
+        report
+    }
+
+    /// How many simulations have run.
+    pub fn simulated(&self) -> usize {
+        self.0.len()
+    }
+}
+
 impl Scenario {
     /// The points this scenario expands to at `scale`.
     pub fn points(&self, scale: Scale) -> Vec<ScenarioPoint> {
         (self.points_fn)(scale)
     }
 
-    /// Runs every point of the scenario at `scale`, invoking `on_point` after each one
-    /// (the runner uses this for progress output; pass `|_| {}` otherwise).
-    pub fn run(&self, scale: Scale, mut on_point: impl FnMut(&PointResult)) -> ScenarioReport {
+    /// Runs every point of the scenario at `scale`, simulating only the points `runs`
+    /// has not seen, and invokes `on_point` after each one (the runner uses this for
+    /// progress output; pass `|_| {}` otherwise).
+    pub fn run(
+        &self,
+        scale: Scale,
+        runs: &mut Runs,
+        mut on_point: impl FnMut(&PointResult),
+    ) -> ScenarioReport {
         let mut points = Vec::new();
         for p in self.points(scale) {
-            let report = Simulation::new(p.config.clone()).run();
+            let report = runs.report(&p.config);
             let result = PointResult {
                 label: p.label,
                 x: p.x,
@@ -1045,6 +1075,41 @@ mod tests {
                     scenario.name,
                     scale
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn figures_that_plot_the_same_runs_simulate_them_once() {
+        let mut runs = Runs::default();
+        let simulated = |name: &str, runs: &mut Runs| {
+            let before = runs.simulated();
+            let report = find(name).unwrap().run(Scale::Smoke, runs, |_| {});
+            (runs.simulated() - before, report)
+        };
+        for (generator, readers) in [
+            ("fig1b_resptime", ["fig2a_blocking", "fig2b_staleness"]),
+            (
+                "fig3b_tx_clients",
+                ["fig3c_tx_blocking", "fig3d_tx_staleness"],
+            ),
+        ] {
+            let (new, report) = simulated(generator, &mut runs);
+            assert_eq!(new, report.points.len(), "{generator}");
+            for reader in readers {
+                let (new, shared) = simulated(reader, &mut runs);
+                assert_eq!(new, 0, "{reader} re-simulated {generator}'s points");
+                // The shared reports are the ones a fresh simulation produces.
+                let fresh = find(reader)
+                    .unwrap()
+                    .run(Scale::Smoke, &mut Runs::default(), |_| {});
+                let digests = |r: &ScenarioReport| -> Vec<String> {
+                    r.points
+                        .iter()
+                        .map(|p| crate::digest::behaviour_digest(&p.report))
+                        .collect()
+                };
+                assert_eq!(digests(&shared), digests(&fresh), "{reader}");
             }
         }
     }

@@ -17,7 +17,8 @@
 //! and explain the change in the commit message.
 
 use pocc_bench::digest::{behaviour_digest, DigestCorpus, DIGEST_SCHEMA_VERSION};
-use pocc_bench::{json, scenarios, Scale};
+use pocc_bench::scenarios::{self, Runs};
+use pocc_bench::{json, Scale};
 
 fn checked_in_corpus() -> DigestCorpus {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../DIGESTS.json");
@@ -81,7 +82,7 @@ fn baseline_scenario_matches_its_checked_in_digests() {
         .find(|s| s.scenario == "baseline")
         .expect("baseline scenario is in the corpus");
     let scenario = scenarios::find("baseline").unwrap();
-    let report = scenario.run(Scale::Smoke, |_| {});
+    let report = scenario.run(Scale::Smoke, &mut Runs::default(), |_| {});
     for (point, (label, checked_in)) in report.points.iter().zip(&entry.points) {
         assert_eq!(&point.label, label);
         assert_eq!(
@@ -97,13 +98,13 @@ fn baseline_scenario_matches_its_checked_in_digests() {
 fn behaviour_digests_are_deterministic() {
     let scenario = scenarios::find("chaos_lag_drop").unwrap();
     let first: Vec<String> = scenario
-        .run(Scale::Smoke, |_| {})
+        .run(Scale::Smoke, &mut Runs::default(), |_| {})
         .points
         .iter()
         .map(|p| behaviour_digest(&p.report))
         .collect();
     let second: Vec<String> = scenario
-        .run(Scale::Smoke, |_| {})
+        .run(Scale::Smoke, &mut Runs::default(), |_| {})
         .points
         .iter()
         .map(|p| behaviour_digest(&p.report))

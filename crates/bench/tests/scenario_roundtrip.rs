@@ -6,7 +6,7 @@
 //! (bad sweep, panicking config, schema drift) fails `cargo test` before it fails CI.
 
 use pocc_bench::json;
-use pocc_bench::scenarios;
+use pocc_bench::scenarios::{self, Runs};
 use pocc_bench::Scale;
 
 #[test]
@@ -18,11 +18,12 @@ fn every_scenario_runs_at_smoke_scale_and_emits_schema_valid_json() {
          and 4 extended workloads"
     );
 
+    let mut runs = Runs::default();
     for scenario in registry {
         let resolved = scenarios::find(scenario.name).expect("registry name resolves");
         assert_eq!(resolved.name, scenario.name);
 
-        let report = resolved.run(Scale::Smoke, |_| {});
+        let report = resolved.run(Scale::Smoke, &mut runs, |_| {});
         assert!(
             !report.points.is_empty(),
             "{}: no points at smoke scale",
@@ -55,16 +56,22 @@ fn scenario_runs_are_deterministic() {
     // Two runs of the same scenario at the same scale produce byte-identical JSON;
     // this is what lets CI diff fresh runs against the checked-in baseline.
     let scenario = scenarios::find("baseline").expect("baseline scenario exists");
-    let a = scenario.run(Scale::Smoke, |_| {}).to_json().to_pretty();
+    let a = scenario
+        .run(Scale::Smoke, &mut Runs::default(), |_| {})
+        .to_json()
+        .to_pretty();
     let scenario = scenarios::find("baseline").expect("baseline scenario exists");
-    let b = scenario.run(Scale::Smoke, |_| {}).to_json().to_pretty();
+    let b = scenario
+        .run(Scale::Smoke, &mut Runs::default(), |_| {})
+        .to_json()
+        .to_pretty();
     assert_eq!(a, b);
 }
 
 #[test]
 fn partition_heal_scenario_reports_fault_effects() {
     let scenario = scenarios::find("partition_heal").expect("registered");
-    let report = scenario.run(Scale::Smoke, |_| {});
+    let report = scenario.run(Scale::Smoke, &mut Runs::default(), |_| {});
     // The control point (no partition) and the faulted point must both complete work.
     assert!(report.points.len() >= 2);
     let control = &report.points[0];

@@ -8,14 +8,15 @@
 //! reaches disk.
 
 use pocc_bench::json::{self, Json};
-use pocc_bench::{scenarios, Scale};
+use pocc_bench::scenarios::{self, Runs};
+use pocc_bench::Scale;
 
 /// A known-good report document to corrupt: the cheapest registered scenario at smoke
 /// scale.
 fn valid_report() -> Json {
     let doc = scenarios::find("baseline")
         .unwrap()
-        .run(Scale::Smoke, |_| {})
+        .run(Scale::Smoke, &mut Runs::default(), |_| {})
         .to_json();
     json::validate_report(&doc).expect("a fresh report validates");
     doc

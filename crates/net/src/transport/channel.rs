@@ -7,33 +7,49 @@
 //! between data centers, exactly like the simulator's latency model. A
 //! [`Transport::flush`] of a server delivers, on the flushing thread, what is due on its
 //! direct links out (to the servers of its data center) and on its delayed links in,
-//! then flushes the servers it delivered to, as a TCP connection reader does. A delayed
-//! message thus runs on a thread of the receiving server, which is busy anyway, and a
-//! delay thread flushes the receiver when the message falls due, in case nobody else
-//! has. Per-link FIFO order is preserved: a link's delay is constant, so its deadlines
-//! never decrease, and it is delivered under its own delivery lock.
+//! then flushes the servers it delivered to, as a TCP connection reader does. A link's
+//! due run reaches the receiver in chunks of at most [`RUN`] messages, each one event (a
+//! [`ServerMessage::Batch`] when it holds several) that the receiver applies under one
+//! hold of its engine. A delayed message thus runs on a thread of the receiving server,
+//! which is busy anyway, and a delay thread flushes the receiver when the message falls
+//! due, in case nobody else has. That thread sleeps until the earliest deadline at the
+//! head of a delayed link, and a sender wakes it only when it stages onto an empty
+//! delayed link: a non-empty link's new message falls due after its head, for which the
+//! thread is already armed. Per-link FIFO order is preserved: a link's delay is constant,
+//! so its deadlines never decrease, and it is delivered under its own delivery lock.
+//!
+//! At [`Transport::shutdown`] the delay thread stops at once. Messages still staged on a
+//! delayed link stay there: a later flush of their receiver delivers them once due, and
+//! otherwise they go with the transport, as frames staged on a closed socket do.
 //!
 //! This is the reference backend: it runs the same node logic as the TCP transport with
 //! no wire in between, which is what lets the differential suite separate protocol bugs
 //! from transport bugs.
 
 use crate::transport::{ClientPort, EventSink, Transport, TransportEvent};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use pocc_proto::{ClientReply, ClientRequest, ServerMessage};
 use pocc_types::{ClientId, Config, Error, Result, ServerId};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Below this one-way delay a link is direct: it delivers on its sender's next flush
 /// instead of after the delay, because the channel hop itself already costs on that
 /// order.
 const DIRECT_DELIVERY: Duration = Duration::from_micros(500);
+
+/// The delay thread sleeps at least this long after a wake-up, so deadlines this close
+/// together are flushed by one wake-up rather than one each.
+const DELAY_FLOOR: Duration = Duration::from_micros(100);
+
+/// Most messages of a link's due run handed to the receiver as one event: a worker
+/// lane's batch size, so a run holds the receiver's engine no longer than a lane batch.
+const RUN: usize = 64;
 
 /// One link's staged messages, oldest first, each with the instant it falls due. A flush
 /// takes the due ones while holding `delivery`. The lock order is `delivery` → the
@@ -91,24 +107,42 @@ impl Fabric {
         }
     }
 
-    /// Delivers the messages due on the link `from → to`, in order, and reports whether
-    /// there were any.
+    /// Delivers the messages due on the link `from → to`, in order and in runs of at most
+    /// [`RUN`], and reports whether there were any. A run of one goes as itself, a longer
+    /// one as a [`ServerMessage::Batch`].
     fn deliver_due(&self, from: ServerId, to: ServerId, link: &Link, start: Instant) -> bool {
         // A link with nothing due is skipped without waiting for a flusher that holds it.
         if !matches!(link.staged.lock().front(), Some((at, _)) if link.due(*at, start)) {
             return false;
         }
         let _delivery = link.delivery.lock();
-        let due: Vec<ServerMessage> = {
+        let mut runs: Vec<Vec<ServerMessage>> = Vec::new();
+        {
             let mut staged = link.staged.lock();
             let n = staged.partition_point(|(at, _)| link.due(*at, start));
-            staged.drain(..n).map(|(_, message)| message).collect()
-        };
-        let delivered = !due.is_empty();
-        for message in due {
+            let mut due = staged.drain(..n).map(|(_, message)| message).peekable();
+            while due.peek().is_some() {
+                runs.push(due.by_ref().take(RUN).collect());
+            }
+        }
+        let delivered = !runs.is_empty();
+        for mut run in runs {
+            let message = match run.len() {
+                1 => run.pop().expect("a run of one"),
+                _ => ServerMessage::Batch { messages: run },
+            };
             (self.sink)(to, TransportEvent::Peer { from, message });
         }
         delivered
+    }
+
+    /// The receiver and deadline at the head of every non-empty delayed link.
+    fn delayed_heads(&self) -> impl Iterator<Item = (ServerId, Instant)> + '_ {
+        self.links
+            .values()
+            .flatten()
+            .filter(|(_, link)| !link.delay.is_zero())
+            .filter_map(|(&to, link)| link.staged.lock().front().map(|&(at, _)| (to, at)))
     }
 }
 
@@ -116,8 +150,8 @@ impl Fabric {
 pub struct ChannelTransport {
     fabric: Arc<Fabric>,
     clients: Arc<RwLock<HashMap<ClientId, Sender<ClientReply>>>>,
-    /// When a delayed message falls due and whom to, for the delay thread.
-    timers: Sender<(Instant, ServerId)>,
+    /// The delay thread, unparked when a delayed link goes from empty to non-empty.
+    delay_waker: Thread,
     delay_thread: Mutex<Option<JoinHandle<()>>>,
     running: Arc<AtomicBool>,
 }
@@ -147,18 +181,17 @@ impl ChannelTransport {
             })
             .collect();
         let fabric = Arc::new(Fabric { sink, links });
-        let (tx, rx) = unbounded();
         let running = Arc::new(AtomicBool::new(true));
         let thread_fabric = Arc::clone(&fabric);
         let thread_running = Arc::clone(&running);
         let handle = std::thread::Builder::new()
             .name("pocc-net-delay".into())
-            .spawn(move || delay_thread(thread_fabric, rx, thread_running))
+            .spawn(move || delay_thread(&thread_fabric, &thread_running))
             .expect("spawning the delay thread succeeds");
         Arc::new(ChannelTransport {
             fabric,
             clients: Arc::new(RwLock::new(HashMap::new())),
-            timers: tx,
+            delay_waker: handle.thread().clone(),
             delay_thread: Mutex::new(Some(handle)),
             running,
         })
@@ -169,9 +202,13 @@ impl Transport for ChannelTransport {
     fn send_server(&self, from: ServerId, to: ServerId, message: ServerMessage) {
         let link = &self.fabric.links[&from][&to];
         let at = Instant::now() + link.delay;
-        link.staged.lock().push_back((at, message));
-        if !link.delay.is_zero() {
-            let _ = self.timers.send((at, to));
+        let was_empty = {
+            let mut staged = link.staged.lock();
+            staged.push_back((at, message));
+            staged.len() == 1
+        };
+        if was_empty && !link.delay.is_zero() {
+            self.delay_waker.unpark();
         }
     }
 
@@ -202,8 +239,8 @@ impl Transport for ChannelTransport {
 
     fn shutdown(&self) {
         if self.running.swap(false, Ordering::SeqCst) {
-            // The delay thread notices `running` flip on its next timeout tick.
             if let Some(handle) = self.delay_thread.lock().take() {
+                handle.thread().unpark();
                 let _ = handle.join();
             }
         }
@@ -249,41 +286,30 @@ impl Drop for ChannelClientPort {
     }
 }
 
-/// Flushes each receiver once a message staged for it on a delayed link falls due. A busy
-/// receiver's own flushes usually deliver it first; the timer is what delivers it to a
-/// quiet one.
-fn delay_thread(fabric: Arc<Fabric>, rx: Receiver<(Instant, ServerId)>, running: Arc<AtomicBool>) {
-    let mut timers: BinaryHeap<Reverse<(Instant, ServerId)>> = BinaryHeap::new();
-    while running.load(Ordering::Relaxed) || !timers.is_empty() {
+/// Flushes each receiver whose delayed link in has a message due, in case nobody else
+/// has: a busy receiver's own flushes usually deliver it first. After the flushes it
+/// sleeps until the earliest deadline left at a link's head, at least [`DELAY_FLOOR`],
+/// and with every delayed link empty until a sender wakes it. It stops as soon as
+/// `running` clears.
+fn delay_thread(fabric: &Fabric, running: &AtomicBool) {
+    let mut receivers = Vec::new();
+    while running.load(Ordering::SeqCst) {
         let now = Instant::now();
-        let mut receivers = Vec::new();
-        while let Some(&Reverse((at, to))) = timers.peek() {
-            if at > now {
-                break;
-            }
-            timers.pop();
-            if !receivers.contains(&to) {
+        for (to, at) in fabric.delayed_heads() {
+            if at <= now && !receivers.contains(&to) {
                 receivers.push(to);
             }
         }
-        for to in receivers {
+        for to in receivers.drain(..) {
             fabric.flush(to);
         }
-        let timeout = timers
-            .peek()
-            .map(|Reverse((at, _))| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(5));
-        match rx.recv_timeout(timeout.max(Duration::from_micros(100))) {
-            Ok(timer) => {
-                timers.push(Reverse(timer));
-                timers.extend(rx.try_iter().map(Reverse));
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                if timers.is_empty() {
-                    break;
-                }
-            }
+        // Scanned after the flushes: a flushed link may still hold messages not yet due.
+        match fabric.delayed_heads().map(|(_, at)| at).min() {
+            Some(at) => std::thread::park_timeout(
+                at.saturating_duration_since(Instant::now())
+                    .max(DELAY_FLOOR),
+            ),
+            None => std::thread::park(),
         }
     }
 }
@@ -324,6 +350,15 @@ mod tests {
         }
     }
 
+    /// The heartbeat clocks a delivered message carries, a run's in order.
+    fn clocks(message: ServerMessage) -> Vec<u64> {
+        match message {
+            ServerMessage::Heartbeat { clock } => vec![clock.0],
+            ServerMessage::Batch { messages } => messages.into_iter().flat_map(clocks).collect(),
+            other => panic!("unexpected message {other:?}"),
+        }
+    }
+
     #[test]
     fn intra_dc_links_deliver_on_flush_in_order_under_concurrent_flushers() {
         let a = ServerId::new(0u16, 0u32);
@@ -346,10 +381,9 @@ mod tests {
         let seen = Arc::new(PlMutex::new(Vec::new()));
         let sink_seen = Arc::clone(&seen);
         let sink: EventSink = Arc::new(move |to, event| match event {
-            TransportEvent::Peer {
-                from,
-                message: ServerMessage::Heartbeat { clock },
-            } if from == a && to == b => sink_seen.lock().push(clock.0),
+            TransportEvent::Peer { from, message } if from == a && to == b => {
+                sink_seen.lock().extend(clocks(message));
+            }
             other => panic!("unexpected event for {to}: {other:?}"),
         });
         let t = ChannelTransport::start(config(), sink);
@@ -405,6 +439,147 @@ mod tests {
         }
         assert!(sent.elapsed() >= Duration::from_millis(5));
         t.shutdown();
+    }
+
+    /// With nobody but the delay thread delivering, bursts separated by idle gaps longer
+    /// than the delay leave every link empty before the next burst, so each burst's
+    /// first message must wake the thread: without that wake the thread, parked with no
+    /// deadline, never delivers it.
+    #[test]
+    fn the_delay_thread_alone_delivers_bursts_after_idle_gaps() {
+        const DELAY: Duration = Duration::from_millis(2);
+        // How late past its deadline a message may arrive: wake-up latency and the
+        // 100 µs floor, with room for a loaded machine.
+        const LATE: Duration = Duration::from_millis(100);
+        const BURSTS: u64 = 4;
+        const PER_BURST: u64 = 3;
+        let config = Config::builder()
+            .num_replicas(3)
+            .num_partitions(2)
+            .latency(LatencyMatrix::uniform(3, Duration::from_micros(10), DELAY))
+            .build()
+            .unwrap();
+        let receiver = ServerId::new(1u16, 0u32);
+        let senders = [
+            ServerId::new(0u16, 0u32),
+            ServerId::new(0u16, 1u32),
+            ServerId::new(2u16, 0u32),
+            ServerId::new(2u16, 1u32),
+        ];
+        let arrivals = Arc::new(PlMutex::new(Vec::new()));
+        let sink_arrivals = Arc::clone(&arrivals);
+        let sink: EventSink = Arc::new(move |to, event| {
+            let at = Instant::now();
+            assert_eq!(to, receiver);
+            assert_eq!(
+                std::thread::current().name(),
+                Some("pocc-net-delay"),
+                "only the delay thread delivers"
+            );
+            let TransportEvent::Peer { from, message } = event else {
+                panic!("unexpected event {event:?}");
+            };
+            let mut arrivals = sink_arrivals.lock();
+            arrivals.extend(clocks(message).into_iter().map(|seq| (from, seq, at)));
+        });
+        let t = ChannelTransport::start(config, sink);
+        // When each message was sent, by sender and sequence number: just before and just
+        // after `send_server`.
+        let mut sent = HashMap::new();
+        for burst in 0..BURSTS {
+            for seq in burst * PER_BURST..(burst + 1) * PER_BURST {
+                for &from in &senders {
+                    let before = Instant::now();
+                    t.send_server(from, receiver, heartbeat(seq));
+                    sent.insert((from, seq), (before, Instant::now()));
+                }
+            }
+            std::thread::sleep(3 * DELAY);
+        }
+        let total = senders.len() * (BURSTS * PER_BURST) as usize;
+        let give_up = Instant::now() + DELAY + LATE;
+        while arrivals.lock().len() < total && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        t.shutdown();
+
+        let arrivals = arrivals.lock();
+        assert_eq!(arrivals.len(), total, "messages went undelivered");
+        for &from in &senders {
+            let order: Vec<u64> = arrivals
+                .iter()
+                .filter(|(f, ..)| *f == from)
+                .map(|&(_, seq, _)| seq)
+                .collect();
+            assert_eq!(order, (0..BURSTS * PER_BURST).collect::<Vec<_>>(), "{from}");
+        }
+        for &(from, seq, at) in arrivals.iter() {
+            let (before, after) = sent[&(from, seq)];
+            assert!(at >= before + DELAY, "{from}/{seq} arrived early");
+            assert!(
+                at <= after + DELAY + LATE,
+                "{from}/{seq} arrived {:?} after it fell due",
+                at - (after + DELAY)
+            );
+        }
+    }
+
+    #[test]
+    fn a_due_run_reaches_the_receiver_in_runs_of_at_most_run_messages() {
+        let a = ServerId::new(0u16, 0u32);
+        let b = ServerId::new(0u16, 1u32);
+        let runs = Arc::new(PlMutex::new(Vec::new()));
+        let sink_runs = Arc::clone(&runs);
+        let sink: EventSink = Arc::new(move |to, event| match event {
+            TransportEvent::Peer { from, message } if from == a && to == b => {
+                let batched = matches!(message, ServerMessage::Batch { .. });
+                sink_runs.lock().push((batched, clocks(message)));
+            }
+            other => panic!("unexpected event for {to}: {other:?}"),
+        });
+        let t = ChannelTransport::start(config(), sink);
+        let n = 2 * RUN as u64 + 22;
+        for clock in 0..n {
+            t.send_server(a, b, heartbeat(clock));
+        }
+        t.flush(a);
+        let delivered = std::mem::take(&mut *runs.lock());
+        assert_eq!(delivered.len(), (n as usize).div_ceil(RUN));
+        assert!(delivered
+            .iter()
+            .all(|(batched, run)| *batched && run.len() <= RUN));
+        let flat: Vec<u64> = delivered.into_iter().flat_map(|(_, run)| run).collect();
+        assert_eq!(flat, (0..n).collect::<Vec<_>>());
+
+        // A run of one goes as itself.
+        t.send_server(a, b, heartbeat(n));
+        t.flush(a);
+        assert_eq!(*runs.lock(), vec![(false, vec![n])]);
+        t.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_staged_messages_to_fall_due() {
+        let (sink, events) = collecting_sink();
+        let t = ChannelTransport::start(config(), sink);
+        // Let the delay thread reach its first sleep, so shutdown has to end one.
+        std::thread::sleep(Duration::from_millis(1));
+        let a = ServerId::new(0u16, 0u32);
+        let staged = Instant::now();
+        for to in [ServerId::new(1u16, 0u32), ServerId::new(1u16, 1u32)] {
+            t.send_server(a, to, heartbeat(0));
+        }
+        t.shutdown();
+        // The messages fall due 5 ms after staging; shutdown returns before that, and
+        // leaves them undelivered.
+        assert!(
+            staged.elapsed() < Duration::from_millis(5),
+            "shutdown took {:?}",
+            staged.elapsed()
+        );
+        assert!(events.lock().is_empty());
+        std::thread::sleep(Duration::from_millis(6));
+        assert!(events.lock().is_empty(), "the delay thread is gone");
     }
 
     #[test]

@@ -78,7 +78,8 @@ pub enum TransportEvent {
     Peer {
         /// The sending server.
         from: ServerId,
-        /// The message.
+        /// The message. The channel backend hands over a link's due run of several
+        /// messages as one [`ServerMessage::Batch`].
         message: ServerMessage,
     },
 }
@@ -87,8 +88,8 @@ pub enum TransportEvent {
 /// addressed to node `to`, on the transport's delivering thread. The sink may run the
 /// event to completion there and stage outputs on the transport, because both backends
 /// flush node `to` after delivering: the TCP backend after each `read` whose frames it
-/// delivered, the channel backend after each event. The runtime's sink runs the event on
-/// its server, on either backend.
+/// delivered, the channel backend after each link's due run. The runtime's sink runs the
+/// event on its server, on either backend.
 pub type EventSink = Arc<dyn Fn(ServerId, TransportEvent) + Send + Sync>;
 
 /// A message-moving backend connecting the nodes of one cluster (and its clients).

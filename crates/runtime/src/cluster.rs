@@ -358,8 +358,8 @@ pub(crate) fn server_for_key(config: &Config, replica: ReplicaId, key: Key) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pocc_proto::{ClientReply, ClientRequest};
-    use pocc_types::{DependencyVector, LatencyMatrix, Value};
+    use pocc_proto::{ClientReply, ClientRequest, ServerMessage};
+    use pocc_types::{DependencyVector, LatencyMatrix, Value, Version};
 
     fn small_config() -> Config {
         Config::builder()
@@ -651,6 +651,60 @@ mod tests {
                 cluster.shutdown();
             }
         }
+    }
+
+    /// A delayed link's due run longer than one channel run reaches a `ParallelServer` in
+    /// full: the runs arrive as batches, and every version in them is applied and
+    /// counted once, under far fewer spine holds than versions.
+    #[test]
+    fn a_long_delayed_run_reaches_a_parallel_server_in_full() {
+        const N: u64 = 200;
+        let config = small_config();
+        let id = ServerId::new(0u16, 0u32);
+        let origin = ServerId::new(1u16, 0u32);
+        let clock = MonotonicClock::new(SystemClock::with_epoch(Instant::now()));
+        let outputs: Arc<dyn Sink> = Arc::new(|_: ServerOutput| {});
+        let server = Arc::new(ParallelServer::start(
+            id,
+            config.clone(),
+            ProtocolKind::Pocc,
+            clock,
+            outputs,
+        ));
+        let sink_server = Arc::clone(&server);
+        let sink: EventSink = Arc::new(move |to, event| match event {
+            TransportEvent::Peer { from, message } if to == id => {
+                sink_server.handle_server_message(from, message);
+            }
+            other => panic!("unexpected event for {to}: {other:?}"),
+        });
+        let wire = ChannelTransport::start(config.clone(), sink);
+        let keys = (0..)
+            .map(Key)
+            .filter(|&key| server_for_key(&config, id.replica, key) == id);
+        for (i, key) in (1..=N).zip(keys) {
+            let version = Version::new(
+                key,
+                Value::from(i),
+                origin.replica,
+                Timestamp::from_micros(i),
+                DependencyVector::zero(2),
+            );
+            wire.send_server(origin, id, ServerMessage::Replicate { version });
+        }
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while server.metrics().replicate_received < N && Instant::now() < give_up {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let metrics = server.metrics();
+        assert_eq!(metrics.replicate_received, N);
+        assert_eq!(server.store_stats().versions as u64, N);
+        assert!(
+            metrics.spine_acquisitions < N / 2,
+            "{} spine acquisitions for {N} versions",
+            metrics.spine_acquisitions
+        );
+        wire.shutdown();
     }
 
     #[test]

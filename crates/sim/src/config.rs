@@ -8,7 +8,7 @@ use std::time::Duration;
 
 /// Full configuration of one simulation run: plain data, varied by struct update on
 /// [`SimConfig::default`] (`SimConfig { seed: 7, ..SimConfig::default() }`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimConfig {
     /// The deployment (data centers, partitions, timers, latencies).
     pub deployment: Config,
